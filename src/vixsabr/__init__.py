@@ -50,6 +50,7 @@ from .mc import (
     estimate_vix_nested,
     evolve_capped,
     price_vix_option,
+    simulate_capped_lanes,
     simulate_capped_paths,
     simulate_sabr_2d,
 )
@@ -85,7 +86,8 @@ __all__ = [
     "feller_test_function", "feller_origin_diverges", "explosion_verdict",
     "classify_boundary", "auxiliary_scale_exponent", "martingale_diagnostic",
     "McConfig", "McEstimate", "PathSet", "NestedVixResult", "Sabr2dSample",
-    "evolve_capped", "simulate_capped_paths", "estimate_forward",
+    "evolve_capped", "simulate_capped_lanes", "simulate_capped_paths",
+    "estimate_forward",
     "price_vix_option", "estimate_vix_nested", "simulate_sabr_2d",
     "SmileExpansion", "rate_integral", "rate_function",
     "limiting_implied_vol", "smile_expansion",

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .model import CapSpec, SabrParams, vol_diffusion
+from .scale import NumericalError
 
 __all__ = [
     "SmileExpansion",
@@ -124,6 +125,8 @@ def rate_integral(lo: float, hi: float, params: SabrParams, caps: CapSpec) -> fl
     ------
     ValueError
         If lo <= 0 or lo > hi.
+    NumericalError
+        If the speed ratio leaves (-1, 1), where arctanh is undefined.
     """
     if lo <= 0.0:
         raise ValueError(f"lower bound must be > 0, got {lo}")
@@ -137,7 +140,11 @@ def rate_integral(lo: float, hi: float, params: SabrParams, caps: CapSpec) -> fl
         upper = min(hi, split)
         g_lo = _speed_ratio(lo, params)
         g_hi = _speed_ratio(upper, params)
-        assert -1.0 < g_lo < 1.0 and -1.0 < g_hi < 1.0
+        if not (-1.0 < g_lo < 1.0 and -1.0 < g_hi < 1.0):
+            raise NumericalError(
+                f"speed ratio outside (-1, 1) on [{lo}, {upper}]: "
+                f"{g_lo}, {g_hi}"
+            )
         total += _atanh_diff(lo, upper, params) / params.omega
     if hi > split:
         total += math.log(hi / max(lo, split)) / caps.vol_cap

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .asymptotics import limiting_implied_vol, rate_function
-from .mc import McConfig, estimate_forward, simulate_capped_paths
+from .mc import McConfig, estimate_forward, simulate_capped_lanes, \
+    simulate_capped_paths
 from .model import CapSpec, SabrParams
 from .pricing import rate_convergence_study, smile_from_paths
 from .scale import NumericalError, QuadratureConfig, explosion_verdict, \
@@ -146,8 +147,8 @@ class RunConfig:
             except (TypeError, ValueError):
                 problems.append(f"{section}: expected a list of numbers")
                 return fallback
-            if not values or any(x <= 0.0 for x in values):
-                problems.append(f"{section}: entries must be > 0")
+            if not values or not all(0.0 < x < math.inf for x in values):
+                problems.append(f"{section}: entries must be finite and > 0")
                 return fallback
             return values
 
@@ -271,14 +272,17 @@ def cmd_diagnose(config: RunConfig, n_threads: int = 1) -> int:
 def cmd_forwards(config: RunConfig, n_threads: int = 1) -> int:
     """Write the cap binding level and the MC forward per correlation."""
     header = ["rho", "binding_level", "forward", "forward_se"]
-    rows = []
+    lanes = []
     for rho in _FORWARD_RHOS:
         params = replace(config.model, rho=rho)
         caps = CapSpec.from_params(params, config.vol_cap, config.drift_cap)
-        paths = simulate_capped_paths(params, caps, config.mc,
-                                      n_threads=n_threads)
+        lanes.append((params, caps, config.mc.horizon))
+    rows = []
+    lane_paths = simulate_capped_lanes(lanes, config.mc, n_threads=n_threads)
+    for (params, caps, _), paths in zip(lanes, lane_paths):
         forward = estimate_forward(paths)
-        rows.append([rho, caps.binding_level, forward.value, forward.std_error])
+        rows.append([params.rho, caps.binding_level, forward.value,
+                     forward.std_error])
     print(_write_table(config, "forward_table", header, rows))
     return 0
 
@@ -349,11 +353,15 @@ def cmd_converge(config: RunConfig, strike: float, n_threads: int = 1) -> int:
     return 0
 
 
+def _reject_constant(name: str):
+    raise ConfigError([f"{name} is not a valid number; values must be finite"])
+
+
 def _load_config(args) -> RunConfig:
     data = {}
     if args.config is not None:
         with open(args.config) as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_constant=_reject_constant)
         if not isinstance(data, dict):
             raise ConfigError(["top level: expected a JSON object"])
     config = RunConfig.from_dict(data)

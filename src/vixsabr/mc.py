@@ -4,6 +4,10 @@ Paths are generated in fixed-size blocks, each block drawing from its
 own counter-based Philox stream keyed by (domain, block index, seed).
 Blocks write into disjoint slices of preallocated output arrays, so the
 result is bit-identical for any worker count and any scheduling order.
+A capped-path block draws its normals one time step at a time into a
+buffer one block wide, which yields exactly the numbers of one 2-D draw of the
+whole block, and several lanes (models that share the seed and sizes)
+step from each drawn row.
 
 The default stepping scheme is log-space Euler: because the capped
 coefficients are bounded, the per-step exponential form is exact in
@@ -15,8 +19,9 @@ available behind a switch for comparison studies.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -30,6 +35,7 @@ __all__ = [
     "NestedVixResult",
     "Sabr2dSample",
     "evolve_capped",
+    "simulate_capped_lanes",
     "simulate_capped_paths",
     "estimate_forward",
     "price_vix_option",
@@ -66,6 +72,10 @@ class McConfig:
     inner_steps: int = 30
 
     def __post_init__(self):
+        for name in ("n_paths", "n_steps", "inner_paths", "inner_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_steps < 1:
@@ -147,13 +157,57 @@ def _block_rng(domain: int, block_index: int, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _step_capped(v, z_row, dt, sqrt_dt, params, caps, scheme):
-    """Advance one time step of the capped volatility process."""
-    sig = capped_vol_diffusion(v, params, caps)
-    mu = capped_vol_drift(v, params, caps)
+def _run_blocks(n_blocks: int, run_block, n_threads: int) -> None:
+    """Call ``run_block(i)`` for every block index on up to n_threads workers.
+
+    Blocks must write disjoint outputs; the result then does not depend
+    on the worker count or on the order in which blocks finish.
+    """
+    if n_threads > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            list(pool.map(run_block, range(n_blocks)))
+    else:
+        for block_index in range(n_blocks):
+            run_block(block_index)
+
+
+def _check_scheme(scheme: str) -> None:
+    if scheme not in _SCHEMES:
+        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+
+
+def _step_capped(v, z, dt, sqrt_dt, params, caps, scheme, work) -> None:
+    """Advance ``v`` in place by one time step of the capped process.
+
+    ``z`` holds the step's standard normals and is only read, so several
+    lanes may step from one row.  ``work`` holds three scratch arrays
+    shaped like ``v``.  The in-place operations evaluate
+
+        log:    v * exp((mu - 0.5 * sig * sig) * dt + sig * sqrt_dt * z)
+        euler:  max(v * (1.0 + mu * dt + sig * sqrt_dt * z), 0)
+
+    operation for operation, so every value is bit-identical to those
+    expressions.
+    """
+    sig, mu, tmp = work
+    capped_vol_diffusion(v, params, caps, out=sig)
+    capped_vol_drift(v, params, caps, out=mu)
     if scheme == "log":
-        return v * np.exp((mu - 0.5 * sig * sig) * dt + sig * sqrt_dt * z_row)
-    return np.maximum(v * (1.0 + mu * dt + sig * sqrt_dt * z_row), 0.0)
+        np.multiply(sig, 0.5, out=tmp)
+        tmp *= sig
+        np.subtract(mu, tmp, out=mu)
+        mu *= dt
+    else:
+        mu *= dt
+        mu += 1.0
+    sig *= sqrt_dt
+    sig *= z
+    mu += sig
+    if scheme == "log":
+        v *= np.exp(mu, out=mu)
+    else:
+        v *= mu
+        np.maximum(v, 0.0, out=v)
 
 
 def evolve_capped(v_init, normals, horizon, params, caps, scheme="log"):
@@ -164,16 +218,69 @@ def evolve_capped(v_init, normals, horizon, params, caps, scheme="log"):
     studies can couple coarse and fine grids through common Brownian
     increments (aggregate fine rows into coarse ones and rescale).
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+    _check_scheme(scheme)
     normals = np.asarray(normals, dtype=float)
-    n_steps = normals.shape[0]
-    dt = horizon / n_steps
+    dt = horizon / normals.shape[0]
     sqrt_dt = math.sqrt(dt)
     v = np.broadcast_to(np.asarray(v_init, dtype=float), normals.shape[1:]).copy()
-    for k in range(n_steps):
-        v = _step_capped(v, normals[k], dt, sqrt_dt, params, caps, scheme)
+    work = [np.empty(v.shape) for _ in range(3)]
+    for z in normals:
+        _step_capped(v, z, dt, sqrt_dt, params, caps, scheme, work)
     return v
+
+
+def simulate_capped_lanes(
+    lanes,
+    mc: McConfig,
+    scheme: str = "log",
+    n_threads: int = 1,
+    *,
+    store_paths: bool = False,
+) -> list[PathSet]:
+    """Simulate several capped processes on common random numbers.
+
+    Each lane is a ``(params, caps, horizon)`` triple; all lanes share
+    ``mc.seed``, ``mc.n_paths`` and ``mc.n_steps`` (``mc.horizon`` is
+    not used).  Every block draws each row of normals once and steps all
+    lanes from it, so lane i of the result equals, bit for bit,
+    ``simulate_capped_paths(params_i, caps_i, replace(mc,
+    horizon=horizon_i), scheme, store_paths=store_paths)``, for any
+    thread count.
+    """
+    _check_scheme(scheme)
+    n, n_steps = mc.n_paths, mc.n_steps
+    steps = []
+    for params, caps, horizon in lanes:
+        if not horizon > 0.0:
+            raise ValueError(f"horizon must be > 0, got {horizon}")
+        dt = horizon / n_steps
+        steps.append((params, caps, dt, math.sqrt(dt)))
+    results = [
+        PathSet(np.empty(n), np.empty((n_steps + 1, n)) if store_paths else None)
+        for _ in steps
+    ]
+
+    def run_block(block_index: int) -> None:
+        lo = block_index * _BLOCK_PATHS
+        hi = min(n, lo + _BLOCK_PATHS)
+        rng = _block_rng(_DOMAIN_CAPPED, block_index, mc.seed)
+        z = np.empty(hi - lo)
+        work = np.empty((3, hi - lo))
+        states = [np.full(hi - lo, params.v0) for params, *_ in steps]
+        if store_paths:
+            for v, result in zip(states, results):
+                result.paths[0, lo:hi] = v
+        for k in range(n_steps):
+            rng.standard_normal(out=z)
+            for (params, caps, dt, sqrt_dt), v, result in zip(steps, states, results):
+                _step_capped(v, z, dt, sqrt_dt, params, caps, scheme, work)
+                if store_paths:
+                    result.paths[k + 1, lo:hi] = v
+        for v, result in zip(states, results):
+            result.terminal_values[lo:hi] = v
+
+    _run_blocks((n + _BLOCK_PATHS - 1) // _BLOCK_PATHS, run_block, n_threads)
+    return results
 
 
 def simulate_capped_paths(
@@ -188,38 +295,12 @@ def simulate_capped_paths(
 
     Deterministic given (seed, n_paths, n_steps, scheme) no matter how
     many worker threads run the blocks.  With the default log scheme
-    every simulated value is strictly positive.
+    every simulated value is strictly positive.  This is the one-lane
+    case of :func:`simulate_capped_lanes`.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    n = mc.n_paths
-    dt = mc.horizon / mc.n_steps
-    sqrt_dt = math.sqrt(dt)
-    terminal = np.empty(n)
-    paths = np.empty((mc.n_steps + 1, n)) if store_paths else None
-
-    def run_block(block_index: int) -> None:
-        lo = block_index * _BLOCK_PATHS
-        hi = min(n, lo + _BLOCK_PATHS)
-        rng = _block_rng(_DOMAIN_CAPPED, block_index, mc.seed)
-        z = rng.standard_normal((mc.n_steps, hi - lo))
-        v = np.full(hi - lo, params.v0)
-        if store_paths:
-            paths[0, lo:hi] = v
-        for k in range(mc.n_steps):
-            v = _step_capped(v, z[k], dt, sqrt_dt, params, caps, scheme)
-            if store_paths:
-                paths[k + 1, lo:hi] = v
-        terminal[lo:hi] = v
-
-    n_blocks = (n + _BLOCK_PATHS - 1) // _BLOCK_PATHS
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(run_block, range(n_blocks)))
-    else:
-        for block_index in range(n_blocks):
-            run_block(block_index)
-    return PathSet(terminal_values=terminal, paths=paths)
+    return simulate_capped_lanes(
+        [(params, caps, mc.horizon)], mc, scheme, n_threads, store_paths=store_paths
+    )[0]
 
 
 def estimate_forward(paths: PathSet) -> McEstimate:
@@ -293,11 +374,7 @@ def estimate_vix_nested(
     if mc.inner_paths < 2:
         raise ValueError("inner_paths must be >= 2 for the nested estimator")
     outer = simulate_capped_paths(
-        params, caps, McConfig(
-            n_paths=mc.n_paths, n_steps=mc.n_steps, horizon=horizon,
-            vix_window=window, seed=mc.seed, inner_paths=mc.inner_paths,
-            inner_steps=mc.inner_steps,
-        ),
+        params, caps, replace(mc, horizon=horizon, vix_window=window),
         scheme=scheme, n_threads=n_threads,
     )
     v_t = outer.terminal_values
@@ -309,12 +386,16 @@ def estimate_vix_nested(
 
     def run_outer(i: int) -> None:
         rng = _block_rng(_DOMAIN_INNER, i, mc.seed)
+        # The inner block is small, so it is drawn in one call: a draw
+        # per row would release the interpreter lock once per step, and
+        # with several workers those hand-offs cost more than the step.
         z = rng.standard_normal((mc.inner_steps, mc.inner_paths))
+        work = np.empty((3, mc.inner_paths))
         v = np.full(mc.inner_paths, v_t[i])
         # Trapezoid accumulation of v^2 over the window, per sub-path.
         acc = 0.5 * v * v
         for k in range(mc.inner_steps):
-            v = _step_capped(v, z[k], dt, sqrt_dt, params, caps, scheme)
+            _step_capped(v, z[k], dt, sqrt_dt, params, caps, scheme, work)
             acc += v * v if k < mc.inner_steps - 1 else 0.5 * v * v
         vix_sq_samples = acc * dt / window
         mean_sq = float(vix_sq_samples.mean())
@@ -322,12 +403,7 @@ def estimate_vix_nested(
         vix[i] = math.sqrt(mean_sq)
         inner_se[i] = se_sq / (2.0 * vix[i]) if vix[i] > 0.0 else 0.0
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(run_outer, range(n_outer)))
-    else:
-        for i in range(n_outer):
-            run_outer(i)
+    _run_blocks(n_outer, run_outer, n_threads)
 
     lower = v_t * math.exp(-caps.drift_cap * window)
     upper = v_t * math.exp(caps.drift_cap * window + 0.5 * caps.vol_cap**2 * window)
@@ -391,13 +467,7 @@ def simulate_sabr_2d(
         spot[lo:hi] = s
         vol[lo:hi] = sig
 
-    n_blocks = (n + _BLOCK_PATHS - 1) // _BLOCK_PATHS
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(run_block, range(n_blocks)))
-    else:
-        for block_index in range(n_blocks):
-            run_block(block_index)
+    _run_blocks((n + _BLOCK_PATHS - 1) // _BLOCK_PATHS, run_block, n_threads)
 
     alive = spot > 0.0
     effective = vol[alive] * spot[alive] ** (params.beta - 1.0)

@@ -120,6 +120,35 @@ class CapSpec:
         return cls(vol_cap=vol_cap, drift_cap=drift_cap, binding_level=binding)
 
 
+def _diffusion(v, params: SabrParams, out):
+    """vol_diffusion(v) as an array, written into ``out`` when given."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty(v.shape) if out is None else out
+    b1 = params.beta - 1.0
+    # omega^2 + 2*rho*(beta-1)*omega*v + ((beta-1)*v)^2, summed left to
+    # right.  ``**`` squares arrays exactly but takes pow() on a 0-d
+    # input, so np.square would change the scalar results' last bit.
+    np.multiply(2.0 * params.rho * b1 * params.omega, v, out=out)
+    out += params.omega**2
+    out += (b1 * v) ** 2
+    return np.sqrt(out, out=out)
+
+
+def _drift(v, params: SabrParams, out):
+    """vol_drift(v) as an array, written into ``out`` when given."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty(v.shape) if out is None else out
+    b = params.beta
+    np.multiply(0.5 * (b - 2.0), v, out=out)
+    out += params.rho * params.omega
+    out *= v * (b - 1.0)
+    return out
+
+
+def _scalar_or_array(val: np.ndarray):
+    return val if val.ndim else float(val)
+
+
 def vol_diffusion(v, params: SabrParams):
     """Lognormal diffusion coefficient of the volatility process.
 
@@ -134,12 +163,7 @@ def vol_diffusion(v, params: SabrParams):
     float or ndarray
         sqrt(omega^2 + 2*rho*(beta-1)*omega*v + (beta-1)^2 * v^2).
     """
-    v = np.asarray(v, dtype=float)
-    b1 = params.beta - 1.0
-    val = np.sqrt(
-        params.omega**2 + 2.0 * params.rho * b1 * params.omega * v + (b1 * v) ** 2
-    )
-    return val if val.ndim else float(val)
+    return _scalar_or_array(_diffusion(v, params, None))
 
 
 def vol_drift(v, params: SabrParams):
@@ -148,22 +172,26 @@ def vol_drift(v, params: SabrParams):
     Returns v * (beta - 1) * (0.5 * (beta - 2) * v + rho * omega),
     vectorized over ``v``.
     """
-    v = np.asarray(v, dtype=float)
-    b = params.beta
-    val = v * (b - 1.0) * (0.5 * (b - 2.0) * v + params.rho * params.omega)
-    return val if val.ndim else float(val)
+    return _scalar_or_array(_drift(v, params, None))
 
 
-def capped_vol_diffusion(v, params: SabrParams, caps: CapSpec):
-    """Diffusion coefficient clamped from above at ``caps.vol_cap``."""
-    val = np.minimum(vol_diffusion(v, params), caps.vol_cap)
-    return val if np.ndim(val) else float(val)
+def capped_vol_diffusion(v, params: SabrParams, caps: CapSpec, out=None):
+    """Diffusion coefficient clamped from above at ``caps.vol_cap``.
+
+    ``out``, if given, is an array of ``v``'s shape that receives the
+    result; it must not share memory with ``v``.
+    """
+    val = _diffusion(v, params, out)
+    return _scalar_or_array(np.minimum(val, caps.vol_cap, out=val))
 
 
-def capped_vol_drift(v, params: SabrParams, caps: CapSpec):
-    """Drift coefficient clamped to ``[-caps.drift_cap, caps.drift_cap]``."""
-    val = np.clip(vol_drift(v, params), -caps.drift_cap, caps.drift_cap)
-    return val if np.ndim(val) else float(val)
+def capped_vol_drift(v, params: SabrParams, caps: CapSpec, out=None):
+    """Drift coefficient clamped to ``[-caps.drift_cap, caps.drift_cap]``.
+
+    ``out`` is as in :func:`capped_vol_diffusion`.
+    """
+    val = _drift(v, params, out)
+    return _scalar_or_array(np.clip(val, -caps.drift_cap, caps.drift_cap, out=val))
 
 
 def drift_polynomial_coefficients(params: SabrParams) -> tuple[float, float]:

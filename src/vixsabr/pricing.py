@@ -10,15 +10,17 @@ reported per strike instead of failing the whole smile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from scipy import optimize
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .asymptotics import rate_function
+# simulate_capped_paths is unused here but stays bound, because
+# bench/spans.py wraps this module's binding of it.
 from .mc import McConfig, McEstimate, PathSet, estimate_forward, price_vix_option, \
-    simulate_capped_paths
+    simulate_capped_lanes, simulate_capped_paths  # noqa: F401
 from .model import CapSpec, SabrParams
 
 __all__ = [
@@ -97,8 +99,8 @@ def bs_price(strike: float, maturity: float, forward: float, vol: float,
     d1 = math.log(forward / strike) / total + 0.5 * total
     d2 = d1 - total
     if kind == "call":
-        return forward * norm.cdf(d1) - strike * norm.cdf(d2)
-    return strike * norm.cdf(-d2) - forward * norm.cdf(-d1)
+        return forward * ndtr(d1) - strike * ndtr(d2)
+    return strike * ndtr(-d2) - forward * ndtr(-d1)
 
 
 def implied_vol(price: float, strike: float, maturity: float, forward: float,
@@ -222,7 +224,7 @@ def rate_convergence_study(
 ) -> list[ConvergenceRow]:
     """Track -T * log(price) against the rate function as T shrinks.
 
-    Re-simulates with the same seed at every maturity (common random
+    Simulates every maturity from the same normals (common random
     numbers keep the trend smooth), prices the out-of-the-money option
     at the given strike and compares minus maturity times the log price
     with the closed-form rate function.  A row is flagged
@@ -242,11 +244,10 @@ def rate_convergence_study(
         raise ValueError("strike must differ from v0 for the rate comparison")
     kind = "call" if strike > params.v0 else "put"
     target = rate_function(strike, params, caps)
+    lanes = [(params, caps, maturity) for maturity in maturities]
     rows = []
-    for maturity in maturities:
-        paths = simulate_capped_paths(
-            params, caps, replace(mc, horizon=maturity), n_threads=n_threads
-        )
+    lane_paths = simulate_capped_lanes(lanes, mc, n_threads=n_threads)
+    for maturity, paths in zip(maturities, lane_paths):
         estimate = price_vix_option(paths, strike, kind, rate, maturity)
         zero = estimate.value <= 2.0 * estimate.std_error or estimate.value <= 0.0
         if estimate.value > 0.0:

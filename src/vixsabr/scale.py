@@ -54,7 +54,8 @@ __all__ = [
 
 
 class NumericalError(RuntimeError):
-    """Raised when quadrature fails to converge or a tail fit is rejected."""
+    """Raised when quadrature fails to converge, a tail fit is rejected, or
+    a closed form is evaluated outside its domain."""
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from scipy.integrate import quad as scipy_quad
 
 from vixsabr import (
     CapSpec,
+    NumericalError,
     SabrParams,
     limiting_implied_vol,
     rate_function,
@@ -57,6 +58,12 @@ def test_rate_integral_pinned(params, caps):
 
 def test_rate_integral_degenerate_interval(params, caps):
     assert rate_integral(0.7, 0.7, params, caps) == 0.0
+
+
+def test_rate_integral_raises_outside_arctanh_domain(params, caps, monkeypatch):
+    monkeypatch.setattr("vixsabr.asymptotics._speed_ratio", lambda v, p: 1.0)
+    with pytest.raises(NumericalError):
+        rate_integral(0.05, 0.1, params, caps)
 
 
 def test_rate_integral_rejects_bad_interval(params, caps):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -66,7 +67,9 @@ def test_config_rejects_inconsistent_caps():
     assert any(p.startswith("caps:") for p in err.value.problems)
 
 
-@pytest.mark.parametrize("strikes", [[], [0.1, -0.2], [0.0]])
+@pytest.mark.parametrize(
+    "strikes", [[], [0.1, -0.2], [0.0], [math.inf], [0.1, math.nan]]
+)
 def test_config_rejects_bad_strikes(strikes):
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"strikes": strikes})
@@ -97,6 +100,49 @@ def test_main_rejects_bad_config_values(tmp_path, capsys):
     code = run_cli(tmp_path, {"model": {"beta": 2.0}}, "diagnose")
     assert code == 2
     assert "model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"rate": NaN}', '{"strikes": [Infinity]}', '{"model": {"v0": -Infinity}}'],
+)
+def test_main_rejects_non_finite_json(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path), "smile"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "smile.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "mc",
+    [{"n_paths": 2.5}, {"n_steps": True}, {"seed": 1.5},
+     {"inner_paths": 1000.0}, {"inner_steps": "30"}],
+)
+def test_main_rejects_non_integer_sizes(tmp_path, capsys, mc):
+    code = run_cli(tmp_path, {"mc": mc, "output_dir": str(tmp_path)}, "forwards")
+    assert code == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["strikes", "maturities"])
+def test_main_rejects_non_finite_list_entries(tmp_path, capsys, section):
+    code = run_cli(
+        tmp_path, {section: [0.1, "Infinity"], "output_dir": str(tmp_path)}, "smile"
+    )
+    assert code == 2
+    assert f"{section}: entries must be finite" in capsys.readouterr().err
+
+
+def test_main_maps_rate_domain_error_to_exit_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("vixsabr.asymptotics._speed_ratio", lambda v, p: 1.0)
+    code = run_cli(
+        tmp_path,
+        {"maturities": [0.2, 0.1], "mc": FAST_MC, "output_dir": str(tmp_path)},
+        "converge",
+    )
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_diagnose_requires_negative_correlation(tmp_path, capsys):
@@ -339,3 +385,38 @@ def test_out_override_creates_directory(tmp_path):
     code = run_cli(tmp_path, {}, "--out", str(target), "diagnose")
     assert code == 0
     assert (target / "diagnose.json").exists()
+
+
+# SHA-256 of every output at a small config, recorded before path blocks
+# drew their normals one time row at a time.  A change to the random
+# streams, the step arithmetic, the pricing or the number formatting
+# shows up here.
+PINNED_DIGESTS = {
+    "forward_table.csv":
+        "87cda6f1b8e251f7a7fcc5e5e9efaa5911145155b05ef8b56caacc7111f61aae",
+    "smile.csv":
+        "f47dc900b5f2e7776311379b47086882ee5e06f2486e2cca5ef66f6a341ca3e5",
+    "converge.csv":
+        "f685f6c703926695433478124c8b12808266c983cd52354760dfe2f53c286870",
+    "diagnose.json":
+        "7cdc2707c31c6553850a6cf5dda3cd686f67e005967a1ab69fd02f9d1547f985",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_outputs_pinned_byte_for_byte(tmp_path, threads):
+    mc = {"n_paths": 20_000, "n_steps": 20}
+    commands = [
+        ({"mc": mc}, ["diagnose"]),
+        ({"mc": mc}, ["forwards"]),
+        ({"mc": mc}, ["smile"]),
+        ({"mc": mc, "maturities": [0.2, 0.1, 0.05, 0.025]},
+         ["converge", "--strike", "0.15"]),
+    ]
+    for config, command in commands:
+        code = run_cli(tmp_path, config, "--out", str(tmp_path / "out"),
+                       "--threads", threads, *command)
+        assert code == 0
+    for name, digest in PINNED_DIGESTS.items():
+        data = (tmp_path / "out" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name

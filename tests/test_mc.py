@@ -9,13 +9,17 @@ from vixsabr import (
     McConfig,
     PathSet,
     SabrParams,
+    capped_vol_diffusion,
+    capped_vol_drift,
     estimate_forward,
     estimate_vix_nested,
     evolve_capped,
     price_vix_option,
+    simulate_capped_lanes,
     simulate_capped_paths,
     simulate_sabr_2d,
 )
+from vixsabr.mc import _BLOCK_PATHS, _DOMAIN_CAPPED, _block_rng
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +38,11 @@ from vixsabr import (
         dict(inner_steps=0),
         dict(seed=-1),
         dict(seed=2**64),
+        dict(n_paths=2.5),
+        dict(n_steps=True),
+        dict(inner_paths=1000.0),
+        dict(inner_steps="30"),
+        dict(seed=1.0),
     ],
 )
 def test_mc_config_validation(kwargs):
@@ -59,6 +68,72 @@ def test_simulation_blocks_independent_of_total_size(params, caps):
     a = simulate_capped_paths(params, caps, small)
     b = simulate_capped_paths(params, caps, large)
     assert np.array_equal(a.terminal_values, b.terminal_values[:16_384])
+
+
+@pytest.mark.parametrize("width", [_BLOCK_PATHS, 17])
+def test_row_draws_equal_one_block_draw(width):
+    whole = _block_rng(_DOMAIN_CAPPED, 3, 12345).standard_normal((7, width))
+    rng = _block_rng(_DOMAIN_CAPPED, 3, 12345)
+    row = np.empty(width)
+    for k in range(7):
+        rng.standard_normal(out=row)
+        assert np.array_equal(row, whole[k])
+
+
+def _reference_paths(params, caps, mc, scheme):
+    """Step-major paths from whole-block 2-D draws and the plain step
+    expressions, as the simulator is specified."""
+    dt = mc.horizon / mc.n_steps
+    sqrt_dt = math.sqrt(dt)
+    blocks = []
+    for b, lo in enumerate(range(0, mc.n_paths, _BLOCK_PATHS)):
+        m = min(mc.n_paths, lo + _BLOCK_PATHS) - lo
+        z = _block_rng(_DOMAIN_CAPPED, b, mc.seed).standard_normal((mc.n_steps, m))
+        v = np.full(m, params.v0)
+        rows = [v]
+        for k in range(mc.n_steps):
+            sig = capped_vol_diffusion(v, params, caps)
+            mu = capped_vol_drift(v, params, caps)
+            if scheme == "log":
+                v = v * np.exp((mu - 0.5 * sig * sig) * dt + sig * sqrt_dt * z[k])
+            else:
+                v = np.maximum(v * (1.0 + mu * dt + sig * sqrt_dt * z[k]), 0.0)
+            rows.append(v)
+        blocks.append(np.array(rows))
+    return np.concatenate(blocks, axis=1)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("scheme", ["log", "euler"])
+def test_lanes_equal_separate_simulations(params, caps, scheme, n_threads):
+    mc = McConfig(n_paths=16_384 + 17, n_steps=6, horizon=0.1, seed=31)
+    flipped = replace(params, rho=0.7)
+    binding = SabrParams(beta=0.5, rho=-0.7, omega=1.5, v0=0.5)
+    lanes = [
+        (params, caps, 0.1),
+        (flipped, CapSpec.from_params(flipped, 2.0, 1.0), 0.1),
+        (binding, CapSpec.from_params(binding, 1.8, 0.3), 0.4),
+        (params, caps, 0.025),
+    ]
+    results = simulate_capped_lanes(lanes, mc, scheme=scheme, store_paths=True,
+                                    n_threads=n_threads)
+    assert len(results) == len(lanes)
+    for (p, c, horizon), got in zip(lanes, results):
+        lane_mc = replace(mc, horizon=horizon)
+        alone = simulate_capped_paths(p, c, lane_mc, scheme=scheme, store_paths=True)
+        assert np.array_equal(got.terminal_values, alone.terminal_values)
+        assert np.array_equal(got.paths, alone.paths)
+        assert np.array_equal(got.paths, _reference_paths(p, c, lane_mc, scheme))
+        assert np.array_equal(got.paths[-1], got.terminal_values)
+
+
+def test_lanes_validate_inputs(params, caps):
+    mc = McConfig(n_paths=100, n_steps=2)
+    with pytest.raises(ValueError):
+        simulate_capped_lanes([(params, caps, 0.0)], mc)
+    with pytest.raises(ValueError):
+        simulate_capped_lanes([(params, caps, 0.1)], mc, scheme="milstein")
+    assert simulate_capped_lanes([], mc) == []
 
 
 def test_log_scheme_paths_positive_and_finite(params, caps):
