@@ -93,6 +93,12 @@ class RunConfig:
         for key in data:
             if key not in known:
                 problems.append(f"{key}: unknown section")
+        # No numeric field takes a boolean, though Python would read
+        # true/false as 1/0.
+        for section in ("model", "caps", "mc", "quadrature", "strikes",
+                        "maturities", "rate"):
+            problems += [f"{where}: expected a number, got a boolean"
+                         for where in _booleans(data.get(section), section)]
 
         def build(section, factory, fallback):
             """Merge a partial section over its defaults and construct it."""
@@ -156,9 +162,18 @@ class RunConfig:
         maturities = positive_list("maturities", defaults.maturities)
 
         rate = data.get("rate", defaults.rate)
-        if not isinstance(rate, (int, float)):
-            problems.append("rate: expected a number")
+        if not isinstance(rate, (int, float)) or not math.isfinite(rate):
+            problems.append("rate: expected a finite number")
             rate = defaults.rate
+        else:
+            # prices are discounted by exp(-rate T) and grown back by
+            # exp(rate T), so |rate| T must stay in exp's range
+            longest = max((*maturities, mc.horizon))
+            if abs(rate) * longest > math.log(sys.float_info.max):
+                problems.append(
+                    f"rate: {rate} makes exp(|rate| * T) overflow at "
+                    f"T = {longest}; |rate| * T must stay below 709"
+                )
 
         output_dir = data.get("output_dir", defaults.output_dir)
         if not isinstance(output_dir, str):
@@ -203,6 +218,19 @@ class RunConfig:
             "output_dir": self.output_dir,
             "format": self.format,
         }
+
+
+def _booleans(payload, where: str) -> list[str]:
+    """Paths of the JSON booleans in a config value, at any depth."""
+    if isinstance(payload, bool):
+        return [where]
+    if isinstance(payload, dict):
+        items = [(f"{where}.{key}", value) for key, value in payload.items()]
+    elif isinstance(payload, list):
+        items = [(f"{where}[{i}]", value) for i, value in enumerate(payload)]
+    else:
+        return []
+    return [path for at, value in items for path in _booleans(value, at)]
 
 
 def _fmt(value) -> str:

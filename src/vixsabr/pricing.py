@@ -1,10 +1,12 @@
 """Black-formula utilities and the MC-to-smile bridge.
 
 Prices from the Monte Carlo engine are converted to implied
-volatilities with an undiscounted forward Black formula, inverted by
-safeguarded bracketing.  Error bands come from re-inverting the price
-shifted by one standard error; prices outside the arbitrage bounds are
-reported per strike instead of failing the whole smile.
+volatilities with an undiscounted forward Black formula, inverted by a
+safeguarded Newton--bisection that runs on all strikes of a smile at
+once.  A smile prices every strike from one sorted copy of the terminal
+values.  Error bands come from re-inverting the price shifted by one
+standard error; prices outside the arbitrage bounds are reported per
+strike instead of failing the whole smile.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy import optimize
+import numpy as np
 from scipy.special import ndtr
 
 from .asymptotics import rate_function
@@ -22,6 +24,7 @@ from .asymptotics import rate_function
 from .mc import McConfig, McEstimate, PathSet, estimate_forward, price_vix_option, \
     simulate_capped_lanes, simulate_capped_paths  # noqa: F401
 from .model import CapSpec, SabrParams
+from .scale import NumericalError
 
 __all__ = [
     "OutOfBoundsError",
@@ -32,6 +35,13 @@ __all__ = [
     "smile_from_paths",
     "rate_convergence_study",
 ]
+
+# Largest vol the upper bracket may grow to before a price counts as
+# out of bounds, and the iteration budget of the inversion: far above
+# the ~65 halvings that take a bracket of 2**19 down to 1e-14.
+_VOL_CEILING = 1e6
+_MAX_ITERATIONS = 200
+
 
 class OutOfBoundsError(ValueError):
     """Price outside the arbitrage bounds, no implied vol exists.
@@ -52,8 +62,11 @@ class SmilePoint:
 
     ``band`` is the price +- one standard error, re-inverted at the
     estimated forward; its lower edge collapses to 0 and its upper edge
-    to inf when the shifted price leaves the arbitrage bounds.  It is a
-    display band, not a confidence interval: its nominal coverage is
+    to inf when the shifted price leaves the arbitrage bounds.  When at
+    most one path pays, price - SE is 0 in exact arithmetic, and the
+    lower edge is set to 0.0 instead of being left to rounding; with two
+    or more paying paths price - SE is positive.  The band is a display
+    band, not a confidence interval: its nominal coverage is
     about 68% per strike, it leaves out the error of the forward, and
     its errors are shared across the strikes of one smile, which all
     reuse the same paths.  ``status`` is "ok", or "below"/"above" when
@@ -81,83 +94,177 @@ class ConvergenceRow:
     statistically_zero: bool
 
 
-def bs_price(strike: float, maturity: float, forward: float, vol: float,
-             kind: str = "call") -> float:
-    """Undiscounted forward Black price of a European option.
+def _black(strikes, maturity: float, forward: float, vols, calls):
+    """Undiscounted Black prices and d1, elementwise, for vols > 0.
 
-    ``vol = 0`` returns the intrinsic value (the deterministic limit).
+    A put is the call formula with the signs of d1 and d2 flipped and
+    the whole price negated, which reproduces ``K N(-d2) - F N(-d1)``
+    exactly.
     """
-    if strike <= 0.0 or forward <= 0.0:
+    total = vols * math.sqrt(maturity)
+    d1 = np.log(forward / strikes) / total + 0.5 * total
+    sign = np.where(calls, 1.0, -1.0)
+    price = sign * (forward * ndtr(sign * d1) - strikes * ndtr(sign * (d1 - total)))
+    return price, d1
+
+
+def _is_call(kind):
+    """``kind == "call"`` elementwise, once every kind is checked."""
+    kind = np.asarray(kind)
+    calls = kind == "call"
+    if not np.all(calls | (kind == "put")):
+        raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
+    return calls
+
+
+def _check_market(strike, maturity: float, forward: float) -> None:
+    """Reject non-positive strikes, forward or maturity."""
+    if np.any(np.asarray(strike) <= 0.0) or forward <= 0.0:
         raise ValueError("strike and forward must be > 0")
     if maturity <= 0.0:
         raise ValueError(f"maturity must be > 0, got {maturity}")
-    if vol < 0.0:
+
+
+def bs_price(strike, maturity: float, forward: float, vol, kind="call"):
+    """Undiscounted forward Black price of European options.
+
+    ``strike``, ``vol`` and ``kind`` ("call" or "put") broadcast as
+    arrays; the result is a float when all three are scalars.
+    ``vol = 0`` returns the intrinsic value (the deterministic limit).
+    """
+    calls = _is_call(kind)
+    _check_market(strike, maturity, forward)
+    strike, vol = np.asarray(strike, dtype=float), np.asarray(vol, dtype=float)
+    if np.any(vol < 0.0):
         raise ValueError(f"vol must be >= 0, got {vol}")
-    if kind not in ("call", "put"):
-        raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
-    if vol == 0.0:
-        return max(forward - strike, 0.0) if kind == "call" else max(
-            strike - forward, 0.0
-        )
-    total = vol * math.sqrt(maturity)
-    d1 = math.log(forward / strike) / total + 0.5 * total
-    d2 = d1 - total
-    if kind == "call":
-        return forward * ndtr(d1) - strike * ndtr(d2)
-    return strike * ndtr(-d2) - forward * ndtr(-d1)
+    flat = vol == 0.0
+    price = _black(strike, maturity, forward, np.where(flat, 1.0, vol), calls)[0]
+    intrinsic = np.maximum(np.where(calls, forward - strike, strike - forward), 0.0)
+    price = np.where(flat, intrinsic, price)
+    return float(price) if price.ndim == 0 else price
 
 
-def implied_vol(price: float, strike: float, maturity: float, forward: float,
-                kind: str = "call") -> float:
-    """Invert the undiscounted Black formula by bracketed root finding.
+def _invert_black(prices, strikes, maturity: float, forward: float, kind):
+    """Implied vols of undiscounted Black prices, for every strike at once.
 
-    The residual |bs_price(result) - price| is at most ~1e-12 * forward.
+    Safeguarded Newton--bisection on each element.  The bracket starts
+    at [0, 1], and its upper end doubles until :func:`bs_price` prices
+    it above the target; a target that no vol up to 1e6 reaches is out
+    of bounds.
+    Newton starts at the inflection point sqrt(2 |log(F/K)| / T) of the
+    price in vol, from where it converges monotonically (Manaster &
+    Koehler 1982).  Every evaluation replaces one end of the bracket, and
+    an iterate that leaves the bracket or fails to halve the previous
+    step is replaced by the bracket's midpoint (Jaeckel, "Let's Be
+    Rational", Wilmott 2015, discusses why plain Newton is not enough).
+    An element stops when its step falls below 1e-14 + 8.9e-16 * vol,
+    which keeps the price residual under 1e-12 * forward.
+
+    Returns ``(vols, below, above)``: ``below`` marks prices at or under
+    the intrinsic value, ``above`` prices at or over the upper bound
+    (the forward for calls, the strike for puts) or beyond the largest
+    vol tried; ``vols`` is NaN at both.
+    """
+    prices, strikes, kind = np.broadcast_arrays(
+        np.asarray(prices, dtype=float), np.asarray(strikes, dtype=float),
+        np.asarray(kind))
+    calls = kind == "call"
+    if np.isnan(prices).any():
+        raise ValueError("prices must not be NaN")
+    intrinsic = np.maximum(np.where(calls, forward - strikes, strikes - forward), 0.0)
+    below = prices <= intrinsic
+    above = ~below & (prices >= np.where(calls, forward, strikes))
+    lo = np.zeros(prices.shape)
+    hi = np.ones(prices.shape)
+    growing = ~(below | above)
+    while True:
+        growing &= bs_price(strikes, maturity, forward, hi, kind) < prices
+        if not growing.any():
+            break
+        hi[growing] *= 2.0
+        lost = growing & (hi > _VOL_CEILING)
+        above |= lost
+        growing &= ~lost
+    done = below | above
+    inflection = np.sqrt(2.0 * np.abs(np.log(forward / strikes)) / maturity)
+    vols = np.where(inflection > 0.0, np.minimum(inflection, hi), 0.5 * hi)
+    last_step = hi - lo
+    vega_scale = forward * math.sqrt(maturity) / math.sqrt(2.0 * math.pi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_ITERATIONS):
+            if done.all():
+                break
+            price, d1 = _black(strikes, maturity, forward, vols, calls)
+            gap = price - prices
+            lo = np.where(gap < 0.0, vols, lo)
+            hi = np.where(gap > 0.0, vols, hi)
+            vega = vega_scale * np.exp(-0.5 * d1 * d1)
+            newton = vols - gap / vega
+            # a Newton step below one ulp leaves the iterate on the
+            # bracket's end; that is convergence, not a reason to bisect
+            settled = (gap == 0.0) | (newton == vols)
+            bisect = ~((newton > lo) & (newton < hi)) | (
+                np.abs(2.0 * gap) > np.abs(last_step * vega))
+            stepped = np.where(settled, vols,
+                               np.where(bisect, 0.5 * (lo + hi), newton))
+            last_step = np.abs(stepped - vols)
+            vols = np.where(done, vols, stepped)
+            done |= last_step <= 1e-14 + 8.9e-16 * stepped
+        else:
+            raise NumericalError("implied-vol iteration did not converge")
+    vols[below | above] = math.nan
+    return vols, below, above
+
+
+def implied_vol(price, strike, maturity: float, forward: float, kind="call",
+                *, saturate: bool = False):
+    """Invert the undiscounted Black formula.
+
+    ``price``, ``strike`` and ``kind`` broadcast as arrays, and all
+    elements are inverted at once; the result is a float when all three
+    are scalars.  The residual |bs_price(result) - price| is at most
+    ~1e-12 * forward.  With ``saturate``, a price below the arbitrage
+    bounds gives 0.0 and one above them gives inf, instead of raising.
 
     Raises
     ------
     OutOfBoundsError
-        With side "below" when price <= intrinsic value, "above" when it
-        is >= the upper bound (forward for calls, strike for puts).
+        With side "below" when a price is <= intrinsic value, "above"
+        when it is >= the upper bound (forward for calls, strike for
+        puts) or no vol up to 1e6 reproduces it.
     """
-    if kind == "call":
-        intrinsic = max(forward - strike, 0.0)
-        upper = forward
-    elif kind == "put":
-        intrinsic = max(strike - forward, 0.0)
-        upper = strike
-    else:
-        raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
-    if price <= intrinsic:
+    _is_call(kind)
+    _check_market(strike, maturity, forward)
+    vols, below, above = _invert_black(price, strike, maturity, forward, kind)
+    if saturate:
+        vols = np.where(below, 0.0, np.where(above, math.inf, vols))
+    elif below.any():
         raise OutOfBoundsError(
-            "below", f"price {price} at or below intrinsic {intrinsic}"
+            "below", f"{kind} price {price} at or below intrinsic value"
         )
-    if price >= upper:
+    elif above.any():
         raise OutOfBoundsError(
-            "above", f"price {price} at or above the upper bound {upper}"
+            "above", f"{kind} price {price} at or above the upper bound, "
+            "or no volatility up to 1e6 reproduces it"
         )
-    hi = 1.0
-    while bs_price(strike, maturity, forward, hi, kind) < price:
-        hi *= 2.0
-        if hi > 1e6:
-            raise OutOfBoundsError("above", "no volatility reproduces the price")
-    return float(
-        optimize.brentq(
-            lambda vol: bs_price(strike, maturity, forward, vol, kind) - price,
-            0.0,
-            hi,
-            xtol=1e-14,
-            rtol=8.9e-16,
-        )
-    )
+    return float(vols) if vols.ndim == 0 else vols
 
 
-def _band_edge(price: float, strike: float, maturity: float, forward: float,
-               kind: str) -> float:
-    """Implied vol of a shifted price, saturating outside the bounds."""
-    try:
-        return implied_vol(price, strike, maturity, forward, kind)
-    except OutOfBoundsError as err:
-        return 0.0 if err.side == "below" else math.inf
+def _tail_sums(ascending, cuts, calls):
+    """Sum of ``ascending`` above each cut for calls, below it for puts.
+
+    ``cuts`` is non-decreasing.  The segments between consecutive cuts
+    are summed once; a call's sum accumulates them from the top end and
+    a put's from the bottom end, so each sum only ever adds values from
+    its own side of the cut.
+    """
+    starts = np.concatenate(([0], cuts))
+    full = starts < np.concatenate((cuts, [ascending.size]))
+    segments = np.zeros(starts.size)
+    segments[full] = np.add.reduceat(ascending, starts[full])
+    from_bottom = np.cumsum(segments)[:-1]
+    from_top = np.cumsum(segments[::-1])[::-1][1:]
+    return np.where(calls, from_top, from_bottom)
 
 
 def smile_from_paths(
@@ -177,44 +284,62 @@ def smile_from_paths(
     strikes.  Points whose central price falls outside the arbitrage
     bounds are reported with a non-"ok" status instead of aborting the
     smile.
+
+    All strikes are priced from one sorted copy of the terminal values:
+    with m paths strictly in the money, S1 and S2 the sums of v and v^2
+    over them, the payoff sums are sum p = +-(S1 - K m) and
+    sum p^2 = S2 - 2 K S1 + K^2 m.  The prices agree with
+    :func:`price_vix_option` up to summation order.
     """
     if forward is None:
         forward = estimate_forward(paths)
     fwd = forward.value
+    strikes = np.array(sorted(float(k) for k in strikes))
+    if not np.all(strikes > 0.0):
+        raise ValueError("strikes must be > 0")
+    calls = strikes > fwd
+    n_puts = strikes.size - np.count_nonzero(calls)
+    ascending = np.sort(paths.terminal_values)
+    n = ascending.size
+    # v == K pays nothing on either side: a call's tail starts after the
+    # last such value, a put's ends before the first one.
+    cuts = np.concatenate((np.searchsorted(ascending, strikes[:n_puts], "left"),
+                           np.searchsorted(ascending, strikes[n_puts:], "right")))
+    paying = np.where(calls, n - cuts, cuts)
+    s1 = _tail_sums(ascending, cuts, calls)
+    np.multiply(ascending, ascending, out=ascending)
+    s2 = _tail_sums(ascending, cuts, calls)
+    payoff_sum = np.where(calls, s1 - strikes * paying, strikes * paying - s1)
+    square_sum = s2 - 2.0 * strikes * s1 + strikes * strikes * paying
+    mean = payoff_sum / n
+    if n > 1:
+        se = np.sqrt(np.maximum(square_sum - payoff_sum * mean, 0.0) / (n - 1) / n)
+    else:
+        se = np.zeros(strikes.size)
+    discount = math.exp(-rate * maturity)
+    values, errors = discount * mean, discount * se
+    grow = math.exp(rate * maturity)
+    mid, shift = values * grow, errors * grow
+    kinds = np.where(calls, "call", "put")
+    vols = implied_vol(mid, strikes, maturity, fwd, kinds, saturate=True)
+    # With one paying path, price - SE is exactly 0; rounding would
+    # otherwise decide whether that edge inverts.
+    lower = implied_vol(mid - shift, strikes, maturity, fwd, kinds, saturate=True)
+    lower[paying <= 1] = 0.0
+    upper = implied_vol(mid + shift, strikes, maturity, fwd, kinds, saturate=True)
+    below, above = vols == 0.0, vols == math.inf
     points = []
-    for strike in sorted(float(k) for k in strikes):
-        kind = "call" if strike > fwd else "put"
-        estimate = price_vix_option(paths, strike, kind, rate, maturity)
-        grow = math.exp(rate * maturity)
-        mid = estimate.value * grow
-        shift = estimate.std_error * grow
-        log_strike = math.log(strike / fwd)
-        try:
-            vol = implied_vol(mid, strike, maturity, fwd, kind)
-        except OutOfBoundsError as err:
-            points.append(
-                SmilePoint(
-                    strike=strike,
-                    log_strike=log_strike,
-                    price=estimate,
-                    implied_vol=None,
-                    band=None,
-                    status=err.side,
-                )
-            )
-            continue
-        band = (
-            _band_edge(mid - shift, strike, maturity, fwd, kind),
-            _band_edge(mid + shift, strike, maturity, fwd, kind),
-        )
+    for i, strike in enumerate(strikes.tolist()):
+        ok = not (below[i] or above[i])
         points.append(
             SmilePoint(
                 strike=strike,
-                log_strike=log_strike,
-                price=estimate,
-                implied_vol=vol,
-                band=band,
-                status="ok",
+                log_strike=math.log(strike / fwd),
+                price=McEstimate(value=float(values[i]),
+                                 std_error=float(errors[i]), n_effective=n),
+                implied_vol=float(vols[i]) if ok else None,
+                band=(float(lower[i]), float(upper[i])) if ok else None,
+                status="ok" if ok else ("below" if below[i] else "above"),
             )
         )
     return points

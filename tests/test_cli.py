@@ -134,6 +134,41 @@ def test_main_rejects_non_finite_list_entries(tmp_path, capsys, section):
     assert f"{section}: entries must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, command",
+    [
+        ({"rate": 1e4}, ["smile"]),
+        ({"rate": -1e4}, ["smile"]),
+        ({"rate": -1e4, "maturities": [0.2, 0.1]}, ["converge"]),
+    ],
+)
+def test_main_rejects_rate_that_overflows_the_discount(tmp_path, capsys,
+                                                       config, command):
+    code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, *command)
+    assert code == 2
+    assert "rate:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, where",
+    [
+        ({"rate": True}, "rate"),
+        ({"strikes": [True]}, "strikes[0]"),
+        ({"strikes": [0.1, False]}, "strikes[1]"),
+        ({"maturities": [True]}, "maturities[0]"),
+        ({"model": {"beta": False}}, "model.beta"),
+        ({"caps": {"drift_cap": True}}, "caps.drift_cap"),
+        ({"quadrature": {"rel_tol": True}}, "quadrature.rel_tol"),
+        ({"mc": {"horizon": True}}, "mc.horizon"),
+    ],
+)
+def test_main_rejects_json_booleans(tmp_path, capsys, config, where):
+    code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, "smile")
+    assert code == 2
+    assert f"{where}: expected a number, got a boolean" in capsys.readouterr().err
+    assert not (tmp_path / "smile.csv").exists()
+
+
 def test_main_maps_rate_domain_error_to_exit_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("vixsabr.asymptotics._speed_ratio", lambda v, p: 1.0)
     code = run_cli(
@@ -390,12 +425,14 @@ def test_out_override_creates_directory(tmp_path):
 # SHA-256 of every output at a small config, recorded before path blocks
 # drew their normals one time row at a time.  A change to the random
 # streams, the step arithmetic, the pricing or the number formatting
-# shows up here.
+# shows up here.  smile.csv was recorded again, at 1 and 2 threads, when
+# the smile started pricing all strikes from tail sums and inverting
+# them together: its prices, SEs and vols moved in the last digits.
 PINNED_DIGESTS = {
     "forward_table.csv":
         "87cda6f1b8e251f7a7fcc5e5e9efaa5911145155b05ef8b56caacc7111f61aae",
     "smile.csv":
-        "f47dc900b5f2e7776311379b47086882ee5e06f2486e2cca5ef66f6a341ca3e5",
+        "e514710d5dffbf041a6dee1068c926a30a8633d5a7c1dd6cca5aac2891eca8a4",
     "converge.csv":
         "f685f6c703926695433478124c8b12808266c983cd52354760dfe2f53c286870",
     "diagnose.json":

@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
 from vixsabr import (
     CapSpec,
     McConfig,
     OutOfBoundsError,
     PathSet,
+    RunConfig,
     bs_price,
+    estimate_forward,
     implied_vol,
+    price_vix_option,
     rate_convergence_study,
     rate_function,
     simulate_capped_paths,
@@ -95,6 +101,57 @@ def test_implied_vol_out_of_bounds_sides():
     assert issubclass(OutOfBoundsError, ValueError)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    maturity=st.floats(1e-3, 5.0),
+    quotes=st.lists(
+        st.tuples(st.floats(-1.5, 1.5), st.floats(0.01, 5.0), st.booleans()),
+        min_size=1, max_size=8,
+    ),
+)
+def test_vector_inversion_round_trip(maturity, quotes):
+    forward = 0.1
+    strikes = np.array([forward * math.exp(k) for k, _, _ in quotes])
+    vols = np.array([vol for _, vol, _ in quotes])
+    calls = np.array([call for _, _, call in quotes])
+    kinds = ["call" if call else "put" for call in calls]
+    prices = np.array([bs_price(k, maturity, forward, v, kind)
+                       for k, v, kind in zip(strikes, vols, kinds)])
+    found = implied_vol(prices, strikes, maturity, forward, kinds, saturate=True)
+    below, above = found == 0.0, found == math.inf
+    for i, kind in enumerate(kinds):
+        intrinsic = max(forward - strikes[i], 0.0) if calls[i] else max(
+            strikes[i] - forward, 0.0)
+        assert not above[i]
+        if below[i]:
+            # only a time value lost to rounding falls out of bounds
+            assert prices[i] - intrinsic <= 1e-14 * max(forward, strikes[i])
+            continue
+        residual = bs_price(strikes[i], maturity, forward, found[i], kind) - prices[i]
+        assert abs(residual) <= 1e-12 * forward
+        if prices[i] - intrinsic > 1e-6 * forward:
+            assert math.isclose(found[i], vols[i], rel_tol=1e-8)
+
+
+def test_black_functions_on_arrays_match_their_scalar_calls():
+    strikes = np.array([0.08, 0.1, 0.12, 0.3])
+    kinds = np.array(["put", "call", "call", "put"])
+    vols = np.array([0.0, 0.5, 1.2, 2.0])
+    prices = bs_price(strikes, 0.1, 0.1, vols, kinds)
+    quotes = list(zip(prices, strikes, kinds))
+    assert prices.tolist() == [bs_price(k, 0.1, 0.1, v, kind)
+                               for k, v, kind in zip(strikes, vols, kinds)]
+    assert implied_vol(prices[1:], strikes[1:], 0.1, 0.1, kinds[1:]).tolist() == [
+        implied_vol(p, k, 0.1, 0.1, kind) for p, k, kind in quotes[1:]]
+    with pytest.raises(OutOfBoundsError) as low:
+        implied_vol(prices, strikes, 0.1, 0.1, kinds)
+    assert low.value.side == "below"
+    with pytest.raises(ValueError, match="kind"):
+        bs_price(strikes, 0.1, 0.1, vols, ["call", "put", "call", "straddle"])
+    with pytest.raises(ValueError, match="strike"):
+        implied_vol(prices[1:], [0.1, 0.0, 0.3], 0.1, 0.1, kinds[1:])
+
+
 # ---------------------------------------------------------------------------
 # smile construction from simulated paths
 # ---------------------------------------------------------------------------
@@ -110,8 +167,9 @@ def test_smile_prices_out_of_the_money_side(params, caps):
     assert points[0].strike < fwd < points[1].strike
     put_direct = price_vix_option(paths, 0.07, "put")
     call_direct = price_vix_option(paths, 0.13, "call")
-    assert points[0].price.value == put_direct.value
-    assert points[1].price.value == call_direct.value
+    # the smile sums the payoffs in another order than price_vix_option
+    assert abs(points[0].price.value - put_direct.value) <= 1e-15 * fwd
+    assert abs(points[1].price.value - call_direct.value) <= 1e-15 * fwd
     for pt in points:
         assert math.isclose(pt.log_strike, math.log(pt.strike / fwd), rel_tol=1e-14)
 
@@ -158,6 +216,114 @@ def test_smile_band_saturates_at_infinity():
     assert point.status == "ok"
     assert math.isfinite(point.band[0])
     assert point.band[1] == math.inf
+
+
+@pytest.mark.parametrize("strike, tail", [(0.5, 0.9), (0.02, 0.001)])
+def test_smile_band_lower_edge_is_zero_with_one_paying_path(strike, tail):
+    # one path beyond the strike: price - SE is exactly 0, so the lower
+    # edge is 0.0 whichever way the subtraction rounds
+    values = np.full(999, 0.1)
+    values[0] = tail
+    (point,) = smile_from_paths(PathSet(terminal_values=values), [strike],
+                                maturity=0.1)
+    assert point.status == "ok"
+    assert point.band[0] == 0.0
+    assert point.implied_vol < point.band[1] < math.inf
+
+
+def _brentq_vol(price, strike, maturity, forward, kind):
+    """Per-strike oracle: bracket by doubling, then scipy's brentq.
+
+    Returns the vol, or the side "below"/"above" of the arbitrage bounds.
+    """
+    intrinsic, upper = ((max(forward - strike, 0.0), forward) if kind == "call"
+                        else (max(strike - forward, 0.0), strike))
+    if price <= intrinsic:
+        return "below"
+    if price >= upper:
+        return "above"
+    hi = 1.0
+    while bs_price(strike, maturity, forward, hi, kind) < price:
+        hi *= 2.0
+        if hi > 1e6:
+            return "above"
+    return optimize.brentq(
+        lambda vol: bs_price(strike, maturity, forward, vol, kind) - price,
+        0.0, hi, xtol=1e-14, rtol=8.9e-16,
+    )
+
+
+def _edge_residual_ok(edge, price, strike, maturity, forward, kind):
+    if edge == 0.0:
+        return _brentq_vol(price, strike, maturity, forward, kind) == "below"
+    if edge == math.inf:
+        return _brentq_vol(price, strike, maturity, forward, kind) == "above"
+    residual = bs_price(strike, maturity, forward, edge, kind) - price
+    return abs(residual) <= 1e-12 * forward
+
+
+def _check_against_reference(paths, strikes, maturity, rate):
+    """Check a smile point by point against price_vix_option and the
+    brentq oracle; return the statuses and saturated band edges seen."""
+    points = smile_from_paths(paths, strikes, maturity, rate)
+    values = paths.terminal_values
+    fwd = estimate_forward(paths).value
+    grow = math.exp(rate * maturity)
+    seen = set()
+    for point in points:
+        strike = point.strike
+        kind = "call" if strike > fwd else "put"
+        paying = np.count_nonzero(values > strike if kind == "call" else values < strike)
+        reference = price_vix_option(paths, strike, kind, rate, maturity)
+        assert abs(point.price.value - reference.value) <= 1e-15 * fwd
+        assert math.isclose(point.price.std_error, reference.std_error,
+                            rel_tol=1e-11, abs_tol=0.0)
+        expected = _brentq_vol(reference.value * grow, strike, maturity, fwd, kind)
+        status = expected if isinstance(expected, str) else "ok"
+        assert point.status == status, strike
+        seen.add(status)
+        if status != "ok":
+            continue
+        assert math.isclose(point.implied_vol, expected, rel_tol=1e-12)
+        mid = point.price.value * grow
+        shift = point.price.std_error * grow
+        assert abs(bs_price(strike, maturity, fwd, point.implied_vol, kind)
+                   - mid) <= 1e-12 * fwd
+        lower, upper = point.band
+        if paying <= 1:
+            assert lower == 0.0
+            seen.add("one paying path")
+        else:
+            assert _edge_residual_ok(lower, mid - shift, strike, maturity, fwd, kind)
+        assert _edge_residual_ok(upper, mid + shift, strike, maturity, fwd, kind)
+        if upper == math.inf:
+            seen.add("upper edge above")
+    return seen
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 777, 12345])
+def test_smile_matches_per_strike_reference(seed):
+    config = RunConfig()
+    strikes = np.geomspace(0.03, 0.5, 161)
+    mc = McConfig(seed=seed, horizon=0.1)
+    paths = simulate_capped_paths(config.model, config.caps, mc, n_threads=1)
+    two = simulate_capped_paths(config.model, config.caps, mc, n_threads=2)
+    assert (smile_from_paths(two, strikes, 0.1, rate=0.05)
+            == smile_from_paths(paths, strikes, 0.1, rate=0.05))
+    seen = _check_against_reference(paths, strikes, 0.1, rate=0.05)
+    assert {"ok", "below"} <= seen
+
+
+def test_smile_matches_per_strike_reference_on_small_path_sets():
+    # no simulated smile prices a strike at or over its upper bound:
+    # these path sets push band edges there instead
+    seen = set()
+    for values in ([0.0, 0.0, 0.3], [0.001, 0.001, 0.001, 0.3],
+                   [0.01] * 5 + [0.2, 0.9]):
+        paths = PathSet(terminal_values=np.array(values))
+        seen |= _check_against_reference(
+            paths, [0.005, 0.05, 0.1, 0.15, 0.3, 0.5], 0.1, rate=0.05)
+    assert {"ok", "below", "one paying path", "upper edge above"} <= seen
 
 
 def test_smile_flat_for_constant_diffusion(params):
