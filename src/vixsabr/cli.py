@@ -385,11 +385,31 @@ def _reject_constant(name: str):
     raise ConfigError([f"{name} is not a valid number; values must be finite"])
 
 
+def _finite_literal(parse):
+    """A json.load hook that parses a number literal with ``parse`` and
+    rejects one that overflows a float, such as 1e999 or a 400-digit
+    integer, or that exceeds Python's limit on integer digits."""
+
+    def hook(text: str):
+        try:
+            value = parse(text)
+            if math.isfinite(value):
+                return value
+        except (OverflowError, ValueError):
+            pass
+        shown = text if len(text) <= 24 else f"{text[:20]}... ({len(text)} digits)"
+        raise ConfigError([f"{shown} is out of range; values must be finite"])
+
+    return hook
+
+
 def _load_config(args) -> RunConfig:
     data = {}
     if args.config is not None:
         with open(args.config) as handle:
-            data = json.load(handle, parse_constant=_reject_constant)
+            data = json.load(handle, parse_constant=_reject_constant,
+                             parse_float=_finite_literal(float),
+                             parse_int=_finite_literal(int))
         if not isinstance(data, dict):
             raise ConfigError(["top level: expected a JSON object"])
     config = RunConfig.from_dict(data)

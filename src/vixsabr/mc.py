@@ -80,10 +80,12 @@ class McConfig:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
-        if self.vix_window < 0.0:
-            raise ValueError(f"vix_window must be >= 0, got {self.vix_window}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
+        if not 0.0 <= self.vix_window < math.inf:
+            raise ValueError(
+                f"vix_window must be finite and >= 0, got {self.vix_window}"
+            )
         if self.inner_paths < 0:
             raise ValueError(f"inner_paths must be >= 0, got {self.inner_paths}")
         if self.inner_steps < 1:

@@ -59,10 +59,10 @@ class SabrParams:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (-1, 1), got {self.rho}")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
-        if not self.v0 > 0.0:
-            raise ValueError(f"v0 must be > 0, got {self.v0}")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
+        if not 0.0 < self.v0 < math.inf:
+            raise ValueError(f"v0 must be finite and > 0, got {self.v0}")
 
     @property
     def negative_correlation(self) -> bool:
@@ -107,14 +107,16 @@ class CapSpec:
         Raises
         ------
         ValueError
-            If ``vol_cap <= omega`` or ``drift_cap <= 0``.
+            If ``vol_cap <= omega``, ``drift_cap <= 0`` or either cap is
+            not finite.
         """
-        if not vol_cap > params.omega:
+        if not params.omega < vol_cap < math.inf:
             raise ValueError(
-                f"vol_cap must exceed omega ({params.omega}), got {vol_cap}"
+                f"vol_cap must be finite and exceed omega ({params.omega}), "
+                f"got {vol_cap}"
             )
-        if not drift_cap > 0.0:
-            raise ValueError(f"drift_cap must be > 0, got {drift_cap}")
+        if not 0.0 < drift_cap < math.inf:
+            raise ValueError(f"drift_cap must be finite and > 0, got {drift_cap}")
         root = math.sqrt(vol_cap**2 + (params.rho**2 - 1.0) * params.omega**2)
         binding = (params.rho * params.omega + root) / (1.0 - params.beta)
         return cls(vol_cap=vol_cap, drift_cap=drift_cap, binding_level=binding)

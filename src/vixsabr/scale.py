@@ -12,14 +12,17 @@ computable:
 * a diagnostic for the martingale property of the asset price, which
   reduces to non-explosion of an auxiliary diffusion.
 
-All quadrature is adaptive (scipy.integrate.quad) over geometric decade
-segments so that integrals to very large truncation points converge
-without wasted refinement.
+Integrals run over geometric decade segments so that integrals to very
+large truncation points converge without wasted refinement.  The scale
+function and the martingale diagnostic use adaptive quadrature
+(scipy.integrate.quad) on each segment.  The Feller test function, a
+double integral, is one cumulative Gauss-Legendre pass in u = log y:
+every segment is evaluated as numpy arrays at two orders, and bisected
+when they disagree.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -73,12 +76,12 @@ class QuadratureConfig:
     large_x: float = 1e6
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("abs_tol and rel_tol must be > 0")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError("abs_tol and rel_tol must be finite and > 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if not self.large_x > 0.0:
-            raise ValueError("large_x must be > 0")
+        if not 0.0 < self.large_x < math.inf:
+            raise ValueError("large_x must be finite and > 0")
 
 
 class BoundaryClass(Enum):
@@ -413,50 +416,42 @@ def natural_scale_volatility(
     return math.exp(-2.0 * scale_exponent(q, params)) * q * vol_diffusion(q, params)
 
 
-class _FellerEvaluator:
-    """Incremental evaluator of the Feller test double integral.
+def _feller_inner_integrand(z, params: SabrParams):
+    """Inner integrand of the Feller test function, 2 / (scale_density(z)
+    * z^2 * vol_variance(z)), which blows up like 2/(omega^2 z^2) at 0."""
+    return (
+        2.0
+        * np.exp(2.0 * scale_exponent(z, params))
+        / (z * z * vol_variance(z, params))
+    )
 
-    The outer integrand at y is scale_density(y) * inner(y) where
-    inner(y) integrates 2 / (scale_density * level_variance) from the
-    origin cutoff up to y.  Inner values are cached at every evaluation
-    point in sorted order, so extending to a new y only integrates the
-    gap from the nearest cached point below.  Instances are single-use
-    and not shared across threads.
+
+# Gauss-Legendre rules on [0, 1] used by the Feller test function.  Each
+# segment is integrated at both orders; their difference is the error
+# estimate, and the higher order is the value kept.
+_FELLER_RULES = tuple(
+    (0.5 * (nodes + 1.0), 0.5 * weights)
+    for nodes, weights in map(np.polynomial.legendre.leggauss, (16, 24))
+)
+
+
+def _feller_segment(
+    ua: float, ub: float, inner_base: float, params: SabrParams, rule
+) -> tuple[float, float]:
+    """Outer and inner increments of the Feller integrals over [e^ua, e^ub].
+
+    Integrates in u = log y, so dy = y du.  The inner integral up to each
+    outer node y_i is ``inner_base`` plus the same rule mapped onto
+    [ua, log y_i], evaluated as one n x n array.
     """
-
-    def __init__(self, params: SabrParams, quad: QuadratureConfig, cutoff: float):
-        self._params = params
-        self._quad = quad
-        self._ys = [cutoff]
-        self._vals = [0.0]
-
-    def _inner_integrand(self, z: float) -> float:
-        p = self._params
-        return (
-            2.0
-            * math.exp(2.0 * scale_exponent(z, p))
-            / (z * z * vol_variance(z, p))
-        )
-
-    def inner(self, y: float) -> float:
-        i = bisect.bisect_right(self._ys, y) - 1
-        if i < 0:
-            raise ValueError(f"inner integral requested below cutoff: {y}")
-        base_y, base_val = self._ys[i], self._vals[i]
-        if y == base_y:
-            return base_val
-        val = base_val + _segmented_quad(
-            self._inner_integrand, base_y, y, self._quad
-        )
-        self._ys.insert(i + 1, y)
-        self._vals.insert(i + 1, val)
-        return val
-
-    def outer(self, lo: float, hi: float, cancel=None) -> float:
-        integrand = lambda y: (
-            math.exp(-2.0 * scale_exponent(y, self._params)) * self.inner(y)
-        )
-        return _segmented_quad(integrand, lo, hi, self._quad, cancel)
+    t, w = rule
+    h = ub - ua
+    spans = h * t
+    y = np.exp(ua + spans)
+    z = np.exp(ua + np.multiply.outer(spans, t))
+    inner = inner_base + spans * ((_feller_inner_integrand(z, params) * z) @ w)
+    outer = h * (w @ (np.exp(-2.0 * scale_exponent(y, params)) * inner * y))
+    return outer, h * (w @ (_feller_inner_integrand(y, params) * y))
 
 
 def feller_test_function(
@@ -476,10 +471,25 @@ def feller_test_function(
     like 2/(omega^2 z^2) there and brute quadrature of a known
     divergence is wasted effort.
 
-    ``x`` may be a scalar or an array; array evaluation shares one
-    incremental cache, which is dramatically faster for the increasing
-    sequences used by the stabilization test.  The cutoff defaults to
-    0.01 * v0.
+    ``x`` may be a scalar or an array; all points share one pass.  The
+    segments are those of the decade edges from c to max(x), split
+    further at every requested x.  Each segment is integrated in
+    u = log y by Gauss-Legendre rules of 16 and 24 nodes, and the inner
+    integral at each outer node by the same rule, so a segment costs a
+    few array calls.  A segment whose outer or inner increments differ
+    between the two orders by more than max(abs_tol / nseg,
+    rel_tol * |increment|) is bisected, each half getting half the
+    absolute tolerance; the 24-node values are kept.  The cutoff
+    defaults to 0.01 * v0.
+
+    Raises
+    ------
+    NumericalError
+        If ``cancel`` returns true (checked once per segment), if the
+        bisections exceed ``quad.max_subdivisions``, or if an integrand
+        is not finite.
+    ValueError
+        If the cutoff is not > 0 or some x does not exceed it.
     """
     quad = quad or QuadratureConfig()
     cutoff = 0.01 * params.v0 if origin_cutoff is None else origin_cutoff
@@ -488,14 +498,46 @@ def feller_test_function(
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= cutoff):
         raise ValueError(f"x must exceed the origin cutoff {cutoff}")
-    evaluator = _FellerEvaluator(params, quad, cutoff)
-    order = np.argsort(xs)
-    out = np.empty_like(xs)
-    total, prev = 0.0, cutoff
-    for i in order:
-        total += evaluator.outer(prev, float(xs[i]), cancel)
-        prev = float(xs[i])
-        out[i] = total
+    edges = np.union1d(_decade_edges(cutoff, float(xs.max())), xs)
+    us = np.log(edges)
+    nseg = len(edges) - 1
+    totals = np.zeros(len(edges))
+    outer_total = inner_total = 0.0
+    bisections = 0
+    with np.errstate(all="ignore"):
+        for k in range(nseg):
+            pending = [(us[k], us[k + 1], quad.abs_tol / nseg)]
+            while pending:
+                if cancel is not None and cancel():
+                    raise NumericalError("quadrature cancelled")
+                ua, ub, abs_tol = pending.pop()
+                (outer_lo, inner_lo), (outer, inner) = (
+                    _feller_segment(ua, ub, inner_total, params, rule)
+                    for rule in _FELLER_RULES
+                )
+                if not math.isfinite(outer + inner):
+                    raise NumericalError(
+                        f"Feller integrand is not finite on "
+                        f"[{math.exp(ua)}, {math.exp(ub)}]"
+                    )
+                if all(
+                    abs(hi - lo) <= max(abs_tol, quad.rel_tol * abs(hi))
+                    for lo, hi in ((outer_lo, outer), (inner_lo, inner))
+                ):
+                    outer_total += outer
+                    inner_total += inner
+                    continue
+                if bisections == quad.max_subdivisions:
+                    raise NumericalError(
+                        f"Feller quadrature did not converge on "
+                        f"[{math.exp(ua)}, {math.exp(ub)}] within "
+                        f"{quad.max_subdivisions} subdivisions"
+                    )
+                bisections += 1
+                mid = 0.5 * (ua + ub)
+                pending += [(mid, ub, 0.5 * abs_tol), (ua, mid, 0.5 * abs_tol)]
+            totals[k + 1] = outer_total
+    out = totals[np.searchsorted(edges, xs)]
     return out if np.ndim(x) else float(out[0])
 
 
@@ -509,11 +551,7 @@ def feller_origin_diverges(params: SabrParams) -> bool:
     power).  For the model coefficients the slope tends to -2.
     """
     z = params.v0 * 10.0 ** -np.arange(4.0, 9.0)
-    vals = (
-        2.0
-        * np.exp(2.0 * scale_exponent(z, params))
-        / (z * z * vol_variance(z, params))
-    )
+    vals = _feller_inner_integrand(z, params)
     slopes = np.diff(np.log(vals)) / np.diff(np.log(z))
     return bool(np.all(slopes <= -1.0))
 

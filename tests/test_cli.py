@@ -114,6 +114,31 @@ def test_main_rejects_non_finite_json(tmp_path, capsys, text):
     assert not (tmp_path / "smile.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["diagnose", "smile"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"quadrature": {"large_x": 1e999}}',
+        '{"model": {"v0": 1e999}}',
+        '{"caps": {"vol_cap": 1e999}}',
+        '{"mc": {"horizon": 1e999}}',
+        '{"quadrature": {"abs_tol": 1e999}}',
+        '{"caps": {"vol_cap": 1%s}}' % ("0" * 400),
+        '{"mc": {"seed": 1%s}}' % ("0" * 5000),
+    ],
+    ids=["large_x", "v0", "vol_cap", "horizon", "abs_tol", "int_401_digits",
+         "int_5001_digits"],
+)
+def test_main_rejects_overflowing_literals(tmp_path, capsys, text, command):
+    # json.load reads 1e999 as inf without calling parse_constant; a
+    # 400-digit integer overflows float(); 5000 digits exceed int()'s limit
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path), command]) == 2
+    assert "is out of range; values must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("diagnose.json"))
+
+
 @pytest.mark.parametrize(
     "mc",
     [{"n_paths": 2.5}, {"n_steps": True}, {"seed": 1.5},
@@ -147,6 +172,15 @@ def test_main_rejects_rate_that_overflows_the_discount(tmp_path, capsys,
     code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, *command)
     assert code == 2
     assert "rate:" in capsys.readouterr().err
+
+
+def test_diagnose_overflowing_feller_integrand_exits_3(tmp_path, capsys):
+    # exp(2 * scale_exponent) overflows long before large_x = 1e300
+    code = run_cli(tmp_path, {"quadrature": {"large_x": 1e300},
+                              "output_dir": str(tmp_path)}, "diagnose")
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "diagnose.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -428,6 +462,9 @@ def test_out_override_creates_directory(tmp_path):
 # shows up here.  smile.csv was recorded again, at 1 and 2 threads, when
 # the smile started pricing all strikes from tail sums and inverting
 # them together: its prices, SEs and vols moved in the last digits.
+# diagnose.json was recorded again when the Feller test function became
+# one cumulative Gauss-Legendre pass: feller_tail_value moved from
+# 3107.9327831543415 to 3107.932783154341 (relative 1.5e-16).
 PINNED_DIGESTS = {
     "forward_table.csv":
         "87cda6f1b8e251f7a7fcc5e5e9efaa5911145155b05ef8b56caacc7111f61aae",
@@ -436,7 +473,7 @@ PINNED_DIGESTS = {
     "converge.csv":
         "f685f6c703926695433478124c8b12808266c983cd52354760dfe2f53c286870",
     "diagnose.json":
-        "7cdc2707c31c6553850a6cf5dda3cd686f67e005967a1ab69fd02f9d1547f985",
+        "22521cb97fbd029d537dc499c5269f6e5f4336b77de713775d3b7e8cb0135244",
 }
 
 

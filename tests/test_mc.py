@@ -43,6 +43,8 @@ from vixsabr.mc import _BLOCK_PATHS, _DOMAIN_CAPPED, _block_rng
         dict(inner_paths=1000.0),
         dict(inner_steps="30"),
         dict(seed=1.0),
+        dict(horizon=math.inf),
+        dict(vix_window=math.inf),
     ],
 )
 def test_mc_config_validation(kwargs):

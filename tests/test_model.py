@@ -48,6 +48,8 @@ negative_rho_params = st.builds(
         dict(beta=0.5, rho=-0.7, omega=-1.0, v0=0.1),
         dict(beta=0.5, rho=-0.7, omega=1.0, v0=0.0),
         dict(beta=0.5, rho=-0.7, omega=1.0, v0=-0.1),
+        dict(beta=0.5, rho=-0.7, omega=math.inf, v0=0.1),
+        dict(beta=0.5, rho=-0.7, omega=1.0, v0=math.inf),
     ],
 )
 def test_params_validation_rejects_out_of_range(kwargs):
@@ -72,6 +74,8 @@ def test_rho_perp(params):
         dict(vol_cap=1.0, drift_cap=1.0),   # cap equal to omega
         dict(vol_cap=2.0, drift_cap=0.0),
         dict(vol_cap=2.0, drift_cap=-1.0),
+        dict(vol_cap=math.inf, drift_cap=1.0),
+        dict(vol_cap=2.0, drift_cap=math.inf),
     ],
 )
 def test_cap_spec_validation(params, kwargs):

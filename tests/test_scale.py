@@ -59,6 +59,37 @@ def auxiliary_oracle(x, p):
     return val
 
 
+def feller_oracle(xs, p, cutoff):
+    """Nested adaptive quadrature of the Feller test function in y.
+
+    The outer and inner integrals run over the same edges: the cutoff,
+    the powers of ten and the requested points.  The inner integral at
+    y restarts from the edge below y, whose value is summed beforehand.
+    """
+
+    def inner_integrand(z):
+        return 2.0 * math.exp(2.0 * scale_exponent(z, p)) / (z * z * vol_variance(z, p))
+
+    def integrate(f, a, b):
+        val, err = scipy_quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert err < 1e-11 * max(abs(val), 1.0)
+        return val
+
+    top = max(xs)
+    powers = (10.0**k for k in range(-12, 13))
+    edges = sorted({cutoff, *xs, *(e for e in powers if cutoff < e < top)})
+    inner_at = [0.0]
+    for a, b in zip(edges[:-1], edges[1:]):
+        inner_at.append(inner_at[-1] + integrate(inner_integrand, a, b))
+    nu = [0.0]
+    for base, a, b in zip(inner_at, edges[:-1], edges[1:]):
+        def outer(y, base=base, a=a):
+            inner = base + integrate(inner_integrand, a, y)
+            return math.exp(-2.0 * scale_exponent(y, p)) * inner
+        nu.append(nu[-1] + integrate(outer, a, b))
+    return np.array([nu[edges.index(x)] for x in xs])
+
+
 # ---------------------------------------------------------------------------
 # scale exponent (closed form)
 # ---------------------------------------------------------------------------
@@ -343,6 +374,53 @@ def test_feller_function_tail_stabilizes(params):
     assert abs(inc2) < 1e-4 * vals[2]
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.9])
+@pytest.mark.parametrize("rho", [-0.9, -0.1])
+@pytest.mark.parametrize("omega", [0.5, 1.3])
+def test_feller_function_matches_nested_quadrature(beta, rho, omega):
+    p = SabrParams(beta=beta, rho=rho, omega=omega, v0=0.1)
+    # 0.005 lies inside the first segment [0.001, 0.01]
+    xs = np.array([0.005, 1e4, 1e5, 1e6])
+    expected = feller_oracle(xs, p, 0.01 * p.v0)
+    np.testing.assert_allclose(feller_test_function(xs, p), expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        SabrParams(beta=0.5, rho=-0.7, omega=1.0, v0=0.1),
+        SabrParams(beta=0.9, rho=-0.9, omega=0.5, v0=0.1),
+    ],
+)
+def test_feller_function_with_origin_cutoff(p):
+    # 0.05 lies inside the first segment [0.02, 0.1]
+    xs = np.array([0.05, 1e4, 1e5, 1e6])
+    got = feller_test_function(xs, p, origin_cutoff=0.02)
+    np.testing.assert_allclose(got, feller_oracle(xs, p, 0.02), rtol=1e-10)
+    assert math.isclose(feller_test_function(0.05, p, origin_cutoff=0.02), got[0],
+                        rel_tol=1e-12)
+
+
+def test_feller_function_rejects_points_at_the_cutoff(params):
+    with pytest.raises(ValueError):
+        feller_test_function(0.001, params)
+    with pytest.raises(ValueError):
+        feller_test_function(1.0, params, origin_cutoff=0.0)
+
+
+def test_feller_function_cancel_hook(params):
+    with pytest.raises(NumericalError):
+        feller_test_function(1e6, params, cancel=lambda: True)
+    with pytest.raises(NumericalError):
+        explosion_verdict(params, cancel=lambda: True)
+
+
+def test_feller_function_subdivision_budget(params):
+    unreachable = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=1)
+    with pytest.raises(NumericalError, match="subdivisions"):
+        feller_test_function(1e6, params, unreachable)
+
+
 def test_feller_origin_diverges(params):
     assert feller_origin_diverges(params)
     assert feller_origin_diverges(SabrParams(beta=0.25, rho=-0.9, omega=1.3, v0=0.1))
@@ -441,6 +519,9 @@ def test_martingale_diagnostic_true_cases(params):
         dict(rel_tol=0.0),
         dict(max_subdivisions=0),
         dict(large_x=0.0),
+        dict(abs_tol=math.inf),
+        dict(rel_tol=math.inf),
+        dict(large_x=math.inf),
     ],
 )
 def test_quadrature_config_validation(kwargs):
