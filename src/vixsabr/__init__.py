@@ -17,6 +17,7 @@ from .model import (
     drift_polynomial_coefficients,
     vol_diffusion,
     vol_drift,
+    vol_variance,
 )
 from .scale import (
     BoundaryClass,
@@ -38,7 +39,6 @@ from .scale import (
     scale_function,
     scale_function_inverse,
     scale_function_limit,
-    vol_variance,
 )
 from .mc import (
     McConfig,
@@ -76,11 +76,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SabrParams", "CapSpec",
-    "vol_diffusion", "vol_drift", "capped_vol_diffusion", "capped_vol_drift",
-    "drift_polynomial_coefficients",
+    "vol_variance", "vol_diffusion", "vol_drift", "capped_vol_diffusion",
+    "capped_vol_drift", "drift_polynomial_coefficients",
     "QuadratureConfig", "ScaleReport", "TailFit", "EnvelopeReport",
     "BoundaryClass", "NumericalError",
-    "vol_variance", "scale_exponent", "envelope_constant",
+    "scale_exponent", "envelope_constant",
     "check_scale_density_envelope", "scale_function", "scale_function_limit",
     "scale_function_inverse", "natural_scale_volatility",
     "feller_test_function", "feller_origin_diverges", "explosion_verdict",

@@ -21,11 +21,11 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .asymptotics import limiting_implied_vol, rate_function
+from .asymptotics import limiting_implied_vol
 from .mc import McConfig, estimate_forward, simulate_capped_lanes, \
     simulate_capped_paths
 from .model import CapSpec, SabrParams
@@ -52,172 +52,144 @@ class ConfigError(ValueError):
         self.problems = problems
 
 
-def _default_strikes() -> list[float]:
-    return [float(k) for k in np.geomspace(0.05, 0.25, 25)]
+_DEFAULT_MODEL = SabrParams(beta=0.5, rho=-0.7, omega=1.0, v0=0.1)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run configuration for the CLI commands."""
+    """Fully validated run configuration for the CLI commands.
 
-    model: SabrParams = SabrParams(beta=0.5, rho=-0.7, omega=1.0, v0=0.1)
-    vol_cap: float = 2.0
-    drift_cap: float = 1.0
+    Each field is one section of the JSON config under the same name.
+    ``caps`` is always derived from ``model`` by :meth:`CapSpec.from_params`,
+    so its binding level follows the model through ``dataclasses.replace``.
+    Invalid values raise :class:`ConfigError` with one message per problem.
+    """
+
+    model: SabrParams = _DEFAULT_MODEL
+    caps: CapSpec = CapSpec.from_params(_DEFAULT_MODEL, vol_cap=2.0, drift_cap=1.0)
     mc: McConfig = McConfig()
     quadrature: QuadratureConfig = QuadratureConfig()
-    strikes: tuple[float, ...] = field(default_factory=lambda: tuple(_default_strikes()))
+    strikes: tuple[float, ...] = tuple(float(k) for k in np.geomspace(0.05, 0.25, 25))
     maturities: tuple[float, ...] = (0.1,)
     rate: float = 0.0
     output_dir: str = "."
     format: str = "csv"
 
-    @property
-    def caps(self) -> CapSpec:
-        return CapSpec.from_params(self.model, self.vol_cap, self.drift_cap)
+    def __post_init__(self):
+        problems = []
+
+        def normalise(name, convert) -> bool:
+            """Replace a field by ``convert`` of it, or report why not."""
+            try:
+                object.__setattr__(self, name, convert(getattr(self, name)))
+                return True
+            except (TypeError, ValueError, OverflowError) as err:
+                problems.append(f"{name}: {err}")
+                return False
+
+        normalise("caps", lambda caps: CapSpec.from_params(self.model, **_settable(caps)))
+        normalise("strikes", _positive_floats)
+        longest = self.mc.horizon
+        if normalise("maturities", _positive_floats):
+            longest = max(longest, *self.maturities)
+        # prices are discounted by exp(-rate T) and grown back by
+        # exp(rate T), so |rate| T must stay in exp's range
+        if normalise("rate", _finite_float) and \
+                abs(self.rate) * longest > math.log(sys.float_info.max):
+            problems.append(
+                f"rate: {self.rate} makes exp(|rate| * T) overflow at "
+                f"T = {longest}; |rate| * T must stay below 709"
+            )
+        # explosion_verdict evaluates the Feller test function at
+        # large_x/100, large_x/10 and large_x, and each must exceed its
+        # origin cutoff 0.01*v0 (> 0); the smallest decides
+        cutoff = 0.01 * self.model.v0
+        if not 0.0 < cutoff < self.quadrature.large_x / 100.0:
+            problems.append(
+                f"quadrature.large_x: must exceed v0 ({self.model.v0}), so that "
+                f"the Feller tail point large_x/100 exceeds the origin cutoff "
+                f"0.01*v0 = {cutoff}, which must be > 0; got {self.quadrature.large_x}"
+            )
+        if not isinstance(self.output_dir, str):
+            problems.append("output_dir: expected a string")
+        if self.format not in ("csv", "json"):
+            problems.append(f"format: must be 'csv' or 'json', got {self.format!r}")
+        if problems:
+            raise ConfigError(problems)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Build and validate a config from a plain JSON-style dict.
 
-        Unknown keys and every invariant violation are collected into a
-        single :class:`ConfigError` so a bad file is reported in one
-        pass, with field paths on each message.
+        A section whose default is a dataclass may be partial: its keys
+        are merged over the default.  Unknown keys and every invariant
+        violation are collected into a single :class:`ConfigError` so a
+        bad file is reported in one pass, with field paths on each
+        message; a bad section is replaced by its default meanwhile, so
+        the checks across sections still run.
         """
-        defaults = cls()
-        base = defaults.to_dict()
-        problems: list[str] = []
-        known = {
-            "model", "caps", "mc", "quadrature", "strikes", "maturities",
-            "rate", "output_dir", "format",
-        }
-        for key in data:
-            if key not in known:
-                problems.append(f"{key}: unknown section")
-        # No numeric field takes a boolean, though Python would read
-        # true/false as 1/0.
-        for section in ("model", "caps", "mc", "quadrature", "strikes",
-                        "maturities", "rate"):
-            problems += [f"{where}: expected a number, got a boolean"
-                         for where in _booleans(data.get(section), section)]
-
-        def build(section, factory, fallback):
-            """Merge a partial section over its defaults and construct it."""
-            payload = data.get(section)
+        names = [f.name for f in fields(cls)]
+        problems = [f"{key}: unknown section" for key in data if key not in names]
+        sections = {}
+        for f in fields(cls):
+            name, default, payload = f.name, f.default, data.get(f.name)
             if payload is None:
-                return fallback
-            if not isinstance(payload, dict):
-                problems.append(f"{section}: expected an object")
-                return fallback
-            merged = dict(base[section])
-            extra = set(payload) - set(merged)
-            if extra:
-                problems.append(f"{section}: unknown keys {sorted(extra)}")
-                return fallback
-            merged.update(payload)
-            try:
-                return factory(merged)
-            except (TypeError, ValueError) as err:
-                problems.append(f"{section}: {err}")
-                return fallback
-
-        model = build(
-            "model", lambda d: SabrParams(**d), defaults.model
-        )
-        mc = build("mc", lambda d: McConfig(**d), defaults.mc)
-        quadrature = build(
-            "quadrature", lambda d: QuadratureConfig(**d), defaults.quadrature
-        )
-
-        vol_cap, drift_cap = defaults.vol_cap, defaults.drift_cap
-        caps_payload = data.get("caps")
-        if caps_payload is not None:
-            if not isinstance(caps_payload, dict):
-                problems.append("caps: expected an object")
-            else:
-                vol_cap = caps_payload.get("vol_cap", vol_cap)
-                drift_cap = caps_payload.get("drift_cap", drift_cap)
-                extra = set(caps_payload) - {"vol_cap", "drift_cap"}
+                continue
+            # No numeric field takes a boolean, though Python would read
+            # true/false as 1/0.
+            if not isinstance(default, str):
+                problems += [f"{where}: expected a number, got a boolean"
+                             for where in _booleans(payload, name)]
+            if is_dataclass(default):
+                if not isinstance(payload, dict):
+                    problems.append(f"{name}: expected an object")
+                    continue
+                extra = set(payload) - set(_settable(default))
                 if extra:
-                    problems.append(f"caps: unknown keys {sorted(extra)}")
+                    problems.append(f"{name}: unknown keys {sorted(extra)}")
+                    continue
+                try:
+                    payload = replace(default, **payload)
+                except (TypeError, ValueError, OverflowError) as err:
+                    problems.append(f"{name}: {err}")
+                    continue
+            sections[name] = payload
         try:
-            CapSpec.from_params(model, vol_cap, drift_cap)
-        except (TypeError, ValueError) as err:
-            problems.append(f"caps: {err}")
-
-        def positive_list(section, fallback):
-            payload = data.get(section)
-            if payload is None:
-                return fallback
-            try:
-                values = tuple(float(x) for x in payload)
-            except (TypeError, ValueError):
-                problems.append(f"{section}: expected a list of numbers")
-                return fallback
-            if not values or not all(0.0 < x < math.inf for x in values):
-                problems.append(f"{section}: entries must be finite and > 0")
-                return fallback
-            return values
-
-        strikes = positive_list("strikes", defaults.strikes)
-        maturities = positive_list("maturities", defaults.maturities)
-
-        rate = data.get("rate", defaults.rate)
-        if not isinstance(rate, (int, float)) or not math.isfinite(rate):
-            problems.append("rate: expected a finite number")
-            rate = defaults.rate
-        else:
-            # prices are discounted by exp(-rate T) and grown back by
-            # exp(rate T), so |rate| T must stay in exp's range
-            longest = max((*maturities, mc.horizon))
-            if abs(rate) * longest > math.log(sys.float_info.max):
-                problems.append(
-                    f"rate: {rate} makes exp(|rate| * T) overflow at "
-                    f"T = {longest}; |rate| * T must stay below 709"
-                )
-
-        output_dir = data.get("output_dir", defaults.output_dir)
-        if not isinstance(output_dir, str):
-            problems.append("output_dir: expected a string")
-            output_dir = defaults.output_dir
-
-        fmt = data.get("format", defaults.format)
-        if fmt not in ("csv", "json"):
-            problems.append(f"format: must be 'csv' or 'json', got {fmt!r}")
-            fmt = defaults.format
-
+            config = cls(**sections)
+        except ConfigError as err:
+            problems += err.problems
         if problems:
             raise ConfigError(problems)
-        return cls(
-            model=model, vol_cap=vol_cap, drift_cap=drift_cap, mc=mc,
-            quadrature=quadrature, strikes=strikes, maturities=maturities,
-            rate=float(rate), output_dir=output_dir, format=fmt,
-        )
+        return config
 
     def to_dict(self) -> dict:
-        return {
-            "model": {
-                "beta": self.model.beta, "rho": self.model.rho,
-                "omega": self.model.omega, "v0": self.model.v0,
-            },
-            "caps": {"vol_cap": self.vol_cap, "drift_cap": self.drift_cap},
-            "mc": {
-                "n_paths": self.mc.n_paths, "n_steps": self.mc.n_steps,
-                "horizon": self.mc.horizon, "vix_window": self.mc.vix_window,
-                "seed": self.mc.seed, "inner_paths": self.mc.inner_paths,
-                "inner_steps": self.mc.inner_steps,
-            },
-            "quadrature": {
-                "abs_tol": self.quadrature.abs_tol,
-                "rel_tol": self.quadrature.rel_tol,
-                "max_subdivisions": self.quadrature.max_subdivisions,
-                "large_x": self.quadrature.large_x,
-            },
-            "strikes": list(self.strikes),
-            "maturities": list(self.maturities),
-            "rate": self.rate,
-            "output_dir": self.output_dir,
-            "format": self.format,
-        }
+        """The config as JSON-style sections, without derived fields."""
+        return {f.name: _settable(getattr(self, f.name)) for f in fields(self)}
+
+
+def _settable(section):
+    """A config section as a config file sets it: a dataclass as the dict
+    of its fields less the derived ones, anything else as it is."""
+    if not is_dataclass(section):
+        return section
+    return {f.name: getattr(section, f.name) for f in fields(section)
+            if not f.metadata.get("derived")}
+
+
+def _positive_floats(values) -> tuple[float, ...]:
+    try:
+        values = tuple(float(x) for x in values)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("expected a list of numbers") from None
+    if not values or not all(0.0 < x < math.inf for x in values):
+        raise ValueError("entries must be finite and > 0")
+    return values
+
+
+def _finite_float(value) -> float:
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return float(value)
 
 
 def _booleans(payload, where: str) -> list[str]:
@@ -300,17 +272,14 @@ def cmd_diagnose(config: RunConfig, n_threads: int = 1) -> int:
 def cmd_forwards(config: RunConfig, n_threads: int = 1) -> int:
     """Write the cap binding level and the MC forward per correlation."""
     header = ["rho", "binding_level", "forward", "forward_se"]
-    lanes = []
-    for rho in _FORWARD_RHOS:
-        params = replace(config.model, rho=rho)
-        caps = CapSpec.from_params(params, config.vol_cap, config.drift_cap)
-        lanes.append((params, caps, config.mc.horizon))
-    rows = []
-    lane_paths = simulate_capped_lanes(lanes, config.mc, n_threads=n_threads)
-    for (params, caps, _), paths in zip(lanes, lane_paths):
-        forward = estimate_forward(paths)
-        rows.append([params.rho, caps.binding_level, forward.value,
-                     forward.std_error])
+    lanes = [replace(config, model=replace(config.model, rho=rho))
+             for rho in _FORWARD_RHOS]
+    lane_paths = simulate_capped_lanes(
+        [(lane.model, lane.caps, config.mc.horizon) for lane in lanes],
+        config.mc, n_threads=n_threads)
+    forwards = map(estimate_forward, lane_paths)
+    rows = [[lane.model.rho, lane.caps.binding_level, f.value, f.std_error]
+            for lane, f in zip(lanes, forwards)]
     print(_write_table(config, "forward_table", header, rows))
     return 0
 
@@ -325,28 +294,18 @@ def cmd_smile(config: RunConfig, n_threads: int = 1) -> int:
         )
         return 2
     maturity = config.maturities[0]
-    caps = config.caps
     paths = simulate_capped_paths(
-        config.model, caps, replace(config.mc, horizon=maturity),
+        config.model, config.caps, replace(config.mc, horizon=maturity),
         n_threads=n_threads,
     )
     points = smile_from_paths(paths, config.strikes, maturity, config.rate)
     header = ["strike", "log_strike", "price", "price_se", "implied_vol",
               "iv_lo", "iv_hi", "asymptotic_iv", "status"]
-    rows = []
-    for pt in points:
-        band = pt.band if pt.band is not None else (math.nan, math.nan)
-        rows.append([
-            pt.strike,
-            pt.log_strike,
-            pt.price.value,
-            pt.price.std_error,
-            pt.implied_vol if pt.implied_vol is not None else math.nan,
-            band[0],
-            band[1],
-            limiting_implied_vol(pt.strike, config.model, caps),
-            pt.status,
-        ])
+    rows = [[pt.strike, pt.log_strike, pt.price.value, pt.price.std_error,
+             math.nan if pt.implied_vol is None else pt.implied_vol,
+             *(pt.band or (math.nan, math.nan)),
+             limiting_implied_vol(pt.strike, config.model, config.caps), pt.status]
+            for pt in points]
     print(_write_table(config, "smile", header, rows))
     return 0
 
@@ -403,18 +362,25 @@ def _finite_literal(parse):
     return hook
 
 
+# json.load hooks that turn every non-finite number into a ConfigError.
+_JSON_HOOKS = dict(parse_constant=_reject_constant,
+                   parse_float=_finite_literal(float),
+                   parse_int=_finite_literal(int))
+
+
 def _load_config(args) -> RunConfig:
     data = {}
     if args.config is not None:
         with open(args.config) as handle:
-            data = json.load(handle, parse_constant=_reject_constant,
-                             parse_float=_finite_literal(float),
-                             parse_int=_finite_literal(int))
+            data = json.load(handle, **_JSON_HOOKS)
         if not isinstance(data, dict):
             raise ConfigError(["top level: expected a JSON object"])
     config = RunConfig.from_dict(data)
     if args.seed is not None:
-        config = replace(config, mc=replace(config.mc, seed=args.seed))
+        try:
+            config = replace(config, mc=replace(config.mc, seed=args.seed))
+        except ValueError as err:
+            raise ConfigError([f"--seed: {err}"]) from None
     if args.out is not None:
         config = replace(config, output_dir=args.out)
     if args.format is not None:

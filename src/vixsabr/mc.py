@@ -19,14 +19,14 @@ available behind a switch for comparison studies.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .model import CapSpec, SabrParams, capped_vol_diffusion, capped_vol_drift
+from .model import CapSpec, SabrParams, capped_vol_diffusion, capped_vol_drift, \
+    check_integer_fields
 
 __all__ = [
     "McConfig",
@@ -72,10 +72,7 @@ class McConfig:
     inner_steps: int = 30
 
     def __post_init__(self):
-        for name in ("n_paths", "n_steps", "inner_paths", "inner_steps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integer_fields(self)
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_steps < 1:
@@ -101,13 +98,6 @@ class McEstimate:
     value: float
     std_error: float
     n_effective: int
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "n_effective": self.n_effective,
-        }
 
 
 @dataclass

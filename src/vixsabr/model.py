@@ -18,19 +18,31 @@ are pure (thread-safe).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 __all__ = [
     "SabrParams",
     "CapSpec",
+    "vol_variance",
     "vol_diffusion",
     "vol_drift",
     "capped_vol_diffusion",
     "capped_vol_drift",
     "drift_polynomial_coefficients",
 ]
+
+
+def check_integer_fields(config) -> None:
+    """Raise ValueError unless every field of the dataclass ``config``
+    annotated ``int`` holds an integer; a boolean does not count."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in (int, "int") and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +106,7 @@ class CapSpec:
 
     vol_cap: float
     drift_cap: float
-    binding_level: float
+    binding_level: float = field(metadata={"derived": True})
 
     @classmethod
     def from_params(cls, params: SabrParams, vol_cap: float, drift_cap: float) -> "CapSpec":
@@ -122,8 +134,8 @@ class CapSpec:
         return cls(vol_cap=vol_cap, drift_cap=drift_cap, binding_level=binding)
 
 
-def _diffusion(v, params: SabrParams, out):
-    """vol_diffusion(v) as an array, written into ``out`` when given."""
+def _variance(v, params: SabrParams, out):
+    """vol_variance(v) as an array, written into ``out`` when given."""
     v = np.asarray(v, dtype=float)
     out = np.empty(v.shape) if out is None else out
     b1 = params.beta - 1.0
@@ -133,7 +145,7 @@ def _diffusion(v, params: SabrParams, out):
     np.multiply(2.0 * params.rho * b1 * params.omega, v, out=out)
     out += params.omega**2
     out += (b1 * v) ** 2
-    return np.sqrt(out, out=out)
+    return out
 
 
 def _drift(v, params: SabrParams, out):
@@ -151,6 +163,12 @@ def _scalar_or_array(val: np.ndarray):
     return val if val.ndim else float(val)
 
 
+def vol_variance(v, params: SabrParams):
+    """Squared :func:`vol_diffusion`, a quadratic in v that is strictly
+    positive for every real v when |rho| < 1."""
+    return _scalar_or_array(_variance(v, params, None))
+
+
 def vol_diffusion(v, params: SabrParams):
     """Lognormal diffusion coefficient of the volatility process.
 
@@ -165,7 +183,8 @@ def vol_diffusion(v, params: SabrParams):
     float or ndarray
         sqrt(omega^2 + 2*rho*(beta-1)*omega*v + (beta-1)^2 * v^2).
     """
-    return _scalar_or_array(_diffusion(v, params, None))
+    val = _variance(v, params, None)
+    return _scalar_or_array(np.sqrt(val, out=val))
 
 
 def vol_drift(v, params: SabrParams):
@@ -183,7 +202,8 @@ def capped_vol_diffusion(v, params: SabrParams, caps: CapSpec, out=None):
     ``out``, if given, is an array of ``v``'s shape that receives the
     result; it must not share memory with ``v``.
     """
-    val = _diffusion(v, params, out)
+    val = _variance(v, params, out)
+    np.sqrt(val, out=val)
     return _scalar_or_array(np.minimum(val, caps.vol_cap, out=val))
 
 

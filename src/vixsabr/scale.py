@@ -24,13 +24,13 @@ when they disagree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 from scipy import integrate, optimize
 
-from .model import SabrParams, vol_diffusion
+from .model import SabrParams, check_integer_fields, vol_diffusion, vol_variance
 
 __all__ = [
     "QuadratureConfig",
@@ -39,7 +39,6 @@ __all__ = [
     "EnvelopeReport",
     "BoundaryClass",
     "NumericalError",
-    "vol_variance",
     "scale_exponent",
     "envelope_constant",
     "check_scale_density_envelope",
@@ -78,6 +77,7 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
             raise ValueError("abs_tol and rel_tol must be finite and > 0")
+        check_integer_fields(self)
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         if not 0.0 < self.large_x < math.inf:
@@ -131,27 +131,7 @@ class ScaleReport:
     boundary_class: BoundaryClass
 
     def to_dict(self) -> dict:
-        return {
-            "scale_limit": self.scale_limit,
-            "tail_coefficient": self.tail_coefficient,
-            "envelope_constant": self.envelope_constant,
-            "feller_tail_value": self.feller_tail_value,
-            "explosion_flag": self.explosion_flag,
-            "boundary_class": self.boundary_class.value,
-        }
-
-
-def vol_variance(x, params: SabrParams):
-    """Squared diffusion coefficient of the volatility process.
-
-    Evaluates the quadratic omega^2 + 2*rho*(beta-1)*omega*x +
-    (1-beta)^2 * x^2, which equals vol_diffusion(x)**2 and is strictly
-    positive for every real x when |rho| < 1.
-    """
-    x = np.asarray(x, dtype=float)
-    b1 = 1.0 - params.beta
-    val = params.omega**2 - 2.0 * params.rho * b1 * params.omega * x + (b1 * x) ** 2
-    return val if val.ndim else float(val)
+        return {**asdict(self), "boundary_class": self.boundary_class.value}
 
 
 def scale_exponent(x, params: SabrParams):
@@ -527,7 +507,7 @@ def feller_test_function(
                     outer_total += outer
                     inner_total += inner
                     continue
-                if bisections == quad.max_subdivisions:
+                if bisections >= quad.max_subdivisions:
                     raise NumericalError(
                         f"Feller quadrature did not converge on "
                         f"[{math.exp(ua)}, {math.exp(ub)}] within "

@@ -1,12 +1,17 @@
+import argparse
 import hashlib
 import json
 import math
 import os
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vixsabr import RunConfig, SabrParams, main, rate_function
-from vixsabr.cli import ConfigError
+from vixsabr import CapSpec, RunConfig, SabrParams, explosion_verdict, main, \
+    rate_function
+from vixsabr.cli import ConfigError, _load_config
 
 
 def run_cli(tmp_path, config_data, *argv):
@@ -82,6 +87,122 @@ def test_config_caps_accessor():
     assert config.caps.binding_level > 0.0
 
 
+def test_config_sections_are_the_dataclass_fields():
+    config = RunConfig()
+    data = config.to_dict()
+    assert list(data) == [f.name for f in fields(RunConfig)]
+    for name, section in data.items():
+        value = getattr(config, name)
+        if is_dataclass(value):
+            expected = {f.name for f in fields(value)} - {"binding_level"}
+            assert set(section) == expected, name
+
+
+def test_config_caps_follow_the_model():
+    config = RunConfig.from_dict({"caps": {"vol_cap": 3.0, "drift_cap": 0.5}})
+    moved = replace(config, model=replace(config.model, rho=0.7))
+    assert moved.caps == CapSpec.from_params(moved.model, vol_cap=3.0, drift_cap=0.5)
+    assert moved.caps.binding_level > config.caps.binding_level
+    with pytest.raises(ConfigError) as err:
+        replace(config, model=replace(config.model, omega=3.0))
+    assert any(p.startswith("caps: vol_cap") for p in err.value.problems)
+
+
+def test_config_rejects_the_derived_binding_level():
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict({"caps": {"binding_level": 1.0}})
+    assert err.value.problems == ["caps: unknown keys ['binding_level']"]
+
+
+# json.dumps writes nan and inf as the NaN and Infinity tokens; this
+# marker string becomes the literal 1e999, which json reads as inf
+_OVERFLOW = "@1e999@"
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | st.just(_OVERFLOW)
+    | st.integers(-2**70, 2**70)
+    # huge sizes, within a float's range and past it
+    | st.integers(2**1000, 2**1023) | st.integers(2**1024, 10**320)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _near(value):
+    """Plausible values for a field whose default is ``value``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return st.just(value)
+    # an integer past what a float can square
+    huge = st.integers(2**1000, 2**1023)
+    if isinstance(value, int):
+        # integers, and floats in integer fields
+        return st.integers(-1, 2 * value + 2) | st.integers(0, 50).map(float) | huge
+    return st.floats(-abs(value) - 1.0, 4.0 * abs(value) + 1.0) | huge
+
+
+def _config_trees(noisy: bool):
+    """Partial configs built from each section's fields and plausible
+    values; ``noisy`` mixes in arbitrary JSON at every level, unknown
+    keys and section fields at the top level."""
+    junk = _JUNK if noisy else st.nothing()
+    extra = {"bogus": _JUNK} if noisy else {}
+
+    def section(default):
+        if is_dataclass(default):
+            return st.fixed_dictionaries({}, optional={
+                **{f.name: _near(getattr(default, f.name)) | junk
+                   for f in fields(default)
+                   if noisy or not f.metadata.get("derived")}, **extra})
+        if isinstance(default, tuple):
+            return st.lists(st.floats(0.0, 1.0) | junk, max_size=4)
+        return _near(default)
+
+    nesting = {"n_paths": _JUNK, "vol_cap": _JUNK} if noisy else {}
+    return st.fixed_dictionaries({}, optional={
+        **{f.name: section(f.default) | junk for f in fields(RunConfig)},
+        **extra, **nesting})
+
+
+_CONFIG_TREES = _config_trees(noisy=False) | _config_trees(noisy=True) | _JUNK
+
+
+@given(tree=_CONFIG_TREES)
+@settings(max_examples=300, deadline=None)
+def test_config_fuzz_validates_or_raises_config_error(tmp_path_factory, tree):
+    """Every JSON config either loads into a RunConfig that round-trips
+    through to_dict, or raises ConfigError; it never raises anything
+    else.  Nothing is simulated, so huge sizes cost nothing."""
+    text = json.dumps(tree).replace(json.dumps(_OVERFLOW), "1e999")
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text)
+    args = argparse.Namespace(config=str(path), seed=None, out=None, format=None)
+    try:
+        config = _load_config(args)
+    except ConfigError:
+        return
+    assert RunConfig.from_dict(config.to_dict()) == config
+    assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+@given(v0=st.floats(1e-6, 10.0), scale=st.sampled_from(
+    [0.5, 1.0, 1.0 + 1e-16, 1.0 + 1e-15, 1.0 + 1e-9, 2.0]))
+@settings(max_examples=60, deadline=None)
+def test_config_large_x_check_matches_the_feller_cutoff(v0, scale):
+    # a config that passes never makes explosion_verdict raise the
+    # cutoff's ValueError
+    model = {"beta": 0.5, "rho": -0.7, "omega": 1.0, "v0": v0}
+    try:
+        config = RunConfig.from_dict({"model": model,
+                                      "quadrature": {"large_x": v0 * scale}})
+    except ConfigError as err:
+        assert err.problems[0].startswith("quadrature.large_x:")
+        assert scale <= 1.0 + 1e-15
+        return
+    assert scale > 1.0
+    explosion_verdict(config.model, config.quadrature)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -140,12 +261,15 @@ def test_main_rejects_overflowing_literals(tmp_path, capsys, text, command):
 
 
 @pytest.mark.parametrize(
-    "mc",
-    [{"n_paths": 2.5}, {"n_steps": True}, {"seed": 1.5},
-     {"inner_paths": 1000.0}, {"inner_steps": "30"}],
+    "config",
+    [pytest.param({"mc": mc}, id=f"mc{i}") for i, mc in enumerate(
+        [{"n_paths": 2.5}, {"n_steps": True}, {"seed": 1.5},
+         {"inner_paths": 1000.0}, {"inner_steps": "30"}])]
+    + [pytest.param({"quadrature": {"max_subdivisions": value}}, id=f"quadrature{i}")
+       for i, value in enumerate([1.5, 2.5, True, "10"])],
 )
-def test_main_rejects_non_integer_sizes(tmp_path, capsys, mc):
-    code = run_cli(tmp_path, {"mc": mc, "output_dir": str(tmp_path)}, "forwards")
+def test_main_rejects_non_integer_sizes(tmp_path, capsys, config):
+    code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, "forwards")
     assert code == 2
     assert "must be an integer" in capsys.readouterr().err
 
@@ -172,6 +296,38 @@ def test_main_rejects_rate_that_overflows_the_discount(tmp_path, capsys,
     code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, *command)
     assert code == 2
     assert "rate:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["diagnose", "forwards", "smile", "converge"])
+@pytest.mark.parametrize(
+    "quadrature, where",
+    [({"large_x": 0.01}, "quadrature.large_x"),
+     ({"large_x": 0.1}, "quadrature.large_x"),
+     ({"max_subdivisions": 2.5}, "max_subdivisions must be an integer")],
+    ids=["large_x_0.01", "large_x_v0", "max_subdivisions_2.5"],
+)
+def test_main_rejects_bad_quadrature_on_every_command(tmp_path, capsys, quadrature,
+                                                      where, command):
+    # the default v0 is 0.1; large_x <= v0 puts the Feller tail point
+    # large_x/100 at or below the origin cutoff 0.01*v0
+    code = run_cli(tmp_path, {"quadrature": quadrature, "maturities": [0.2, 0.1]},
+                   "--out", str(tmp_path / "out"), command)
+    assert code == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("large_x", [math.nextafter(0.1, 1.0), 0.10000001, 0.2])
+def test_diagnose_large_x_just_above_v0_runs(tmp_path, large_x):
+    code = run_cli(tmp_path, {"quadrature": {"large_x": large_x},
+                              "output_dir": str(tmp_path)}, "diagnose")
+    assert code in (0, 3)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_main_rejects_out_of_range_seed_override(tmp_path, capsys, seed):
+    assert main(["--seed", seed, "--out", str(tmp_path), "forwards"]) == 2
+    assert "--seed: seed must fit in 64 bits" in capsys.readouterr().err
 
 
 def test_diagnose_overflowing_feller_integrand_exits_3(tmp_path, capsys):

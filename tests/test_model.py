@@ -196,6 +196,10 @@ def test_diffusion_squared_equals_variance(p):
     var = vol_variance(v, p)
     assert np.all(var > 0.0)
     assert np.allclose(sig**2, var, rtol=1e-13, atol=0.0)
+    # one quadratic under both: the square root is the diffusion exactly
+    assert np.array_equal(np.sqrt(var), sig)
+    assert all(math.sqrt(vol_variance(float(x), p)) == vol_diffusion(float(x), p)
+               for x in v)
 
 
 @given(negative_rho_params)

@@ -421,6 +421,17 @@ def test_feller_function_subdivision_budget(params):
         feller_test_function(1e6, params, unreachable)
 
 
+@pytest.mark.parametrize("budget", [1, 2, 1.5, 2.5])
+def test_feller_subdivision_budget_is_a_ceiling(budget):
+    # these parameters need more than two bisections; a fractional
+    # budget, which validation rejects, must still stop the loop
+    params = SabrParams(beta=0.95, rho=-0.5, omega=5.0, v0=0.01)
+    quad = QuadratureConfig()
+    object.__setattr__(quad, "max_subdivisions", budget)
+    with pytest.raises(NumericalError, match="subdivisions"):
+        feller_test_function(1e6, params, quad)
+
+
 def test_feller_origin_diverges(params):
     assert feller_origin_diverges(params)
     assert feller_origin_diverges(SabrParams(beta=0.25, rho=-0.9, omega=1.3, v0=0.1))
@@ -522,6 +533,11 @@ def test_martingale_diagnostic_true_cases(params):
         dict(abs_tol=math.inf),
         dict(rel_tol=math.inf),
         dict(large_x=math.inf),
+        # a fractional budget never equals the bisection count
+        dict(max_subdivisions=1.5),
+        dict(max_subdivisions=2.5),
+        dict(max_subdivisions=True),
+        dict(max_subdivisions="10"),
     ],
 )
 def test_quadrature_config_validation(kwargs):
