@@ -87,14 +87,23 @@ class RunConfig:
                 problems.append(f"{name}: {err}")
                 return False
 
+        def as_float(name, value):
+            """``value`` as a float, or None once reported as out of
+            range: the sections accept an integer too large for a float."""
+            try:
+                return float(value)
+            except OverflowError:
+                problems.append(f"{name}: out of range; values must be finite")
+                return None
+
         normalise("caps", lambda caps: CapSpec.from_params(self.model, **_settable(caps)))
         normalise("strikes", _positive_floats)
-        longest = self.mc.horizon
-        if normalise("maturities", _positive_floats):
+        longest = as_float("mc.horizon", self.mc.horizon)
+        if normalise("maturities", _positive_floats) and longest is not None:
             longest = max(longest, *self.maturities)
         # prices are discounted by exp(-rate T) and grown back by
         # exp(rate T), so |rate| T must stay in exp's range
-        if normalise("rate", _finite_float) and \
+        if normalise("rate", _finite_float) and longest is not None and \
                 abs(self.rate) * longest > math.log(sys.float_info.max):
             problems.append(
                 f"rate: {self.rate} makes exp(|rate| * T) overflow at "
@@ -103,12 +112,14 @@ class RunConfig:
         # explosion_verdict evaluates the Feller test function at
         # large_x/100, large_x/10 and large_x, and each must exceed its
         # origin cutoff 0.01*v0 (> 0); the smallest decides
-        cutoff = 0.01 * self.model.v0
-        if not 0.0 < cutoff < self.quadrature.large_x / 100.0:
+        v0 = as_float("model.v0", self.model.v0)
+        large_x = as_float("quadrature.large_x", self.quadrature.large_x)
+        if v0 is not None and large_x is not None and \
+                not 0.0 < 0.01 * v0 < large_x / 100.0:
             problems.append(
                 f"quadrature.large_x: must exceed v0 ({self.model.v0}), so that "
                 f"the Feller tail point large_x/100 exceeds the origin cutoff "
-                f"0.01*v0 = {cutoff}, which must be > 0; got {self.quadrature.large_x}"
+                f"0.01*v0 = {0.01 * v0}, which must be > 0; got {self.quadrature.large_x}"
             )
         if not isinstance(self.output_dir, str):
             problems.append("output_dir: expected a string")
@@ -177,6 +188,8 @@ def _settable(section):
 
 
 def _positive_floats(values) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError("expected a list of numbers")
     try:
         values = tuple(float(x) for x in values)
     except (TypeError, ValueError, OverflowError):
@@ -433,6 +446,11 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"vixsabr: numerical failure: {err}", file=sys.stderr)
         return 3
+    except MemoryError as err:
+        # the sizes a config sets are bounded only by memory
+        print(f"vixsabr: the config needs more memory than is available: {err}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ result is bit-identical for any worker count and any scheduling order.
 A capped-path block draws its normals one time step at a time into a
 buffer one block wide, which yields exactly the numbers of one 2-D draw of the
 whole block, and several lanes (models that share the seed and sizes)
-step from each drawn row.
+step from each drawn row, stacked as the rows of one array.
 
 The default stepping scheme is log-space Euler: because the capped
 coefficients are bounded, the per-step exponential form is exact in
@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .model import CapSpec, SabrParams, capped_vol_diffusion, capped_vol_drift, \
-    check_integer_fields
+from .model import CapSpec, Coefficients, SabrParams, capped_vol_diffusion, \
+    capped_vol_drift, check_integer_fields
 
 __all__ = [
     "McConfig",
@@ -53,6 +53,12 @@ _DOMAIN_INNER = 2
 _DOMAIN_2D = 3
 
 _SCHEMES = ("log", "euler")
+
+# At most this many lanes step as one stack.  A stack of g lanes needs
+# 3g scratch rows beside the drawn row; stacks of up to 3 keep a
+# worker's scratch no larger than when each lane stepped alone with its
+# own state row and temporaries, so 4 lanes step as 2 + 2.
+_STACK_LANES = 3
 
 
 @dataclass(frozen=True)
@@ -171,9 +177,12 @@ def _check_scheme(scheme: str) -> None:
 def _step_capped(v, z, dt, sqrt_dt, params, caps, scheme, work) -> None:
     """Advance ``v`` in place by one time step of the capped process.
 
-    ``z`` holds the step's standard normals and is only read, so several
-    lanes may step from one row.  ``work`` holds three scratch arrays
-    shaped like ``v``.  The in-place operations evaluate
+    ``v`` holds one lane's paths, or an (L, n) stack of L lanes' paths;
+    ``params`` (the lanes' :class:`Coefficients`), ``caps``, ``dt`` and
+    ``sqrt_dt`` then hold a float shared by all lanes or an (L, 1)
+    column each.  ``z`` holds the step's standard normals and is only
+    read, so every lane steps from one row.  ``work`` holds three scratch
+    arrays shaped like ``v``.  The in-place operations evaluate
 
         log:    v * exp((mu - 0.5 * sig * sig) * dt + sig * sqrt_dt * z)
         euler:  max(v * (1.0 + mu * dt + sig * sqrt_dt * z), 0)
@@ -182,8 +191,8 @@ def _step_capped(v, z, dt, sqrt_dt, params, caps, scheme, work) -> None:
     expressions.
     """
     sig, mu, tmp = work
-    capped_vol_diffusion(v, params, caps, out=sig)
-    capped_vol_drift(v, params, caps, out=mu)
+    capped_vol_diffusion(v, params, caps, out=sig, scratch=tmp)
+    capped_vol_drift(v, params, caps, out=mu, scratch=tmp)
     if scheme == "log":
         np.multiply(sig, 0.5, out=tmp)
         tmp *= sig
@@ -214,11 +223,21 @@ def evolve_capped(v_init, normals, horizon, params, caps, scheme="log"):
     normals = np.asarray(normals, dtype=float)
     dt = horizon / normals.shape[0]
     sqrt_dt = math.sqrt(dt)
+    coefficients = Coefficients.of(params)
     v = np.broadcast_to(np.asarray(v_init, dtype=float), normals.shape[1:]).copy()
-    work = [np.empty(v.shape) for _ in range(3)]
+    work = np.empty((3, *v.shape))
     for z in normals:
-        _step_capped(v, z, dt, sqrt_dt, params, caps, scheme, work)
+        _step_capped(v, z, dt, sqrt_dt, coefficients, caps, scheme, work)
     return v
+
+
+def _column(values):
+    """The value all lanes share, as given, or the lanes' values as an
+    (L, 1) column.  A shared value stays a Python scalar: a column costs
+    more per numpy call even with one row."""
+    if len({float(x).hex() for x in values}) == 1:
+        return values[0]
+    return np.array(values, dtype=float).reshape(-1, 1)
 
 
 def simulate_capped_lanes(
@@ -233,46 +252,66 @@ def simulate_capped_lanes(
 
     Each lane is a ``(params, caps, horizon)`` triple; all lanes share
     ``mc.seed``, ``mc.n_paths`` and ``mc.n_steps`` (``mc.horizon`` is
-    not used).  Every block draws each row of normals once and steps all
-    lanes from it, so lane i of the result equals, bit for bit,
-    ``simulate_capped_paths(params_i, caps_i, replace(mc,
-    horizon=horizon_i), scheme, store_paths=store_paths)``, for any
-    thread count.
+    not used).  Every block draws each row of normals once and steps the
+    lanes from it as rows of one stacked array, so lane i of the result
+    equals, bit for bit, ``simulate_capped_paths(params_i, caps_i,
+    replace(mc, horizon=horizon_i), scheme, store_paths=store_paths)``,
+    for any thread count.  The lanes' ``terminal_values`` are the rows
+    of one (L, n_paths) array, and their ``paths`` the (n_steps + 1,
+    n_paths) slices of one 3-D array.
     """
     _check_scheme(scheme)
-    n, n_steps = mc.n_paths, mc.n_steps
-    steps = []
-    for params, caps, horizon in lanes:
+    lanes = list(lanes)
+    for _, _, horizon in lanes:
         if not horizon > 0.0:
             raise ValueError(f"horizon must be > 0, got {horizon}")
-        dt = horizon / n_steps
-        steps.append((params, caps, dt, math.sqrt(dt)))
-    results = [
-        PathSet(np.empty(n), np.empty((n_steps + 1, n)) if store_paths else None)
-        for _ in steps
-    ]
+    if not lanes:
+        return []
+    n, n_steps = mc.n_paths, mc.n_steps
+    terminal = np.empty((len(lanes), n))
+    paths = np.empty((len(lanes), n_steps + 1, n)) if store_paths else None
+    # Split the lanes into the fewest stacks of at most _STACK_LANES,
+    # as even as possible, and fix each stack's constants once.
+    n_stacks = -(-len(lanes) // _STACK_LANES)
+    bounds = [len(lanes) * i // n_stacks for i in range(n_stacks + 1)]
+    stacks = []
+    for rows in map(slice, bounds[:-1], bounds[1:]):
+        models, caps, horizons = zip(*lanes[rows])
+        dts = [horizon / n_steps for horizon in horizons]
+        stacks.append((
+            rows,
+            _column([params.v0 for params in models]),
+            _column(dts),
+            _column([math.sqrt(dt) for dt in dts]),
+            Coefficients(*map(_column, zip(*map(Coefficients.of, models)))),
+            CapSpec(*map(_column, zip(*map(astuple, caps)))),
+        ))
+    widest = max(rows.stop - rows.start for rows, *_ in stacks)
 
     def run_block(block_index: int) -> None:
         lo = block_index * _BLOCK_PATHS
         hi = min(n, lo + _BLOCK_PATHS)
         rng = _block_rng(_DOMAIN_CAPPED, block_index, mc.seed)
         z = np.empty(hi - lo)
-        work = np.empty((3, hi - lo))
-        states = [np.full(hi - lo, params.v0) for params, *_ in steps]
-        if store_paths:
-            for v, result in zip(states, results):
-                result.paths[0, lo:hi] = v
+        work = np.empty((3, widest, hi - lo))
+        # Each stack's state is its lanes' slice of the output rows.
+        steps = []
+        for rows, v0, *constants in stacks:
+            v = terminal[rows, lo:hi]
+            v[...] = v0
+            if store_paths:
+                paths[rows, 0, lo:hi] = v
+            steps.append((rows, v, constants, work[:, :v.shape[0]]))
         for k in range(n_steps):
             rng.standard_normal(out=z)
-            for (params, caps, dt, sqrt_dt), v, result in zip(steps, states, results):
-                _step_capped(v, z, dt, sqrt_dt, params, caps, scheme, work)
+            for rows, v, (dt, sqrt_dt, params, caps), scratch in steps:
+                _step_capped(v, z, dt, sqrt_dt, params, caps, scheme, scratch)
                 if store_paths:
-                    result.paths[k + 1, lo:hi] = v
-        for v, result in zip(states, results):
-            result.terminal_values[lo:hi] = v
+                    paths[rows, k + 1, lo:hi] = v
 
     _run_blocks((n + _BLOCK_PATHS - 1) // _BLOCK_PATHS, run_block, n_threads)
-    return results
+    return [PathSet(terminal[i], None if paths is None else paths[i])
+            for i in range(len(lanes))]
 
 
 def simulate_capped_paths(
@@ -373,6 +412,7 @@ def estimate_vix_nested(
     n_outer = v_t.size
     dt = window / mc.inner_steps
     sqrt_dt = math.sqrt(dt)
+    coefficients = Coefficients.of(params)
     vix = np.empty(n_outer)
     inner_se = np.empty(n_outer)
 
@@ -387,7 +427,7 @@ def estimate_vix_nested(
         # Trapezoid accumulation of v^2 over the window, per sub-path.
         acc = 0.5 * v * v
         for k in range(mc.inner_steps):
-            _step_capped(v, z[k], dt, sqrt_dt, params, caps, scheme, work)
+            _step_capped(v, z[k], dt, sqrt_dt, coefficients, caps, scheme, work)
             acc += v * v if k < mc.inner_steps - 1 else 0.5 * v * v
         vix_sq_samples = acc * dt / window
         mean_sq = float(vix_sq_samples.mean())

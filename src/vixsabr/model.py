@@ -20,12 +20,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "SabrParams",
     "CapSpec",
+    "Coefficients",
     "vol_variance",
     "vol_diffusion",
     "vol_drift",
@@ -134,28 +136,64 @@ class CapSpec:
         return cls(vol_cap=vol_cap, drift_cap=drift_cap, binding_level=binding)
 
 
-def _variance(v, params: SabrParams, out):
-    """vol_variance(v) as an array, written into ``out`` when given."""
+class Coefficients(NamedTuple):
+    """The constants of :func:`vol_variance` and :func:`vol_drift`.
+
+    :meth:`of` evaluates them for one model with the scalar expressions
+    the coefficient functions have always used.  The coefficient
+    functions of this module take these constants in place of a
+    :class:`SabrParams`, and a constant may then be an (L, 1) column
+    whose row i belongs to the i-th of L models: an (L, n) array of
+    levels is evaluated row by row, bit for bit as the L models one at
+    a time.
+    """
+
+    omega_sq: float      # omega**2, by pow() as Python's ** computes it
+    var_linear: float    # 2*rho*(beta-1)*omega
+    beta_m1: float       # beta - 1
+    drift_linear: float  # 0.5*(beta-2)
+    rho_omega: float     # rho*omega
+
+    @classmethod
+    def of(cls, params: SabrParams) -> "Coefficients":
+        b1 = params.beta - 1.0
+        return cls(params.omega**2, 2.0 * params.rho * b1 * params.omega, b1,
+                   0.5 * (params.beta - 2.0), params.rho * params.omega)
+
+
+def _coefficients(params) -> Coefficients:
+    return params if isinstance(params, Coefficients) else Coefficients.of(params)
+
+
+def _variance(v, params, out, scratch=None):
+    """vol_variance(v) as an array, written into ``out`` when given.
+
+    ``scratch``, an array of ``v``'s shape, receives the square term, so
+    that no temporary is allocated.
+    """
+    c = _coefficients(params)
     v = np.asarray(v, dtype=float)
     out = np.empty(v.shape) if out is None else out
-    b1 = params.beta - 1.0
     # omega^2 + 2*rho*(beta-1)*omega*v + ((beta-1)*v)^2, summed left to
     # right.  ``**`` squares arrays exactly but takes pow() on a 0-d
     # input, so np.square would change the scalar results' last bit.
-    np.multiply(2.0 * params.rho * b1 * params.omega, v, out=out)
-    out += params.omega**2
-    out += (b1 * v) ** 2
+    np.multiply(c.var_linear, v, out=out)
+    out += c.omega_sq
+    if scratch is None:
+        out += (c.beta_m1 * v) ** 2
+    else:
+        out += np.square(np.multiply(c.beta_m1, v, out=scratch), out=scratch)
     return out
 
 
-def _drift(v, params: SabrParams, out):
-    """vol_drift(v) as an array, written into ``out`` when given."""
+def _drift(v, params, out, scratch=None):
+    """vol_drift(v) as an array; ``out`` and ``scratch`` as in _variance."""
+    c = _coefficients(params)
     v = np.asarray(v, dtype=float)
     out = np.empty(v.shape) if out is None else out
-    b = params.beta
-    np.multiply(0.5 * (b - 2.0), v, out=out)
-    out += params.rho * params.omega
-    out *= v * (b - 1.0)
+    np.multiply(c.drift_linear, v, out=out)
+    out += c.rho_omega
+    out *= v * c.beta_m1 if scratch is None else np.multiply(v, c.beta_m1, out=scratch)
     return out
 
 
@@ -196,23 +234,28 @@ def vol_drift(v, params: SabrParams):
     return _scalar_or_array(_drift(v, params, None))
 
 
-def capped_vol_diffusion(v, params: SabrParams, caps: CapSpec, out=None):
+def capped_vol_diffusion(v, params, caps, out=None, scratch=None):
     """Diffusion coefficient clamped from above at ``caps.vol_cap``.
 
+    ``params`` is a :class:`SabrParams` or its :class:`Coefficients`.
     ``out``, if given, is an array of ``v``'s shape that receives the
-    result; it must not share memory with ``v``.
+    result; it must not share memory with ``v``.  ``scratch``, if given,
+    is a third such array that the evaluation may overwrite; with both,
+    nothing is allocated.  For an (L, n) stack of levels the constants
+    and ``caps.vol_cap`` may be (L, 1) columns.
     """
-    val = _variance(v, params, out)
+    val = _variance(v, params, out, scratch)
     np.sqrt(val, out=val)
     return _scalar_or_array(np.minimum(val, caps.vol_cap, out=val))
 
 
-def capped_vol_drift(v, params: SabrParams, caps: CapSpec, out=None):
+def capped_vol_drift(v, params, caps, out=None, scratch=None):
     """Drift coefficient clamped to ``[-caps.drift_cap, caps.drift_cap]``.
 
-    ``out`` is as in :func:`capped_vol_diffusion`.
+    The arguments are as in :func:`capped_vol_diffusion`;
+    ``caps.drift_cap`` may be a column.
     """
-    val = _drift(v, params, out)
+    val = _drift(v, params, out, scratch)
     return _scalar_or_array(np.clip(val, -caps.drift_cap, caps.drift_cap, out=val))
 
 

@@ -4,10 +4,13 @@ would find out."""
 
 import importlib
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
-from vixsabr import cli, scale
+import numpy as np
+
+from vixsabr import CapSpec, McConfig, SabrParams, cli, mc, scale
 
 SPANS_FILE = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -46,3 +49,64 @@ def test_diagnose_calls_the_counted_scale_bindings(tmp_path, monkeypatch):
     assert cli.main(["--out", str(tmp_path), "diagnose"]) == 0
     assert counts["quad"] > 0
     assert counts["scale_exponent"] > 0
+
+
+def _counting(counts, fn, name, hook=None):
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        counts[f"{name}.calls"] += 1
+        for key, amount in hook(args, kwargs, result) if hook else ():
+            counts[key] += amount
+        return result
+    return wrapper
+
+
+def test_lane_commands_call_the_traced_coefficient_bindings(tmp_path, monkeypatch):
+    # The traced benchmark counts model.capped_vol_*.calls, and replays
+    # the cap counters, through these two bindings of mc.
+    counts = Counter()
+    for name in ("capped_vol_diffusion", "capped_vol_drift"):
+        monkeypatch.setattr(mc, name, _counting(counts, getattr(mc, name), name))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mc": {"n_paths": 500, "n_steps": 3},
+                                  "maturities": [0.2, 0.1, 0.05, 0.025]}))
+    for command in (["forwards"], ["converge", "--strike", "0.15"]):
+        counts.clear()
+        argv = ["--config", str(config), "--out", str(tmp_path), *command]
+        assert cli.main(argv) == 0
+        assert counts["capped_vol_diffusion.calls"] > 0, command
+        assert counts["capped_vol_drift.calls"] > 0, command
+
+
+def test_cap_replay_counts_stacked_lanes_per_lane(monkeypatch):
+    # A stacked call passes (L, 1) columns of caps; the replay's counters
+    # must count the clamped elements of each row against its own lane.
+    spans = _load_spans()
+    counts = Counter()
+    monkeypatch.setattr(mc, "capped_vol_diffusion", _counting(
+        counts, mc.capped_vol_diffusion, "diffusion", spans._diffusion_binds))
+    monkeypatch.setattr(mc, "capped_vol_drift", _counting(
+        counts, mc.capped_vol_drift, "drift", spans._drift_binds))
+    models = [SabrParams(beta=0.5, rho=-0.7, omega=1.5, v0=0.5),
+              SabrParams(beta=0.3, rho=-0.5, omega=1.2, v0=0.6),
+              SabrParams(beta=0.5, rho=-0.7, omega=1.5, v0=0.4)]
+    lanes = [(models[0], CapSpec.from_params(models[0], 1.8, 0.3), 0.4),
+             (models[1], CapSpec.from_params(models[1], 1.5, 0.2), 0.2),
+             (models[2], CapSpec.from_params(models[2], 2.0, 0.5), 0.3)]
+    config = McConfig(n_paths=2000, n_steps=8, seed=5)
+    results = mc.simulate_capped_lanes(lanes, config, store_paths=True)
+    monkeypatch.undo()
+
+    assert counts["diffusion.calls"] == config.n_steps  # one call per time row
+    expected = Counter()
+    for (params, caps, _), lane in zip(lanes, results):
+        levels = lane.paths[:-1]
+        expected["cap.diffusion.bound"] += int(np.count_nonzero(
+            mc.capped_vol_diffusion(levels, params, caps) == caps.vol_cap))
+        expected["cap.drift.bound"] += int(np.count_nonzero(
+            np.abs(mc.capped_vol_drift(levels, params, caps)) == caps.drift_cap))
+        expected["cap.diffusion.path_steps"] += levels.size
+        expected["cap.drift.path_steps"] += levels.size
+    assert expected["cap.diffusion.bound"] > 0
+    assert expected["cap.drift.bound"] > 0
+    assert {key: counts[key] for key in expected} == dict(expected)

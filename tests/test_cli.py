@@ -80,6 +80,24 @@ def test_config_rejects_bad_strikes(strikes):
         RunConfig.from_dict({"strikes": strikes})
 
 
+@pytest.mark.parametrize("section", ["strikes", "maturities"])
+@pytest.mark.parametrize("value", ["1", {"0.1": 0}, 0.1])
+def test_config_takes_only_a_list_of_numbers(section, value):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict({section: value})
+    assert err.value.problems == [f"{section}: expected a list of numbers"]
+
+
+@pytest.mark.parametrize("section, key", [("mc", "horizon"), ("model", "v0"),
+                                          ("quadrature", "large_x")])
+def test_config_rejects_integers_beyond_float_range(section, key):
+    # the section accepts a Python int above float's range (it compares
+    # below inf); the checks across sections must report it, not overflow
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict({section: {key: 10**400}})
+    assert f"{section}.{key}: out of range; values must be finite" in err.value.problems
+
+
 def test_config_caps_accessor():
     config = RunConfig.from_dict({"caps": {"vol_cap": 3.0, "drift_cap": 0.5}})
     assert config.caps.vol_cap == 3.0
@@ -357,6 +375,20 @@ def test_main_rejects_json_booleans(tmp_path, capsys, config, where):
     assert code == 2
     assert f"{where}: expected a number, got a boolean" in capsys.readouterr().err
     assert not (tmp_path / "smile.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["forwards", "smile", "converge"])
+def test_main_maps_a_refused_allocation_to_exit_two(tmp_path, capsys, command):
+    # 8e15 bytes per lane exceed any 64-bit address space, so the first
+    # output array is refused at once, before anything is simulated
+    config = {"mc": {"n_paths": 10**15, "n_steps": 1},
+              "maturities": [0.2, 0.1] if command == "converge" else [0.1]}
+    code = run_cli(tmp_path, config, "--out", str(tmp_path), command)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "needs more memory than is available" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_main_maps_rate_domain_error_to_exit_three(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -105,18 +106,37 @@ def _reference_paths(params, caps, mc, scheme):
     return np.concatenate(blocks, axis=1)
 
 
+# omega**2 by Python's pow() differs from omega*omega in the last bit
+# for this omega, so a stack that squared its omega column with numpy
+# would change this lane's paths.
+_POW_OMEGA = 1.3409706439643465
+
+
+def _stacked_lanes(params, caps):
+    """Seven lanes, so three stacks: the first differs only in horizon,
+    the others in beta, rho, omega, v0, caps and horizon.  Lane 2's caps
+    bind."""
+    flipped = replace(params, rho=0.7)
+    binding = SabrParams(beta=0.5, rho=-0.7, omega=1.5, v0=0.5)
+    odd = SabrParams(beta=0.25, rho=-0.3, omega=_POW_OMEGA, v0=0.2)
+    flat = SabrParams(beta=0.0, rho=0.4, omega=0.6, v0=0.15)
+    assert _POW_OMEGA**2 != _POW_OMEGA * _POW_OMEGA
+    return [
+        (params, caps, 0.1),
+        (params, caps, 0.025),
+        (binding, CapSpec.from_params(binding, 1.8, 0.3), 0.4),
+        (odd, CapSpec.from_params(odd, 2.5, 0.8), 0.2),
+        (flipped, CapSpec.from_params(flipped, 2.0, 1.0), 0.1),
+        (flat, CapSpec.from_params(flat, 0.9, 0.5), 0.05),
+        (odd, CapSpec.from_params(odd, 1.6, 0.2), 0.3),
+    ]
+
+
 @pytest.mark.parametrize("n_threads", [1, 2])
 @pytest.mark.parametrize("scheme", ["log", "euler"])
 def test_lanes_equal_separate_simulations(params, caps, scheme, n_threads):
     mc = McConfig(n_paths=16_384 + 17, n_steps=6, horizon=0.1, seed=31)
-    flipped = replace(params, rho=0.7)
-    binding = SabrParams(beta=0.5, rho=-0.7, omega=1.5, v0=0.5)
-    lanes = [
-        (params, caps, 0.1),
-        (flipped, CapSpec.from_params(flipped, 2.0, 1.0), 0.1),
-        (binding, CapSpec.from_params(binding, 1.8, 0.3), 0.4),
-        (params, caps, 0.025),
-    ]
+    lanes = _stacked_lanes(params, caps)
     results = simulate_capped_lanes(lanes, mc, scheme=scheme, store_paths=True,
                                     n_threads=n_threads)
     assert len(results) == len(lanes)
@@ -127,6 +147,28 @@ def test_lanes_equal_separate_simulations(params, caps, scheme, n_threads):
         assert np.array_equal(got.paths, alone.paths)
         assert np.array_equal(got.paths, _reference_paths(p, c, lane_mc, scheme))
         assert np.array_equal(got.paths[-1], got.terminal_values)
+    p, c, _ = lanes[2]
+    levels = results[2].paths[:-1]
+    assert np.any(capped_vol_diffusion(levels, p, c) == c.vol_cap)
+    assert np.any(np.abs(capped_vol_drift(levels, p, c)) == c.drift_cap)
+
+
+def test_lanes_allocate_no_more_than_outputs_and_scratch(params, caps):
+    # Before lanes were stacked, a worker held the drawn row, three
+    # scratch rows and a state row per lane, 8 rows for 4 lanes; stacking
+    # must fit in the outputs plus that much per worker.
+    mc = McConfig(n_paths=2 * _BLOCK_PATHS, n_steps=4, seed=3)
+    lanes = [(params, caps, t) for t in (0.2, 0.1, 0.05, 0.025)]
+    row = _BLOCK_PATHS * 8
+    outputs = len(lanes) * mc.n_paths * 8
+    tracemalloc.start()
+    try:
+        results = simulate_capped_lanes(lanes, mc, n_threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == len(lanes)
+    assert peak <= outputs + 2 * (1 + 3 + len(lanes)) * row
 
 
 def test_lanes_validate_inputs(params, caps):
