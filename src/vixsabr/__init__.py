@@ -34,10 +34,8 @@ from .scale import (
     feller_origin_diverges,
     feller_test_function,
     martingale_diagnostic,
-    natural_scale_volatility,
     scale_exponent,
     scale_function,
-    scale_function_inverse,
     scale_function_limit,
 )
 from .mc import (
@@ -82,7 +80,6 @@ __all__ = [
     "BoundaryClass", "NumericalError",
     "scale_exponent", "envelope_constant",
     "check_scale_density_envelope", "scale_function", "scale_function_limit",
-    "scale_function_inverse", "natural_scale_volatility",
     "feller_test_function", "feller_origin_diverges", "explosion_verdict",
     "classify_boundary", "auxiliary_scale_exponent", "martingale_diagnostic",
     "McConfig", "McEstimate", "PathSet", "NestedVixResult", "Sabr2dSample",

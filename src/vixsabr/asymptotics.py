@@ -69,7 +69,7 @@ def _atanh_diff(u: float, w: float, params: SabrParams) -> float:
     subtracting them directly loses most of the precision.  The
     subtraction identity atanh(p) - atanh(q) = atanh((p-q)/(1-p*q)) is
     used instead, with p - q and 1 - p*q expanded analytically so that
-    every term is computed without cancellation:
+    no term subtracts nearly equal numbers:
 
         p - q     = (rho^2-1)*b^2*omega*(u-w)*(omega*(u+w) + 2*rho*b*u*w)
                     / (s_u*s_w*(n_u*s_w + n_w*s_u))

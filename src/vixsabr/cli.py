@@ -28,7 +28,7 @@ import numpy as np
 from .asymptotics import limiting_implied_vol
 from .mc import McConfig, estimate_forward, simulate_capped_lanes, \
     simulate_capped_paths
-from .model import CapSpec, SabrParams
+from .model import CapSpec, FieldError, SabrParams
 from .pricing import rate_convergence_study, smile_from_paths
 from .scale import NumericalError, QuadratureConfig, explosion_verdict, \
     martingale_diagnostic
@@ -87,23 +87,14 @@ class RunConfig:
                 problems.append(f"{name}: {err}")
                 return False
 
-        def as_float(name, value):
-            """``value`` as a float, or None once reported as out of
-            range: the sections accept an integer too large for a float."""
-            try:
-                return float(value)
-            except OverflowError:
-                problems.append(f"{name}: out of range; values must be finite")
-                return None
-
         normalise("caps", lambda caps: CapSpec.from_params(self.model, **_settable(caps)))
         normalise("strikes", _positive_floats)
-        longest = as_float("mc.horizon", self.mc.horizon)
-        if normalise("maturities", _positive_floats) and longest is not None:
+        longest = float(self.mc.horizon)
+        if normalise("maturities", _positive_floats):
             longest = max(longest, *self.maturities)
         # prices are discounted by exp(-rate T) and grown back by
         # exp(rate T), so |rate| T must stay in exp's range
-        if normalise("rate", _finite_float) and longest is not None and \
+        if normalise("rate", _finite_float) and \
                 abs(self.rate) * longest > math.log(sys.float_info.max):
             problems.append(
                 f"rate: {self.rate} makes exp(|rate| * T) overflow at "
@@ -112,12 +103,10 @@ class RunConfig:
         # explosion_verdict evaluates the Feller test function at
         # large_x/100, large_x/10 and large_x, and each must exceed its
         # origin cutoff 0.01*v0 (> 0); the smallest decides
-        v0 = as_float("model.v0", self.model.v0)
-        large_x = as_float("quadrature.large_x", self.quadrature.large_x)
-        if v0 is not None and large_x is not None and \
-                not 0.0 < 0.01 * v0 < large_x / 100.0:
+        v0 = self.model.v0
+        if not 0.0 < 0.01 * v0 < self.quadrature.large_x / 100.0:
             problems.append(
-                f"quadrature.large_x: must exceed v0 ({self.model.v0}), so that "
+                f"quadrature.large_x: must exceed v0 ({v0}), so that "
                 f"the Feller tail point large_x/100 exceeds the origin cutoff "
                 f"0.01*v0 = {0.01 * v0}, which must be > 0; got {self.quadrature.large_x}"
             )
@@ -162,7 +151,9 @@ class RunConfig:
                 try:
                     payload = replace(default, **payload)
                 except (TypeError, ValueError, OverflowError) as err:
-                    problems.append(f"{name}: {err}")
+                    # a FieldError's message starts with the field's name
+                    joint = "." if isinstance(err, FieldError) else ": "
+                    problems.append(f"{name}{joint}{err}")
                     continue
             sections[name] = payload
         try:
@@ -325,9 +316,10 @@ def cmd_smile(config: RunConfig, n_threads: int = 1) -> int:
 
 def cmd_converge(config: RunConfig, strike: float, n_threads: int = 1) -> int:
     """Write the short-maturity price-decay table at one strike."""
-    if len(config.maturities) < 2:
+    distinct = len(set(config.maturities))
+    if distinct < 2 or distinct < len(config.maturities):
         print(
-            "converge: at least two maturities are required, got "
+            "converge: at least two maturities, all distinct, are required, got "
             f"{list(config.maturities)}",
             file=sys.stderr,
         )
@@ -425,6 +417,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be >= 1")
+    if args.command == "converge" and not 0.0 < args.strike < math.inf:
+        parser.error("--strike must be finite and > 0")
 
     try:
         config = _load_config(args)

@@ -9,11 +9,9 @@ buffer one block wide, which yields exactly the numbers of one 2-D draw of the
 whole block, and several lanes (models that share the seed and sizes)
 step from each drawn row, stacked as the rows of one array.
 
-The default stepping scheme is log-space Euler: because the capped
-coefficients are bounded, the per-step exponential form is exact in
-distribution conditionally on the frozen coefficients, and positivity
-is automatic.  A level-space Euler scheme with a floor at zero is
-available behind a switch for comparison studies.
+Every path steps by log-space Euler: because the capped coefficients
+are bounded, the per-step exponential form is exact in distribution
+conditionally on the frozen coefficients, and positivity is automatic.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .model import CapSpec, Coefficients, SabrParams, capped_vol_diffusion, \
-    capped_vol_drift, check_integer_fields
+    capped_vol_drift, check_float_fields, check_integer_fields
 
 __all__ = [
     "McConfig",
@@ -51,8 +49,6 @@ _BLOCK_PATHS = 16384
 _DOMAIN_CAPPED = 1
 _DOMAIN_INNER = 2
 _DOMAIN_2D = 3
-
-_SCHEMES = ("log", "euler")
 
 # At most this many lanes step as one stack.  A stack of g lanes needs
 # 3g scratch rows beside the drawn row; stacks of up to 3 keep a
@@ -95,6 +91,7 @@ class McConfig:
             raise ValueError(f"inner_steps must be >= 1, got {self.inner_steps}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        check_float_fields(self)
 
 
 @dataclass(frozen=True)
@@ -169,12 +166,7 @@ def _run_blocks(n_blocks: int, run_block, n_threads: int) -> None:
             run_block(block_index)
 
 
-def _check_scheme(scheme: str) -> None:
-    if scheme not in _SCHEMES:
-        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-
-
-def _step_capped(v, z, dt, sqrt_dt, params, caps, scheme, work) -> None:
+def _step_capped(v, z, dt, sqrt_dt, params, caps, work) -> None:
     """Advance ``v`` in place by one time step of the capped process.
 
     ``v`` holds one lane's paths, or an (L, n) stack of L lanes' paths;
@@ -184,34 +176,25 @@ def _step_capped(v, z, dt, sqrt_dt, params, caps, scheme, work) -> None:
     read, so every lane steps from one row.  ``work`` holds three scratch
     arrays shaped like ``v``.  The in-place operations evaluate
 
-        log:    v * exp((mu - 0.5 * sig * sig) * dt + sig * sqrt_dt * z)
-        euler:  max(v * (1.0 + mu * dt + sig * sqrt_dt * z), 0)
+        v * exp((mu - 0.5 * sig * sig) * dt + sig * sqrt_dt * z)
 
-    operation for operation, so every value is bit-identical to those
-    expressions.
+    operation for operation, so every value is bit-identical to that
+    expression.
     """
     sig, mu, tmp = work
     capped_vol_diffusion(v, params, caps, out=sig, scratch=tmp)
     capped_vol_drift(v, params, caps, out=mu, scratch=tmp)
-    if scheme == "log":
-        np.multiply(sig, 0.5, out=tmp)
-        tmp *= sig
-        np.subtract(mu, tmp, out=mu)
-        mu *= dt
-    else:
-        mu *= dt
-        mu += 1.0
+    np.multiply(sig, 0.5, out=tmp)
+    tmp *= sig
+    np.subtract(mu, tmp, out=mu)
+    mu *= dt
     sig *= sqrt_dt
     sig *= z
     mu += sig
-    if scheme == "log":
-        v *= np.exp(mu, out=mu)
-    else:
-        v *= mu
-        np.maximum(v, 0.0, out=v)
+    v *= np.exp(mu, out=mu)
 
 
-def evolve_capped(v_init, normals, horizon, params, caps, scheme="log"):
+def evolve_capped(v_init, normals, horizon, params, caps):
     """Advance paths of the capped process with supplied increments.
 
     ``normals`` has shape (n_steps, n_paths) and holds standard normal
@@ -219,7 +202,6 @@ def evolve_capped(v_init, normals, horizon, params, caps, scheme="log"):
     studies can couple coarse and fine grids through common Brownian
     increments (aggregate fine rows into coarse ones and rescale).
     """
-    _check_scheme(scheme)
     normals = np.asarray(normals, dtype=float)
     dt = horizon / normals.shape[0]
     sqrt_dt = math.sqrt(dt)
@@ -227,7 +209,7 @@ def evolve_capped(v_init, normals, horizon, params, caps, scheme="log"):
     v = np.broadcast_to(np.asarray(v_init, dtype=float), normals.shape[1:]).copy()
     work = np.empty((3, *v.shape))
     for z in normals:
-        _step_capped(v, z, dt, sqrt_dt, coefficients, caps, scheme, work)
+        _step_capped(v, z, dt, sqrt_dt, coefficients, caps, work)
     return v
 
 
@@ -243,7 +225,6 @@ def _column(values):
 def simulate_capped_lanes(
     lanes,
     mc: McConfig,
-    scheme: str = "log",
     n_threads: int = 1,
     *,
     store_paths: bool = False,
@@ -255,12 +236,11 @@ def simulate_capped_lanes(
     not used).  Every block draws each row of normals once and steps the
     lanes from it as rows of one stacked array, so lane i of the result
     equals, bit for bit, ``simulate_capped_paths(params_i, caps_i,
-    replace(mc, horizon=horizon_i), scheme, store_paths=store_paths)``,
+    replace(mc, horizon=horizon_i), store_paths=store_paths)``,
     for any thread count.  The lanes' ``terminal_values`` are the rows
     of one (L, n_paths) array, and their ``paths`` the (n_steps + 1,
     n_paths) slices of one 3-D array.
     """
-    _check_scheme(scheme)
     lanes = list(lanes)
     for _, _, horizon in lanes:
         if not horizon > 0.0:
@@ -268,6 +248,11 @@ def simulate_capped_lanes(
     if not lanes:
         return []
     n, n_steps = mc.n_paths, mc.n_steps
+    # numpy refuses an array past the address space with a ValueError;
+    # report it as the shortage of memory it is
+    out_rows = len(lanes) * (n_steps + 1 if store_paths else 1)
+    if out_rows * n * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"{out_rows} x {n} float64 outputs exceed the address space")
     terminal = np.empty((len(lanes), n))
     paths = np.empty((len(lanes), n_steps + 1, n)) if store_paths else None
     # Split the lanes into the fewest stacks of at most _STACK_LANES,
@@ -305,7 +290,7 @@ def simulate_capped_lanes(
         for k in range(n_steps):
             rng.standard_normal(out=z)
             for rows, v, (dt, sqrt_dt, params, caps), scratch in steps:
-                _step_capped(v, z, dt, sqrt_dt, params, caps, scheme, scratch)
+                _step_capped(v, z, dt, sqrt_dt, params, caps, scratch)
                 if store_paths:
                     paths[rows, k + 1, lo:hi] = v
 
@@ -318,19 +303,17 @@ def simulate_capped_paths(
     params: SabrParams,
     caps: CapSpec,
     mc: McConfig,
-    scheme: str = "log",
     store_paths: bool = False,
     n_threads: int = 1,
 ) -> PathSet:
     """Simulate the capped volatility process to the horizon.
 
-    Deterministic given (seed, n_paths, n_steps, scheme) no matter how
-    many worker threads run the blocks.  With the default log scheme
-    every simulated value is strictly positive.  This is the one-lane
-    case of :func:`simulate_capped_lanes`.
+    Deterministic given (seed, n_paths, n_steps) no matter how many
+    worker threads run the blocks, and every simulated value is strictly
+    positive.  This is the one-lane case of :func:`simulate_capped_lanes`.
     """
     return simulate_capped_lanes(
-        [(params, caps, mc.horizon)], mc, scheme, n_threads, store_paths=store_paths
+        [(params, caps, mc.horizon)], mc, n_threads, store_paths=store_paths
     )[0]
 
 
@@ -379,7 +362,6 @@ def estimate_vix_nested(
     mc: McConfig,
     horizon: float | None = None,
     window: float | None = None,
-    scheme: str = "log",
     n_threads: int = 1,
 ) -> NestedVixResult:
     """Nested Monte Carlo estimate of the finite-window VIX per path.
@@ -406,7 +388,7 @@ def estimate_vix_nested(
         raise ValueError("inner_paths must be >= 2 for the nested estimator")
     outer = simulate_capped_paths(
         params, caps, replace(mc, horizon=horizon, vix_window=window),
-        scheme=scheme, n_threads=n_threads,
+        n_threads=n_threads,
     )
     v_t = outer.terminal_values
     n_outer = v_t.size
@@ -427,7 +409,7 @@ def estimate_vix_nested(
         # Trapezoid accumulation of v^2 over the window, per sub-path.
         acc = 0.5 * v * v
         for k in range(mc.inner_steps):
-            _step_capped(v, z[k], dt, sqrt_dt, coefficients, caps, scheme, work)
+            _step_capped(v, z[k], dt, sqrt_dt, coefficients, caps, work)
             acc += v * v if k < mc.inner_steps - 1 else 0.5 * v * v
         vix_sq_samples = acc * dt / window
         mean_sq = float(vix_sq_samples.mean())

@@ -47,6 +47,24 @@ def check_integer_fields(config) -> None:
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
+class FieldError(ValueError):
+    """A field's value is out of range; the message starts with its name."""
+
+
+def check_float_fields(config) -> None:
+    """Raise :class:`FieldError` unless every field of the dataclass
+    ``config`` annotated ``float`` holds finite floats, or arrays of them:
+    an integer too large for a float compares below infinity."""
+    for f in fields(config):
+        if f.type in (float, "float"):
+            try:
+                value = np.asarray(getattr(config, f.name), dtype=float)
+            except OverflowError:
+                value = np.inf
+            if not np.all(np.isfinite(value)):
+                raise FieldError(f"{f.name}: out of range; values must be finite")
+
+
 @dataclass(frozen=True)
 class SabrParams:
     """SABR model parameters.
@@ -77,6 +95,7 @@ class SabrParams:
             raise ValueError(f"omega must be finite and > 0, got {self.omega}")
         if not 0.0 < self.v0 < math.inf:
             raise ValueError(f"v0 must be finite and > 0, got {self.v0}")
+        check_float_fields(self)
 
     @property
     def negative_correlation(self) -> bool:
@@ -109,6 +128,9 @@ class CapSpec:
     vol_cap: float
     drift_cap: float
     binding_level: float = field(metadata={"derived": True})
+
+    def __post_init__(self):
+        check_float_fields(self)
 
     @classmethod
     def from_params(cls, params: SabrParams, vol_cap: float, drift_cap: float) -> "CapSpec":

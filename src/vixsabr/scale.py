@@ -6,7 +6,6 @@ computable:
 
 * closed form of the exponent appearing in the scale density,
 * the scale function itself with its finite limit and tail fit,
-* its inverse and the natural-scale diffusion coefficient,
 * the Feller test function whose finiteness at +infinity certifies
   explosion, and
 * a diagnostic for the martingale property of the asset price, which
@@ -28,9 +27,9 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
-from .model import SabrParams, check_integer_fields, vol_diffusion, vol_variance
+from .model import SabrParams, check_float_fields, check_integer_fields, vol_variance
 
 __all__ = [
     "QuadratureConfig",
@@ -44,8 +43,6 @@ __all__ = [
     "check_scale_density_envelope",
     "scale_function",
     "scale_function_limit",
-    "scale_function_inverse",
-    "natural_scale_volatility",
     "feller_test_function",
     "feller_origin_diverges",
     "explosion_verdict",
@@ -82,6 +79,7 @@ class QuadratureConfig:
             raise ValueError("max_subdivisions must be >= 1")
         if not 0.0 < self.large_x < math.inf:
             raise ValueError("large_x must be finite and > 0")
+        check_float_fields(self)
 
 
 class BoundaryClass(Enum):
@@ -226,12 +224,9 @@ def _decade_edges(lo: float, hi: float) -> list[float]:
     return edges
 
 
-def _segmented_quad(integrand, lo, hi, quad: QuadratureConfig, cancel=None) -> float:
-    """Adaptive quadrature on [lo, hi] split into decade segments.
-
-    Raises :class:`NumericalError` if any segment fails to converge, and
-    checks the optional ``cancel`` callable between segments.
-    """
+def _segmented_quad(integrand, lo, hi, quad: QuadratureConfig) -> float:
+    """Adaptive quadrature on [lo, hi] split into decade segments; raises
+    :class:`NumericalError` if any segment fails to converge."""
     if hi < lo:
         raise ValueError(f"integration range is reversed: [{lo}, {hi}]")
     if hi == lo:
@@ -241,8 +236,6 @@ def _segmented_quad(integrand, lo, hi, quad: QuadratureConfig, cancel=None) -> f
     limit = int(min(10_000, max(50, quad.max_subdivisions // nseg)))
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        if cancel is not None and cancel():
-            raise NumericalError("quadrature cancelled")
         out = integrate.quad(
             integrand,
             a,
@@ -258,9 +251,7 @@ def _segmented_quad(integrand, lo, hi, quad: QuadratureConfig, cancel=None) -> f
     return total
 
 
-def scale_function(
-    x, params: SabrParams, quad: QuadratureConfig | None = None, cancel=None
-):
+def scale_function(x, params: SabrParams, quad: QuadratureConfig | None = None):
     """Scale function of the volatility process, anchored at 0.
 
     Integrates exp(-2 * scale_exponent) from 0 to x by adaptive
@@ -273,7 +264,7 @@ def scale_function(
     if np.ndim(x) == 0:
         if x < 0.0:
             raise ValueError(f"x must be >= 0, got {x}")
-        return _segmented_quad(integrand, 0.0, float(x), quad, cancel)
+        return _segmented_quad(integrand, 0.0, float(x), quad)
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0):
         raise ValueError("x must be >= 0")
@@ -281,7 +272,7 @@ def scale_function(
     out = np.empty_like(xs)
     total, prev = 0.0, 0.0
     for i in order:
-        total += _segmented_quad(integrand, prev, float(xs[i]), quad, cancel)
+        total += _segmented_quad(integrand, prev, float(xs[i]), quad)
         prev = float(xs[i])
         out[i] = total
     return out
@@ -295,7 +286,7 @@ _TAIL_FIT_RTOL = 1e-6
 
 
 def scale_function_limit(
-    params: SabrParams, quad: QuadratureConfig | None = None, cancel=None
+    params: SabrParams, quad: QuadratureConfig | None = None
 ) -> TailFit:
     """Extrapolated limit of the scale function at x = +infinity.
 
@@ -314,7 +305,7 @@ def scale_function_limit(
     if params.rho >= 0.0:
         raise ValueError("scale function limit requires rho < 0")
     quad = quad or QuadratureConfig()
-    values = scale_function(_TAIL_GRID, params, quad, cancel)
+    values = scale_function(_TAIL_GRID, params, quad)
     xs = _TAIL_GRID[-_TAIL_FIT_POINTS:]
     ys = values[-_TAIL_FIT_POINTS:]
     design = np.column_stack([np.ones_like(xs), -(xs ** (-1.0 / (1.0 - params.beta)))])
@@ -327,73 +318,6 @@ def scale_function_limit(
             f"{_TAIL_FIT_RTOL:.0e}; tail regime not reached"
         )
     return TailFit(limit=limit, coefficient=coefficient, residual=residual)
-
-
-def scale_function_inverse(
-    y,
-    params: SabrParams,
-    quad: QuadratureConfig | None = None,
-    limit: float | None = None,
-):
-    """Inverse of the scale function by bracketed root finding.
-
-    Parameters
-    ----------
-    y : float
-        Target value, 0 <= y < limit of the scale function.
-    limit : float, optional
-        Precomputed scale-function limit; computed on demand otherwise.
-
-    Raises
-    ------
-    ValueError
-        If y is negative or >= the scale-function limit.
-    """
-    quad = quad or QuadratureConfig()
-    if y < 0.0:
-        raise ValueError(f"y must be >= 0, got {y}")
-    if y == 0.0:
-        return 0.0
-    if limit is None:
-        limit = scale_function_limit(params, quad).limit
-    if y >= limit:
-        raise ValueError(f"y={y} is not below the scale-function limit {limit}")
-    hi = 1.0
-    while scale_function(hi, params, quad) < y:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NumericalError("failed to bracket the scale-function inverse")
-    return float(
-        optimize.brentq(
-            lambda x: scale_function(x, params, quad) - y,
-            0.0,
-            hi,
-            xtol=1e-14,
-            rtol=8.9e-16,
-        )
-    )
-
-
-def natural_scale_volatility(
-    y,
-    params: SabrParams,
-    quad: QuadratureConfig | None = None,
-    limit: float | None = None,
-):
-    """Diffusion coefficient of the volatility process in natural scale.
-
-    For y strictly between 0 and the scale-function limit this is
-    exp(-2*scale_exponent(q)) * q * vol_diffusion(q) with q the
-    scale-function inverse of y; outside that open interval it is 0 by
-    definition.
-    """
-    quad = quad or QuadratureConfig()
-    if limit is None:
-        limit = scale_function_limit(params, quad).limit
-    if y <= 0.0 or y >= limit:
-        return 0.0
-    q = scale_function_inverse(y, params, quad, limit=limit)
-    return math.exp(-2.0 * scale_exponent(q, params)) * q * vol_diffusion(q, params)
 
 
 def _feller_inner_integrand(z, params: SabrParams):
@@ -439,7 +363,6 @@ def feller_test_function(
     params: SabrParams,
     quad: QuadratureConfig | None = None,
     origin_cutoff: float | None = None,
-    cancel=None,
 ):
     """Feller test function of the volatility process.
 
@@ -465,9 +388,8 @@ def feller_test_function(
     Raises
     ------
     NumericalError
-        If ``cancel`` returns true (checked once per segment), if the
-        bisections exceed ``quad.max_subdivisions``, or if an integrand
-        is not finite.
+        If the bisections exceed ``quad.max_subdivisions``, or if an
+        integrand is not finite.
     ValueError
         If the cutoff is not > 0 or some x does not exceed it.
     """
@@ -488,8 +410,6 @@ def feller_test_function(
         for k in range(nseg):
             pending = [(us[k], us[k + 1], quad.abs_tol / nseg)]
             while pending:
-                if cancel is not None and cancel():
-                    raise NumericalError("quadrature cancelled")
                 ua, ub, abs_tol = pending.pop()
                 (outer_lo, inner_lo), (outer, inner) = (
                     _feller_segment(ua, ub, inner_total, params, rule)
@@ -543,7 +463,7 @@ _STABILIZATION_RTOL = 1e-4
 
 
 def explosion_verdict(
-    params: SabrParams, quad: QuadratureConfig | None = None, cancel=None
+    params: SabrParams, quad: QuadratureConfig | None = None
 ) -> ScaleReport:
     """Run the full explosion analysis and return a :class:`ScaleReport`.
 
@@ -560,9 +480,9 @@ def explosion_verdict(
     if params.rho >= 0.0:
         raise ValueError("explosion analysis requires rho < 0")
     quad = quad or QuadratureConfig()
-    fit = scale_function_limit(params, quad, cancel)
+    fit = scale_function_limit(params, quad)
     tail_x = np.array([quad.large_x / 100.0, quad.large_x / 10.0, quad.large_x])
-    nu = feller_test_function(tail_x, params, quad, cancel=cancel)
+    nu = feller_test_function(tail_x, params, quad)
     increments = np.abs(np.diff(nu))
     allowed = np.maximum(quad.abs_tol, _STABILIZATION_RTOL * nu[:-1])
     stabilized = bool(np.all(increments < allowed))
@@ -623,7 +543,7 @@ def auxiliary_scale_exponent(x, params: SabrParams):
 
 
 def martingale_diagnostic(
-    params: SabrParams, quad: QuadratureConfig | None = None, cancel=None
+    params: SabrParams, quad: QuadratureConfig | None = None
 ) -> bool:
     """True when the asset price is a true martingale.
 
@@ -639,7 +559,7 @@ def martingale_diagnostic(
     for sign in (1.0, -1.0):
         integrand = lambda u: math.exp(auxiliary_scale_exponent(sign * u, params))
         increments = [
-            _segmented_quad(integrand, lo, hi, quad, cancel)
+            _segmented_quad(integrand, lo, hi, quad)
             for lo, hi in zip(marks[:-1], marks[1:])
         ]
         if not (increments[0] > 0.0 and increments[1] >= increments[0]):

@@ -4,6 +4,7 @@ would find out."""
 
 import importlib
 import importlib.util
+import inspect
 import json
 from collections import Counter
 from pathlib import Path
@@ -29,6 +30,17 @@ def test_bench_span_bindings_resolve():
     missing = [f"{module}.{attr}" for module, attr, _ in entries
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_bench_calls_bind_to_the_mc_signatures():
+    # bench/probes.py and bench/workloads.py call these shapes, and the
+    # path-step counters read the McConfig at argument index 2
+    inspect.signature(mc.evolve_capped).bind(
+        "v_init", "normals", "horizon", "params", "caps")
+    for fn in (mc.simulate_capped_paths, mc.estimate_vix_nested):
+        signature = inspect.signature(fn)
+        signature.bind("params", "caps", "mc", n_threads=2)
+        assert list(signature.parameters)[2] == "mc"
 
 
 def test_diagnose_calls_the_counted_scale_bindings(tmp_path, monkeypatch):

@@ -98,6 +98,21 @@ def test_config_rejects_integers_beyond_float_range(section, key):
     assert f"{section}.{key}: out of range; values must be finite" in err.value.problems
 
 
+_FLOAT_FIELDS = [(section.name, f.name)
+                 for section in fields(RunConfig) if is_dataclass(section.default)
+                 for f in fields(section.default)
+                 if f.type in (float, "float") and not f.metadata.get("derived")]
+
+
+@pytest.mark.parametrize("section, key", _FLOAT_FIELDS)
+def test_config_rejects_every_float_field_beyond_float_range(section, key):
+    # 10**400 compares below inf, so only converting it to a float
+    # shows that it is out of range
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict({section: {key: 10**400}})
+    assert any(p.startswith(section) and key in p for p in err.value.problems)
+
+
 def test_config_caps_accessor():
     config = RunConfig.from_dict({"caps": {"vol_cap": 3.0, "drift_cap": 0.5}})
     assert config.caps.vol_cap == 3.0
@@ -201,6 +216,51 @@ def test_config_fuzz_validates_or_raises_config_error(tmp_path_factory, tree):
         return
     assert RunConfig.from_dict(config.to_dict()) == config
     assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+# Sizes a fuzzed command may run: small enough to simulate at once, or
+# far past any address space, so refused before anything is allocated.
+_RUNNABLE_SIZES = {
+    "n_paths": st.integers(1, 64) | st.integers(2**62, 2**1023),
+    "n_steps": st.integers(1, 4),
+}
+
+
+@st.composite
+def _runnable_config_texts(draw):
+    """JSON text as the config fuzz writes it, with every simulation
+    size runnable and a quadrature budget small enough to fail fast.
+    Half the configs that are objects get several maturities, often
+    repeated, so that ``converge`` runs on them too."""
+    tree = draw(_CONFIG_TREES)
+    if isinstance(tree, dict):
+        for name, override in (("mc", _RUNNABLE_SIZES),
+                               ("quadrature", {"max_subdivisions": st.integers(1, 200)})):
+            section = tree.get(name, {})
+            if isinstance(section, dict):
+                tree[name] = {**section,
+                              **{key: draw(value) for key, value in override.items()}}
+        if draw(st.booleans()):
+            tree["maturities"] = draw(st.lists(
+                st.sampled_from([0.2, 0.1, 0.05]) | st.floats(0.0, 1.0),
+                min_size=2, max_size=4))
+    return json.dumps(tree).replace(json.dumps(_OVERFLOW), "1e999")
+
+
+@given(text=_runnable_config_texts())
+@settings(max_examples=60, deadline=None)
+def test_main_fuzz_exits_with_a_contract_code(tmp_path_factory, text):
+    """Every command on every generated config exits 0, 2 or 3: a
+    config error or a refused size is 2, a numerical failure 3, and
+    nothing escapes as an uncaught exception."""
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz_main.json"
+    path.write_text(text)
+    for threads in ("1", "2"):
+        for command in (["diagnose"], ["forwards"], ["smile"], ["converge"]):
+            argv = ["--config", str(path), "--out", str(base / "fuzz_out"),
+                    "--threads", threads, *command]
+            assert main(argv) in (0, 2, 3), (argv, text)
 
 
 @given(v0=st.floats(1e-6, 10.0), scale=st.sampled_from(
@@ -391,6 +451,23 @@ def test_main_maps_a_refused_allocation_to_exit_two(tmp_path, capsys, command):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("n_paths", [2**62, 10**30], ids=["2**62", "10**30"])
+@pytest.mark.parametrize("command", ["forwards", "smile", "converge"])
+def test_main_refuses_arrays_past_the_address_space(tmp_path, capsys, command,
+                                                    n_paths):
+    # numpy itself raises ValueError for these sizes; they must be
+    # refused as a shortage of memory before any allocation
+    config = {"mc": {"n_paths": n_paths, "n_steps": 1},
+              "maturities": [0.2, 0.1] if command == "converge" else [0.1]}
+    code = run_cli(tmp_path, config, "--out", str(tmp_path), command)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "needs more memory than is available" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_main_maps_rate_domain_error_to_exit_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("vixsabr.asymptotics._speed_ratio", lambda v, p: 1.0)
     code = run_cli(
@@ -425,6 +502,24 @@ def test_converge_requires_two_maturities(tmp_path):
         tmp_path, {"maturities": [0.1], "output_dir": str(tmp_path)}, "converge"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("maturities", [[0.1, 0.1], [0.2, 0.1, 0.2]])
+def test_converge_rejects_repeated_maturities(tmp_path, capsys, maturities):
+    code = run_cli(tmp_path, {"maturities": maturities, "output_dir": str(tmp_path)},
+                   "converge")
+    assert code == 2
+    assert "all distinct" in capsys.readouterr().err
+    assert not (tmp_path / "converge.csv").exists()
+
+
+@pytest.mark.parametrize("strike", ["0", "-0.1", "nan", "inf"])
+def test_converge_rejects_a_strike_that_is_not_positive_and_finite(tmp_path, capsys,
+                                                                   strike):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "converge", "--strike", strike])
+    assert exc.value.code == 2
+    assert "--strike must be finite and > 0" in capsys.readouterr().err
 
 
 def test_converge_rejects_at_the_money_strike(tmp_path, capsys):

@@ -83,7 +83,7 @@ def test_row_draws_equal_one_block_draw(width):
         assert np.array_equal(row, whole[k])
 
 
-def _reference_paths(params, caps, mc, scheme):
+def _reference_paths(params, caps, mc):
     """Step-major paths from whole-block 2-D draws and the plain step
     expressions, as the simulator is specified."""
     dt = mc.horizon / mc.n_steps
@@ -97,10 +97,7 @@ def _reference_paths(params, caps, mc, scheme):
         for k in range(mc.n_steps):
             sig = capped_vol_diffusion(v, params, caps)
             mu = capped_vol_drift(v, params, caps)
-            if scheme == "log":
-                v = v * np.exp((mu - 0.5 * sig * sig) * dt + sig * sqrt_dt * z[k])
-            else:
-                v = np.maximum(v * (1.0 + mu * dt + sig * sqrt_dt * z[k]), 0.0)
+            v = v * np.exp((mu - 0.5 * sig * sig) * dt + sig * sqrt_dt * z[k])
             rows.append(v)
         blocks.append(np.array(rows))
     return np.concatenate(blocks, axis=1)
@@ -132,20 +129,20 @@ def _stacked_lanes(params, caps):
     ]
 
 
-@pytest.mark.parametrize("n_threads", [1, 2])
-@pytest.mark.parametrize("scheme", ["log", "euler"])
-def test_lanes_equal_separate_simulations(params, caps, scheme, n_threads):
+# "log" names the step that _reference_paths writes out
+@pytest.mark.parametrize("n_threads", [1, 2], ids=["log-1", "log-2"])
+def test_lanes_equal_separate_simulations(params, caps, n_threads):
     mc = McConfig(n_paths=16_384 + 17, n_steps=6, horizon=0.1, seed=31)
     lanes = _stacked_lanes(params, caps)
-    results = simulate_capped_lanes(lanes, mc, scheme=scheme, store_paths=True,
+    results = simulate_capped_lanes(lanes, mc, store_paths=True,
                                     n_threads=n_threads)
     assert len(results) == len(lanes)
     for (p, c, horizon), got in zip(lanes, results):
         lane_mc = replace(mc, horizon=horizon)
-        alone = simulate_capped_paths(p, c, lane_mc, scheme=scheme, store_paths=True)
+        alone = simulate_capped_paths(p, c, lane_mc, store_paths=True)
         assert np.array_equal(got.terminal_values, alone.terminal_values)
         assert np.array_equal(got.paths, alone.paths)
-        assert np.array_equal(got.paths, _reference_paths(p, c, lane_mc, scheme))
+        assert np.array_equal(got.paths, _reference_paths(p, c, lane_mc))
         assert np.array_equal(got.paths[-1], got.terminal_values)
     p, c, _ = lanes[2]
     levels = results[2].paths[:-1]
@@ -175,8 +172,6 @@ def test_lanes_validate_inputs(params, caps):
     mc = McConfig(n_paths=100, n_steps=2)
     with pytest.raises(ValueError):
         simulate_capped_lanes([(params, caps, 0.0)], mc)
-    with pytest.raises(ValueError):
-        simulate_capped_lanes([(params, caps, 0.1)], mc, scheme="milstein")
     assert simulate_capped_lanes([], mc) == []
 
 
@@ -195,19 +190,6 @@ def test_store_paths_layout(params, caps):
     assert out.paths.shape == (8, 500)
     assert np.all(out.paths[0] == params.v0)
     assert np.array_equal(out.paths[-1], out.terminal_values)
-
-
-def test_euler_scheme_close_but_distinct(params, caps):
-    mc = McConfig(n_paths=20_000, n_steps=50, horizon=0.1, seed=3)
-    log_out = simulate_capped_paths(params, caps, mc, scheme="log")
-    lvl_out = simulate_capped_paths(params, caps, mc, scheme="euler")
-    assert not np.array_equal(log_out.terminal_values, lvl_out.terminal_values)
-    f_log = estimate_forward(log_out)
-    f_lvl = estimate_forward(lvl_out)
-    gap = abs(f_log.value - f_lvl.value)
-    assert gap < 5.0 * math.hypot(f_log.std_error, f_lvl.std_error)
-    with pytest.raises(ValueError):
-        simulate_capped_paths(params, caps, mc, scheme="milstein")
 
 
 def test_constant_diffusion_recovers_driftless_lognormal(params):

@@ -20,10 +20,8 @@ from vixsabr import (
     feller_origin_diverges,
     feller_test_function,
     martingale_diagnostic,
-    natural_scale_volatility,
     scale_exponent,
     scale_function,
-    scale_function_inverse,
     scale_function_limit,
     vol_variance,
 )
@@ -286,70 +284,6 @@ def test_scale_function_limit_requires_negative_correlation():
         scale_function_limit(p)
 
 
-def test_scale_function_cancel_hook(params):
-    with pytest.raises(NumericalError):
-        scale_function(100.0, params, cancel=lambda: True)
-
-
-# ---------------------------------------------------------------------------
-# inverse scale function and natural-scale volatility
-# ---------------------------------------------------------------------------
-
-def test_inverse_at_zero(params):
-    assert scale_function_inverse(0.0, params) == 0.0
-
-
-def test_inverse_round_trip(params):
-    for x in (0.1, 1.0, 10.0):
-        y = scale_function(x, params)
-        back = scale_function_inverse(y, params)
-        assert math.isclose(back, x, rel_tol=1e-8)
-
-
-def test_inverse_rejects_out_of_range(params):
-    fit = scale_function_limit(params)
-    with pytest.raises(ValueError):
-        scale_function_inverse(-0.1, params)
-    with pytest.raises(ValueError):
-        scale_function_inverse(fit.limit, params)
-    with pytest.raises(ValueError):
-        scale_function_inverse(fit.limit * 1.5, params)
-
-
-def test_inverse_tail_growth_exponent(params):
-    # approaching the limit, the inverse grows like eps^-(1-beta) per decade
-    fit = scale_function_limit(params)
-    xs = [scale_function_inverse(fit.limit * (1.0 - 10.0**-k), params) for k in range(2, 7)]
-    slopes = np.diff(np.log10(xs))
-    target = 1.0 - params.beta
-    errs = np.abs(slopes - target)
-    assert np.all(np.diff(errs) < 0.0)
-    assert errs[-1] < 1e-3
-
-
-def test_natural_scale_volatility_near_origin(params):
-    y = 1e-4
-    sig = natural_scale_volatility(y, params)
-    assert math.isclose(sig / y, params.omega, rel_tol=1e-6)
-
-
-def test_natural_scale_volatility_tail_exponent(params):
-    # approaching the limit, log sigma / log(limit - y) tends to beta
-    fit = scale_function_limit(params)
-    ys = [fit.limit * (1.0 - 10.0**-k) for k in range(3, 7)]
-    sigs = [natural_scale_volatility(y, params) for y in ys]
-    slopes = [math.log10(sigs[i] / sigs[i + 1]) for i in range(len(sigs) - 1)]
-    assert all(slopes[i] < slopes[i + 1] for i in range(len(slopes) - 1))
-    assert abs(slopes[-1] - params.beta) < 0.01
-
-
-def test_natural_scale_volatility_outside_domain(params):
-    fit = scale_function_limit(params)
-    assert natural_scale_volatility(0.0, params) == 0.0
-    assert natural_scale_volatility(-1.0, params) == 0.0
-    assert natural_scale_volatility(fit.limit * 1.01, params) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # second-kind test function and explosion verdict
 # ---------------------------------------------------------------------------
@@ -406,13 +340,6 @@ def test_feller_function_rejects_points_at_the_cutoff(params):
         feller_test_function(0.001, params)
     with pytest.raises(ValueError):
         feller_test_function(1.0, params, origin_cutoff=0.0)
-
-
-def test_feller_function_cancel_hook(params):
-    with pytest.raises(NumericalError):
-        feller_test_function(1e6, params, cancel=lambda: True)
-    with pytest.raises(NumericalError):
-        explosion_verdict(params, cancel=lambda: True)
 
 
 def test_feller_function_subdivision_budget(params):
