@@ -8,8 +8,9 @@ Four subcommands drive the library against a single JSON config:
 * ``converge``  - short-maturity decay of OTM prices vs the rate function
 
 Every command is deterministic given the config (including the seed and
-the thread count), writes its output atomically (temp file + rename),
-and exits 0 on success, 2 on config or usage errors, 3 on numerical
+the thread count) and writes its output atomically (temp file + rename).
+A command reports a problem by raising; :func:`main` alone prints it and
+exits 0 on success, 2 on config, usage or output errors, 3 on numerical
 failures.
 """
 
@@ -150,10 +151,14 @@ class RunConfig:
                     continue
                 try:
                     payload = replace(default, **payload)
-                except (TypeError, ValueError, OverflowError) as err:
-                    # a FieldError's message starts with the field's name
-                    joint = "." if isinstance(err, FieldError) else ": "
-                    problems.append(f"{name}{joint}{err}")
+                except (TypeError, ValueError, OverflowError):
+                    # a section's checks stop at its first failure, so
+                    # report each key that fails alone over the default,
+                    # or the joint failure when none does
+                    alone = [_problem(name, default, {key: value})
+                             for key, value in payload.items()]
+                    problems += [p for p in alone if p] or \
+                        [_problem(name, default, payload)]
                     continue
             sections[name] = payload
         try:
@@ -167,6 +172,16 @@ class RunConfig:
     def to_dict(self) -> dict:
         """The config as JSON-style sections, without derived fields."""
         return {f.name: _settable(getattr(self, f.name)) for f in fields(self)}
+
+
+def _problem(section: str, default, changes: dict):
+    """What is wrong with ``replace(default, **changes)``, or None."""
+    try:
+        replace(default, **changes)
+    except (TypeError, ValueError, OverflowError) as err:
+        # a FieldError's message starts with the field's name
+        return f"{section}{'.' if isinstance(err, FieldError) else ': '}{err}"
+    return None
 
 
 def _settable(section):
@@ -197,16 +212,20 @@ def _finite_float(value) -> float:
 
 
 def _booleans(payload, where: str) -> list[str]:
-    """Paths of the JSON booleans in a config value, at any depth."""
-    if isinstance(payload, bool):
-        return [where]
-    if isinstance(payload, dict):
-        items = [(f"{where}.{key}", value) for key, value in payload.items()]
-    elif isinstance(payload, list):
-        items = [(f"{where}[{i}]", value) for i, value in enumerate(payload)]
-    else:
-        return []
-    return [path for at, value in items for path in _booleans(value, at)]
+    """Paths of the JSON booleans in a config value, at any depth; the walk
+    keeps its own stack, so no nesting json.load accepts is too deep."""
+    found, stack = [], [(where, payload)]
+    while stack:
+        where, payload = stack.pop()
+        if isinstance(payload, bool):
+            found.append(where)
+        elif isinstance(payload, dict):
+            stack += reversed([(f"{where}.{key}", value)
+                               for key, value in payload.items()])
+        elif isinstance(payload, list):
+            stack += reversed([(f"{where}[{i}]", value)
+                               for i, value in enumerate(payload)])
+    return found
 
 
 def _fmt(value) -> str:
@@ -250,30 +269,22 @@ def _write_table(config: RunConfig, name: str, header: list[str],
     return path
 
 
-def cmd_diagnose(config: RunConfig, n_threads: int = 1) -> int:
+def cmd_diagnose(config: RunConfig, n_threads: int = 1) -> None:
     """Write the explosion / boundary / martingale report as JSON."""
     if not config.model.negative_correlation:
-        print(
-            "diagnose: the explosion analysis applies only under negative "
-            f"correlation; got rho = {config.model.rho}. Set model.rho < 0.",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        report = explosion_verdict(config.model, config.quadrature)
-        martingale = martingale_diagnostic(config.model, config.quadrature)
-    except NumericalError as err:
-        print(f"diagnose: numerical failure: {err}", file=sys.stderr)
-        return 3
+        raise ConfigError([
+            f"model.rho: diagnose needs rho < 0, got {config.model.rho}; the "
+            "explosion analysis applies only under negative correlation"])
+    report = explosion_verdict(config.model, config.quadrature)
+    martingale = martingale_diagnostic(config.model, config.quadrature)
     payload = {"schema_version": SCHEMA_VERSION, **report.to_dict(),
                "martingale": martingale}
     path = os.path.join(config.output_dir, "diagnose.json")
     _write_atomic(path, json.dumps(payload, indent=2) + "\n")
     print(path)
-    return 0
 
 
-def cmd_forwards(config: RunConfig, n_threads: int = 1) -> int:
+def cmd_forwards(config: RunConfig, n_threads: int = 1) -> None:
     """Write the cap binding level and the MC forward per correlation."""
     header = ["rho", "binding_level", "forward", "forward_se"]
     lanes = [replace(config, model=replace(config.model, rho=rho))
@@ -285,18 +296,13 @@ def cmd_forwards(config: RunConfig, n_threads: int = 1) -> int:
     rows = [[lane.model.rho, lane.caps.binding_level, f.value, f.std_error]
             for lane, f in zip(lanes, forwards)]
     print(_write_table(config, "forward_table", header, rows))
-    return 0
 
 
-def cmd_smile(config: RunConfig, n_threads: int = 1) -> int:
+def cmd_smile(config: RunConfig, n_threads: int = 1) -> None:
     """Write the MC smile at one maturity with the asymptotic overlay."""
     if len(config.maturities) != 1:
-        print(
-            "smile: exactly one maturity is required, got "
-            f"{list(config.maturities)}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ConfigError([f"maturities: smile needs exactly one maturity, got "
+                           f"{list(config.maturities)}"])
     maturity = config.maturities[0]
     paths = simulate_capped_paths(
         config.model, config.caps, replace(config.mc, horizon=maturity),
@@ -311,26 +317,17 @@ def cmd_smile(config: RunConfig, n_threads: int = 1) -> int:
              limiting_implied_vol(pt.strike, config.model, config.caps), pt.status]
             for pt in points]
     print(_write_table(config, "smile", header, rows))
-    return 0
 
 
-def cmd_converge(config: RunConfig, strike: float, n_threads: int = 1) -> int:
+def cmd_converge(config: RunConfig, strike: float, n_threads: int = 1) -> None:
     """Write the short-maturity price-decay table at one strike."""
     distinct = len(set(config.maturities))
     if distinct < 2 or distinct < len(config.maturities):
-        print(
-            "converge: at least two maturities, all distinct, are required, got "
-            f"{list(config.maturities)}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ConfigError([f"maturities: converge needs at least two maturities, "
+                           f"all distinct, got {list(config.maturities)}"])
     if abs(math.log(strike / config.model.v0)) < 1e-8:
-        print(
-            f"converge: strike {strike} equals v0; the at-the-money price "
-            "does not decay exponentially, pick an OTM strike",
-            file=sys.stderr,
-        )
-        return 2
+        raise ConfigError([f"--strike: {strike} equals v0; the at-the-money price "
+                           "does not decay exponentially, pick an OTM strike"])
     maturities = sorted(config.maturities, reverse=True)
     rows = rate_convergence_study(
         strike, config.model, config.caps, maturities, config.mc,
@@ -342,7 +339,6 @@ def cmd_converge(config: RunConfig, strike: float, n_threads: int = 1) -> int:
               r.rate_function_value, r.gap, r.statistically_zero]
              for r in rows]
     print(_write_table(config, "converge", header, table))
-    return 0
 
 
 def _reject_constant(name: str):
@@ -376,8 +372,12 @@ _JSON_HOOKS = dict(parse_constant=_reject_constant,
 def _load_config(args) -> RunConfig:
     data = {}
     if args.config is not None:
-        with open(args.config) as handle:
-            data = json.load(handle, **_JSON_HOOKS)
+        try:
+            with open(args.config) as handle:
+                data = json.load(handle, **_JSON_HOOKS)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as err:
+            raise ConfigError([f"config: cannot read the file: {err}"]) from None
         if not isinstance(data, dict):
             raise ConfigError(["top level: expected a JSON object"])
     config = RunConfig.from_dict(data)
@@ -422,21 +422,15 @@ def main(argv=None) -> int:
 
     try:
         config = _load_config(args)
+        if args.command == "converge":
+            cmd_converge(config, args.strike, n_threads=args.threads)
+        else:
+            command = {"diagnose": cmd_diagnose, "forwards": cmd_forwards,
+                       "smile": cmd_smile}[args.command]
+            command(config, n_threads=args.threads)
     except ConfigError as err:
         print(f"vixsabr: {err}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"vixsabr: cannot read config: {err}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "diagnose":
-            return cmd_diagnose(config, n_threads=args.threads)
-        if args.command == "forwards":
-            return cmd_forwards(config, n_threads=args.threads)
-        if args.command == "smile":
-            return cmd_smile(config, n_threads=args.threads)
-        return cmd_converge(config, args.strike, n_threads=args.threads)
     except NumericalError as err:
         print(f"vixsabr: numerical failure: {err}", file=sys.stderr)
         return 3
@@ -445,6 +439,12 @@ def main(argv=None) -> int:
         print(f"vixsabr: the config needs more memory than is available: {err}",
               file=sys.stderr)
         return 2
+    except OSError as err:
+        # _load_config turns its own OSErrors into ConfigErrors, so this
+        # one came from writing an output
+        print(f"vixsabr: cannot write output: {err}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

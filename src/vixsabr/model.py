@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -45,6 +46,11 @@ def check_integer_fields(config) -> None:
         if f.type in (int, "int") and (
                 isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
+# vol_cap must stay below this, so that its square in the binding level
+# is a finite float.
+_VOL_CAP_LIMIT = math.sqrt(sys.float_info.max)
 
 
 class FieldError(ValueError):
@@ -143,13 +149,13 @@ class CapSpec:
         Raises
         ------
         ValueError
-            If ``vol_cap <= omega``, ``drift_cap <= 0`` or either cap is
-            not finite.
+            If ``vol_cap <= omega``, ``drift_cap <= 0``, either cap is
+            not finite, or ``vol_cap**2`` would overflow a float.
         """
-        if not params.omega < vol_cap < math.inf:
+        if not params.omega < vol_cap < _VOL_CAP_LIMIT:
             raise ValueError(
-                f"vol_cap must be finite and exceed omega ({params.omega}), "
-                f"got {vol_cap}"
+                f"vol_cap must exceed omega ({params.omega}) and stay below "
+                f"{_VOL_CAP_LIMIT:.6g}, where its square overflows; got {vol_cap}"
             )
         if not 0.0 < drift_cap < math.inf:
             raise ValueError(f"drift_cap must be finite and > 0, got {drift_cap}")

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -64,6 +65,20 @@ def test_config_errors_are_aggregated_with_paths():
     assert "mc: unknown keys ['bogus']" in joined
     assert "format:" in joined
     assert "mystery: unknown section" in joined
+
+
+def test_config_reports_every_bad_field_of_a_section():
+    # a section's own checks stop at its first failure; every other bad
+    # key must still be reported
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict({"model": {"beta": 2.0, "rho": 5.0},
+                             "mc": {"n_paths": 0, "n_steps": 0}})
+    assert err.value.problems == [
+        "model: beta must be in [0, 1), got 2.0",
+        "model: rho must be in (-1, 1), got 5.0",
+        "mc: n_paths must be >= 1, got 0",
+        "mc: n_steps must be >= 1, got 0",
+    ]
 
 
 def test_config_rejects_inconsistent_caps():
@@ -293,6 +308,34 @@ def test_main_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["--config", str(path), "diagnose"]) == 2
+
+
+@pytest.mark.parametrize(
+    "data", [None, b"{not json", b'{"rate": 0.0\xff}', b"[" * 100_000],
+    ids=["missing", "malformed", "not_utf8", "nested_too_deeply"])
+def test_main_reports_an_unreadable_config_as_invalid(tmp_path, capsys, data):
+    path = tmp_path / "config.json"
+    if data is not None:
+        path.write_bytes(data)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"),
+                 "diagnose"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "vixsabr: invalid configuration:"
+    assert len(lines) == 2 and lines[1].startswith("  config: cannot read the file: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_reports_booleans_nested_past_the_recursion_limit(tmp_path, capsys):
+    # json.load accepts this depth; a walk taking a Python frame or two
+    # a level would pass the recursion limit
+    depth = sys.getrecursionlimit() * 3 // 5
+    data = {"strikes": [0.1, "[" * depth + "true" + "]" * depth]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data).replace('"[', "[").replace(']"', "]"))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "smile"]) == 2
+    err = capsys.readouterr().err
+    assert "strikes[1]" + "[0]" * depth + ": expected a number, got a boolean" in err
+    assert "strikes: expected a list of numbers" in err
 
 
 def test_main_rejects_bad_config_values(tmp_path, capsys):
@@ -530,6 +573,48 @@ def test_converge_rejects_at_the_money_strike(tmp_path, capsys):
     )
     assert code == 2
     assert "strike" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, command, where",
+    [
+        ({"model": {"rho": 0.5}}, ["diagnose"], "model.rho: "),
+        ({"maturities": [0.1, 0.2]}, ["smile"], "maturities: "),
+        ({"maturities": [0.1]}, ["converge"], "maturities: "),
+        ({"maturities": [0.2, 0.1, 0.2]}, ["converge"], "maturities: "),
+        ({"maturities": [0.2, 0.1]}, ["converge", "--strike", "0.1"], "--strike: "),
+    ],
+    ids=["diagnose_rho", "smile_two_maturities", "converge_one_maturity",
+         "converge_repeated_maturities", "converge_at_the_money"],
+)
+def test_command_preconditions_are_reported_by_main(tmp_path, capsys, config,
+                                                    command, where):
+    code = run_cli(tmp_path, {**config, "mc": FAST_MC},
+                   "--out", str(tmp_path / "out"), *command)
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "vixsabr: invalid configuration:"
+    assert len(lines) == 2 and lines[1].startswith(f"  {where}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["diagnose", "forwards", "smile", "converge"])
+@pytest.mark.parametrize("under", [False, True], ids=["out_is_a_file",
+                                                      "out_under_a_file"])
+def test_main_maps_an_unwritable_output_to_exit_two(tmp_path, capsys, command,
+                                                    under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    config = {"mc": FAST_MC,
+              "maturities": [0.2, 0.1] if command == "converge" else [0.1]}
+    code = run_cli(tmp_path, config, "--out", str(out), command)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vixsabr: cannot write output: ")
+    assert len(err.splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "config.json"]
+    assert blocker.read_text() == ""
 
 
 def test_usage_errors_exit_two():

@@ -76,6 +76,9 @@ def test_rho_perp(params):
         dict(vol_cap=2.0, drift_cap=-1.0),
         dict(vol_cap=math.inf, drift_cap=1.0),
         dict(vol_cap=2.0, drift_cap=math.inf),
+        dict(vol_cap=10**400, drift_cap=1.0),   # an integer beyond a float
+        dict(vol_cap=2.0, drift_cap=10**400),
+        dict(vol_cap=1e200, drift_cap=1.0),     # vol_cap**2 overflows
     ],
 )
 def test_cap_spec_validation(params, kwargs):
