@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, replace
-from typing import Optional
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .model import CapSpec, Coefficients, SabrParams, capped_vol_diffusion, \
-    capped_vol_drift, check_float_fields, check_integer_fields
+    capped_vol_drift, check_float_fields, check_integer_fields, shown
 
 __all__ = [
     "McConfig",
@@ -76,19 +75,20 @@ class McConfig:
     def __post_init__(self):
         check_integer_fields(self)
         if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+            raise ValueError(f"n_paths must be >= 1, got {shown(self.n_paths)}")
         if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+            raise ValueError(f"n_steps must be >= 1, got {shown(self.n_steps)}")
         if not 0.0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
+            raise ValueError(
+                f"horizon must be finite and > 0, got {shown(self.horizon)}")
         if not 0.0 <= self.vix_window < math.inf:
             raise ValueError(
-                f"vix_window must be finite and >= 0, got {self.vix_window}"
+                f"vix_window must be finite and >= 0, got {shown(self.vix_window)}"
             )
         if self.inner_paths < 0:
-            raise ValueError(f"inner_paths must be >= 0, got {self.inner_paths}")
+            raise ValueError(f"inner_paths must be >= 0, got {shown(self.inner_paths)}")
         if self.inner_steps < 1:
-            raise ValueError(f"inner_steps must be >= 1, got {self.inner_steps}")
+            raise ValueError(f"inner_steps must be >= 1, got {shown(self.inner_steps)}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         check_float_fields(self)
@@ -105,15 +105,9 @@ class McEstimate:
 
 @dataclass
 class PathSet:
-    """Terminal values of a capped-volatility simulation.
-
-    ``paths`` optionally stores the full trajectories in step-major
-    layout (row k is the state after k steps), for estimators that need
-    to continue the paths.
-    """
+    """Terminal values of a capped-volatility simulation."""
 
     terminal_values: np.ndarray
-    paths: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -222,13 +216,7 @@ def _column(values):
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def simulate_capped_lanes(
-    lanes,
-    mc: McConfig,
-    n_threads: int = 1,
-    *,
-    store_paths: bool = False,
-) -> list[PathSet]:
+def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathSet]:
     """Simulate several capped processes on common random numbers.
 
     Each lane is a ``(params, caps, horizon)`` triple; all lanes share
@@ -236,10 +224,8 @@ def simulate_capped_lanes(
     not used).  Every block draws each row of normals once and steps the
     lanes from it as rows of one stacked array, so lane i of the result
     equals, bit for bit, ``simulate_capped_paths(params_i, caps_i,
-    replace(mc, horizon=horizon_i), store_paths=store_paths)``,
-    for any thread count.  The lanes' ``terminal_values`` are the rows
-    of one (L, n_paths) array, and their ``paths`` the (n_steps + 1,
-    n_paths) slices of one 3-D array.
+    replace(mc, horizon=horizon_i))``, for any thread count.  The lanes'
+    ``terminal_values`` are the rows of one (L, n_paths) array.
     """
     lanes = list(lanes)
     for _, _, horizon in lanes:
@@ -250,11 +236,10 @@ def simulate_capped_lanes(
     n, n_steps = mc.n_paths, mc.n_steps
     # numpy refuses an array past the address space with a ValueError;
     # report it as the shortage of memory it is
-    out_rows = len(lanes) * (n_steps + 1 if store_paths else 1)
-    if out_rows * n * np.dtype(float).itemsize > np.iinfo(np.intp).max:
-        raise MemoryError(f"{out_rows} x {n} float64 outputs exceed the address space")
+    if len(lanes) * n * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(
+            f"{len(lanes)} x {n} float64 outputs exceed the address space")
     terminal = np.empty((len(lanes), n))
-    paths = np.empty((len(lanes), n_steps + 1, n)) if store_paths else None
     # Split the lanes into the fewest stacks of at most _STACK_LANES,
     # as even as possible, and fix each stack's constants once.
     n_stacks = -(-len(lanes) // _STACK_LANES)
@@ -284,27 +269,18 @@ def simulate_capped_lanes(
         for rows, v0, *constants in stacks:
             v = terminal[rows, lo:hi]
             v[...] = v0
-            if store_paths:
-                paths[rows, 0, lo:hi] = v
-            steps.append((rows, v, constants, work[:, :v.shape[0]]))
-        for k in range(n_steps):
+            steps.append((v, constants, work[:, :v.shape[0]]))
+        for _ in range(n_steps):
             rng.standard_normal(out=z)
-            for rows, v, (dt, sqrt_dt, params, caps), scratch in steps:
+            for v, (dt, sqrt_dt, params, caps), scratch in steps:
                 _step_capped(v, z, dt, sqrt_dt, params, caps, scratch)
-                if store_paths:
-                    paths[rows, k + 1, lo:hi] = v
 
     _run_blocks((n + _BLOCK_PATHS - 1) // _BLOCK_PATHS, run_block, n_threads)
-    return [PathSet(terminal[i], None if paths is None else paths[i])
-            for i in range(len(lanes))]
+    return [PathSet(terminal[i]) for i in range(len(lanes))]
 
 
 def simulate_capped_paths(
-    params: SabrParams,
-    caps: CapSpec,
-    mc: McConfig,
-    store_paths: bool = False,
-    n_threads: int = 1,
+    params: SabrParams, caps: CapSpec, mc: McConfig, n_threads: int = 1
 ) -> PathSet:
     """Simulate the capped volatility process to the horizon.
 
@@ -312,9 +288,7 @@ def simulate_capped_paths(
     worker threads run the blocks, and every simulated value is strictly
     positive.  This is the one-lane case of :func:`simulate_capped_lanes`.
     """
-    return simulate_capped_lanes(
-        [(params, caps, mc.horizon)], mc, n_threads, store_paths=store_paths
-    )[0]
+    return simulate_capped_lanes([(params, caps, mc.horizon)], mc, n_threads)[0]
 
 
 def estimate_forward(paths: PathSet) -> McEstimate:
@@ -360,16 +334,14 @@ def estimate_vix_nested(
     params: SabrParams,
     caps: CapSpec,
     mc: McConfig,
-    horizon: float | None = None,
-    window: float | None = None,
     n_threads: int = 1,
 ) -> NestedVixResult:
     """Nested Monte Carlo estimate of the finite-window VIX per path.
 
-    Simulates ``mc.n_paths`` outer paths to the horizon, then continues
-    each with ``mc.inner_paths`` sub-paths over the VIX window,
-    averaging the time integral of the squared volatility by the
-    trapezoid rule.  The square root of the inner mean is the VIX
+    Simulates ``mc.n_paths`` outer paths to ``mc.horizon``, then
+    continues each with ``mc.inner_paths`` sub-paths over the VIX window
+    ``mc.vix_window``, averaging the time integral of the squared
+    volatility by the trapezoid rule.  The square root of the inner mean is the VIX
     estimate; ``inner_std_error`` propagates the inner-MC error through
     the square root.
 
@@ -380,16 +352,13 @@ def estimate_vix_nested(
 
     with a 3-standard-error allowance for inner noise.
     """
-    horizon = mc.horizon if horizon is None else horizon
-    window = mc.vix_window if window is None else window
+    window = mc.vix_window
+    # McConfig accepts a zero window, which the estimator cannot average over
     if window <= 0.0:
-        raise ValueError(f"window must be > 0, got {window}")
+        raise ValueError(f"vix_window must be > 0, got {window}")
     if mc.inner_paths < 2:
         raise ValueError("inner_paths must be >= 2 for the nested estimator")
-    outer = simulate_capped_paths(
-        params, caps, replace(mc, horizon=horizon, vix_window=window),
-        n_threads=n_threads,
-    )
+    outer = simulate_capped_paths(params, caps, mc, n_threads=n_threads)
     v_t = outer.terminal_values
     n_outer = v_t.size
     dt = window / mc.inner_steps

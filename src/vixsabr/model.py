@@ -48,6 +48,15 @@ def check_integer_fields(config) -> None:
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
+def shown(value) -> str:
+    """``str(value)``, or a description of a number whose digits exceed
+    Python's limit on converting integers to text."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"a number of more than {sys.get_int_max_str_digits()} digits"
+
+
 # vol_cap must stay below this, so that its square in the binding level
 # is a finite float.
 _VOL_CAP_LIMIT = math.sqrt(sys.float_info.max)
@@ -94,13 +103,13 @@ class SabrParams:
 
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {self.beta}")
+            raise ValueError(f"beta must be in [0, 1), got {shown(self.beta)}")
         if not -1.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (-1, 1), got {self.rho}")
+            raise ValueError(f"rho must be in (-1, 1), got {shown(self.rho)}")
         if not 0.0 < self.omega < math.inf:
-            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
+            raise ValueError(f"omega must be finite and > 0, got {shown(self.omega)}")
         if not 0.0 < self.v0 < math.inf:
-            raise ValueError(f"v0 must be finite and > 0, got {self.v0}")
+            raise ValueError(f"v0 must be finite and > 0, got {shown(self.v0)}")
         check_float_fields(self)
 
     @property
@@ -155,10 +164,12 @@ class CapSpec:
         if not params.omega < vol_cap < _VOL_CAP_LIMIT:
             raise ValueError(
                 f"vol_cap must exceed omega ({params.omega}) and stay below "
-                f"{_VOL_CAP_LIMIT:.6g}, where its square overflows; got {vol_cap}"
+                f"{_VOL_CAP_LIMIT:.6g}, where its square overflows; "
+                f"got {shown(vol_cap)}"
             )
         if not 0.0 < drift_cap < math.inf:
-            raise ValueError(f"drift_cap must be finite and > 0, got {drift_cap}")
+            raise ValueError(
+                f"drift_cap must be finite and > 0, got {shown(drift_cap)}")
         root = math.sqrt(vol_cap**2 + (params.rho**2 - 1.0) * params.omega**2)
         binding = (params.rho * params.omega + root) / (1.0 - params.beta)
         return cls(vol_cap=vol_cap, drift_cap=drift_cap, binding_level=binding)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .asymptotics import rate_function
+from .asymptotics import _ATM_LOG_THRESHOLD, rate_function
 # simulate_capped_paths is unused here but stays bound, because
 # bench/spans.py wraps this module's binding of it.
 from .mc import McConfig, McEstimate, PathSet, estimate_forward, price_vix_option, \
@@ -268,11 +268,7 @@ def _tail_sums(ascending, cuts, calls):
 
 
 def smile_from_paths(
-    paths: PathSet,
-    strikes,
-    maturity: float,
-    rate: float = 0.0,
-    forward: McEstimate | None = None,
+    paths: PathSet, strikes, maturity: float, rate: float = 0.0
 ) -> list[SmilePoint]:
     """Build an implied-vol smile with error bands from simulated paths.
 
@@ -291,9 +287,7 @@ def smile_from_paths(
     sum p^2 = S2 - 2 K S1 + K^2 m.  The prices agree with
     :func:`price_vix_option` up to summation order.
     """
-    if forward is None:
-        forward = estimate_forward(paths)
-    fwd = forward.value
+    fwd = estimate_forward(paths).value
     strikes = np.array(sorted(float(k) for k in strikes))
     if not np.all(strikes > 0.0):
         raise ValueError("strikes must be > 0")
@@ -321,12 +315,13 @@ def smile_from_paths(
     grow = math.exp(rate * maturity)
     mid, shift = values * grow, errors * grow
     kinds = np.where(calls, "call", "put")
-    vols = implied_vol(mid, strikes, maturity, fwd, kinds, saturate=True)
+    # The central price and both band edges are inverted as one array;
+    # each element iterates on its own, so the stack changes no value.
+    vols, lower, upper = implied_vol(np.stack((mid, mid - shift, mid + shift)),
+                                     strikes, maturity, fwd, kinds, saturate=True)
     # With one paying path, price - SE is exactly 0; rounding would
     # otherwise decide whether that edge inverts.
-    lower = implied_vol(mid - shift, strikes, maturity, fwd, kinds, saturate=True)
     lower[paying <= 1] = 0.0
-    upper = implied_vol(mid + shift, strikes, maturity, fwd, kinds, saturate=True)
     below, above = vols == 0.0, vols == math.inf
     points = []
     for i, strike in enumerate(strikes.tolist()):
@@ -372,7 +367,7 @@ def rate_convergence_study(
         raise ValueError("need at least two maturities")
     if any(b >= a for a, b in zip(maturities[:-1], maturities[1:])):
         raise ValueError("maturities must be strictly decreasing")
-    if abs(math.log(strike / params.v0)) < 1e-8:
+    if abs(math.log(strike / params.v0)) < _ATM_LOG_THRESHOLD:
         raise ValueError("strike must differ from v0 for the rate comparison")
     kind = "call" if strike > params.v0 else "put"
     target = rate_function(strike, params, caps)

@@ -172,9 +172,12 @@ def envelope_constant(params: SabrParams) -> float:
     )
 
 
-def check_scale_density_envelope(
-    x_grid, params: SabrParams, tol: float = 1e-12
-) -> EnvelopeReport:
+# Slack allowed to either envelope inequality, for rounding in the
+# closed-form exponent.
+_ENVELOPE_TOL = 1e-12
+
+
+def check_scale_density_envelope(x_grid, params: SabrParams) -> EnvelopeReport:
     """Check the two-sided power-law envelope of the scale density.
 
     On log scale the claim is, with c2 = (2-beta)/(2*(1-beta)) and
@@ -184,7 +187,7 @@ def check_scale_density_envelope(
           <= log(kappa)
 
     pointwise.  Returns an :class:`EnvelopeReport`; ``holds`` is true
-    when no grid point violates either inequality by more than ``tol``.
+    when no grid point violates either inequality by more than 1e-12.
 
     Raises
     ------
@@ -203,7 +206,7 @@ def check_scale_density_envelope(
     worst = int(np.argmax(violation))
     max_violation = float(violation[worst]) if violation[worst] > 0.0 else 0.0
     return EnvelopeReport(
-        holds=max_violation <= tol,
+        holds=max_violation <= _ENVELOPE_TOL,
         max_violation=max_violation,
         worst_x=float(x[worst]),
     )
@@ -261,13 +264,9 @@ def scale_function(x, params: SabrParams, quad: QuadratureConfig | None = None):
     """
     quad = quad or QuadratureConfig()
     integrand = lambda y: math.exp(-2.0 * scale_exponent(y, params))
-    if np.ndim(x) == 0:
-        if x < 0.0:
-            raise ValueError(f"x must be >= 0, got {x}")
-        return _segmented_quad(integrand, 0.0, float(x), quad)
-    xs = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0):
-        raise ValueError("x must be >= 0")
+        raise ValueError(f"x must be >= 0, got {xs.min()}")
     order = np.argsort(xs)
     out = np.empty_like(xs)
     total, prev = 0.0, 0.0
@@ -275,7 +274,7 @@ def scale_function(x, params: SabrParams, quad: QuadratureConfig | None = None):
         total += _segmented_quad(integrand, prev, float(xs[i]), quad)
         prev = float(xs[i])
         out[i] = total
-    return out
+    return out if np.ndim(x) else float(out[0])
 
 
 # Geometric grid used for the tail extrapolation of the scale function:
@@ -358,12 +357,7 @@ def _feller_segment(
     return outer, h * (w @ (_feller_inner_integrand(y, params) * y))
 
 
-def feller_test_function(
-    x,
-    params: SabrParams,
-    quad: QuadratureConfig | None = None,
-    origin_cutoff: float | None = None,
-):
+def feller_test_function(x, params: SabrParams, quad: QuadratureConfig | None = None):
     """Feller test function of the volatility process.
 
     Nested integral, from a small cutoff c up to x, of the scale density
@@ -382,8 +376,8 @@ def feller_test_function(
     few array calls.  A segment whose outer or inner increments differ
     between the two orders by more than max(abs_tol / nseg,
     rel_tol * |increment|) is bisected, each half getting half the
-    absolute tolerance; the 24-node values are kept.  The cutoff
-    defaults to 0.01 * v0.
+    absolute tolerance; the 24-node values are kept.  The cutoff is
+    c = 0.01 * v0.
 
     Raises
     ------
@@ -391,10 +385,11 @@ def feller_test_function(
         If the bisections exceed ``quad.max_subdivisions``, or if an
         integrand is not finite.
     ValueError
-        If the cutoff is not > 0 or some x does not exceed it.
+        If the cutoff is not > 0 (v0 is subnormal) or some x does not
+        exceed it.
     """
     quad = quad or QuadratureConfig()
-    cutoff = 0.01 * params.v0 if origin_cutoff is None else origin_cutoff
+    cutoff = 0.01 * params.v0
     if cutoff <= 0.0:
         raise ValueError(f"origin cutoff must be > 0, got {cutoff}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -497,19 +492,14 @@ def explosion_verdict(
     )
 
 
-def classify_boundary(params: SabrParams, endpoint: str = "limit") -> BoundaryClass:
-    """Classify a boundary of the volatility process in natural scale.
+def classify_boundary(params: SabrParams) -> BoundaryClass:
+    """Classify the upper boundary of the volatility process in natural scale.
 
-    ``endpoint="limit"`` classifies the finite upper endpoint (the
-    scale-function limit): regular for beta in (0, 1/2), exit for beta
-    in [1/2, 1), and a distinguished UNCLASSIFIED value at beta = 0,
-    which the analysis leaves open.  ``endpoint="origin"`` always
-    reports a natural boundary.
+    The finite upper endpoint (the scale-function limit) is regular for
+    beta in (0, 1/2), exit for beta in [1/2, 1), and a distinguished
+    UNCLASSIFIED value at beta = 0, which the analysis leaves open.  The
+    origin is natural for every parameter set.
     """
-    if endpoint == "origin":
-        return BoundaryClass.NATURAL
-    if endpoint != "limit":
-        raise ValueError(f"endpoint must be 'limit' or 'origin', got {endpoint!r}")
     if params.beta == 0.0:
         return BoundaryClass.UNCLASSIFIED
     if params.beta < 0.5:

@@ -95,8 +95,14 @@ def test_cap_replay_counts_stacked_lanes_per_lane(monkeypatch):
     # must count the clamped elements of each row against its own lane.
     spans = _load_spans()
     counts = Counter()
+    steps = []  # the (L, n_paths) levels each time row steps from
+
+    def recording(args, kwargs, result):
+        steps.append(np.array(args[0]))
+        return spans._diffusion_binds(args, kwargs, result)
+
     monkeypatch.setattr(mc, "capped_vol_diffusion", _counting(
-        counts, mc.capped_vol_diffusion, "diffusion", spans._diffusion_binds))
+        counts, mc.capped_vol_diffusion, "diffusion", recording))
     monkeypatch.setattr(mc, "capped_vol_drift", _counting(
         counts, mc.capped_vol_drift, "drift", spans._drift_binds))
     models = [SabrParams(beta=0.5, rho=-0.7, omega=1.5, v0=0.5),
@@ -106,13 +112,14 @@ def test_cap_replay_counts_stacked_lanes_per_lane(monkeypatch):
              (models[1], CapSpec.from_params(models[1], 1.5, 0.2), 0.2),
              (models[2], CapSpec.from_params(models[2], 2.0, 0.5), 0.3)]
     config = McConfig(n_paths=2000, n_steps=8, seed=5)
-    results = mc.simulate_capped_lanes(lanes, config, store_paths=True)
+    mc.simulate_capped_lanes(lanes, config)
     monkeypatch.undo()
 
     assert counts["diffusion.calls"] == config.n_steps  # one call per time row
     expected = Counter()
-    for (params, caps, _), lane in zip(lanes, results):
-        levels = lane.paths[:-1]
+    for i, (params, caps, _) in enumerate(lanes):
+        levels = np.stack([step[i] for step in steps])
+        assert np.all(levels[0] == params.v0)
         expected["cap.diffusion.bound"] += int(np.count_nonzero(
             mc.capped_vol_diffusion(levels, params, caps) == caps.vol_cap))
         expected["cap.drift.bound"] += int(np.count_nonzero(

@@ -134,18 +134,16 @@ def _stacked_lanes(params, caps):
 def test_lanes_equal_separate_simulations(params, caps, n_threads):
     mc = McConfig(n_paths=16_384 + 17, n_steps=6, horizon=0.1, seed=31)
     lanes = _stacked_lanes(params, caps)
-    results = simulate_capped_lanes(lanes, mc, store_paths=True,
-                                    n_threads=n_threads)
+    results = simulate_capped_lanes(lanes, mc, n_threads=n_threads)
     assert len(results) == len(lanes)
     for (p, c, horizon), got in zip(lanes, results):
         lane_mc = replace(mc, horizon=horizon)
-        alone = simulate_capped_paths(p, c, lane_mc, store_paths=True)
+        alone = simulate_capped_paths(p, c, lane_mc)
         assert np.array_equal(got.terminal_values, alone.terminal_values)
-        assert np.array_equal(got.paths, alone.paths)
-        assert np.array_equal(got.paths, _reference_paths(p, c, lane_mc))
-        assert np.array_equal(got.paths[-1], got.terminal_values)
-    p, c, _ = lanes[2]
-    levels = results[2].paths[:-1]
+        reference = _reference_paths(p, c, lane_mc)
+        assert np.array_equal(got.terminal_values, reference[-1])
+    p, c, horizon = lanes[2]
+    levels = _reference_paths(p, c, replace(mc, horizon=horizon))[:-1]
     assert np.any(capped_vol_diffusion(levels, p, c) == c.vol_cap)
     assert np.any(np.abs(capped_vol_drift(levels, p, c)) == c.drift_cap)
 
@@ -181,15 +179,6 @@ def test_log_scheme_paths_positive_and_finite(params, caps):
     assert out.terminal_values.shape == (20_000,)
     assert np.all(np.isfinite(out.terminal_values))
     assert np.all(out.terminal_values > 0.0)
-
-
-def test_store_paths_layout(params, caps):
-    mc = McConfig(n_paths=500, n_steps=7, horizon=0.1, seed=9)
-    out = simulate_capped_paths(params, caps, mc, store_paths=True)
-    assert out.paths is not None
-    assert out.paths.shape == (8, 500)
-    assert np.all(out.paths[0] == params.v0)
-    assert np.array_equal(out.paths[-1], out.terminal_values)
 
 
 def test_constant_diffusion_recovers_driftless_lognormal(params):
@@ -284,15 +273,15 @@ def test_option_price_validation(params, caps):
 def test_nested_vix_tracks_terminal_for_vanishing_window(params, caps):
     mc = McConfig(n_paths=2_000, n_steps=20, horizon=0.1, seed=5,
                   inner_paths=2, inner_steps=1)
-    result = estimate_vix_nested(params, caps, mc, window=1e-10)
+    result = estimate_vix_nested(params, caps, replace(mc, vix_window=1e-10))
     outer = simulate_capped_paths(params, caps, mc)
     assert np.allclose(result.vix, outer.terminal_values, rtol=1e-4)
 
 
 def test_nested_vix_sandwich_holds(params, caps):
     mc = McConfig(n_paths=200, n_steps=20, horizon=0.1, seed=5,
-                  inner_paths=300, inner_steps=30)
-    result = estimate_vix_nested(params, caps, mc, window=30.0 / 365.0)
+                  inner_paths=300, inner_steps=30, vix_window=30.0 / 365.0)
+    result = estimate_vix_nested(params, caps, mc)
     assert result.vix.shape == (200,)
     assert np.all(result.lower < result.upper)
     assert np.all(result.inner_std_error >= 0.0)
@@ -302,8 +291,8 @@ def test_nested_vix_sandwich_holds(params, caps):
 def test_nested_vix_bounds_widen_with_window(params, caps):
     mc = McConfig(n_paths=300, n_steps=10, horizon=0.1, seed=5,
                   inner_paths=8, inner_steps=4)
-    narrow = estimate_vix_nested(params, caps, mc, window=0.01)
-    wide = estimate_vix_nested(params, caps, mc, window=0.1)
+    narrow = estimate_vix_nested(params, caps, replace(mc, vix_window=0.01))
+    wide = estimate_vix_nested(params, caps, replace(mc, vix_window=0.1))
     assert np.all(wide.upper - wide.lower > narrow.upper - narrow.lower)
 
 
@@ -320,7 +309,7 @@ def test_nested_vix_validation(params, caps, mc_default):
         estimate_vix_nested(params, caps, mc_default)  # inner_paths defaults to 0
     mc = replace(mc_default, inner_paths=10)
     with pytest.raises(ValueError):
-        estimate_vix_nested(params, caps, mc, window=0.0)
+        estimate_vix_nested(params, caps, replace(mc, vix_window=0.0))
 
 
 # ---------------------------------------------------------------------------

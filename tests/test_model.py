@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vixsabr import (
     CapSpec,
+    McConfig,
     SabrParams,
     capped_vol_diffusion,
     capped_vol_drift,
@@ -84,6 +85,33 @@ def test_rho_perp(params):
 def test_cap_spec_validation(params, kwargs):
     with pytest.raises(ValueError):
         CapSpec.from_params(params, **kwargs)
+
+
+# Python refuses to print an integer past 4300 digits; a range check that
+# prints the value must still name its field.
+_HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("beta", lambda p: SabrParams(_HUGE, -0.7, 1.0, 0.1)),
+        ("rho", lambda p: SabrParams(0.5, -_HUGE, 1.0, 0.1)),
+        ("omega", lambda p: SabrParams(0.5, -0.7, -_HUGE, 0.1)),
+        ("v0", lambda p: SabrParams(0.5, -0.7, 1.0, -_HUGE)),
+        ("vol_cap", lambda p: CapSpec.from_params(p, _HUGE, 1.0)),
+        ("drift_cap", lambda p: CapSpec.from_params(p, 2.0, -_HUGE)),
+        ("n_paths", lambda p: McConfig(n_paths=-_HUGE)),
+        ("n_steps", lambda p: McConfig(n_steps=-_HUGE)),
+        ("horizon", lambda p: McConfig(horizon=-_HUGE)),
+        ("vix_window", lambda p: McConfig(vix_window=-_HUGE)),
+        ("inner_paths", lambda p: McConfig(inner_paths=-_HUGE)),
+        ("inner_steps", lambda p: McConfig(inner_steps=-_HUGE)),
+    ],
+)
+def test_range_messages_name_the_field_of_an_unprintable_integer(params, field, build):
+    with pytest.raises(ValueError, match=f"^{field} must .* got a number of more than"):
+        build(params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -327,19 +328,20 @@ def test_feller_function_matches_nested_quadrature(beta, rho, omega):
     ],
 )
 def test_feller_function_with_origin_cutoff(p):
-    # 0.05 lies inside the first segment [0.02, 0.1]
-    xs = np.array([0.05, 1e4, 1e5, 1e6])
-    got = feller_test_function(xs, p, origin_cutoff=0.02)
-    np.testing.assert_allclose(got, feller_oracle(xs, p, 0.02), rtol=1e-10)
-    assert math.isclose(feller_test_function(0.05, p, origin_cutoff=0.02), got[0],
-                        rel_tol=1e-12)
+    # the cutoff is 0.01 * v0 = 0.001; 0.005 lies inside the first
+    # segment [0.001, 0.01]
+    xs = np.array([0.005, 1e4, 1e5, 1e6])
+    got = feller_test_function(xs, p)
+    np.testing.assert_allclose(got, feller_oracle(xs, p, 0.001), rtol=1e-10)
+    assert math.isclose(feller_test_function(0.005, p), got[0], rel_tol=1e-12)
 
 
 def test_feller_function_rejects_points_at_the_cutoff(params):
     with pytest.raises(ValueError):
         feller_test_function(0.001, params)
-    with pytest.raises(ValueError):
-        feller_test_function(1.0, params, origin_cutoff=0.0)
+    # 0.01 * v0 rounds to 0 for the smallest subnormal v0
+    with pytest.raises(ValueError, match="cutoff must be > 0"):
+        feller_test_function(1.0, replace(params, v0=5e-324))
 
 
 def test_feller_function_subdivision_budget(params):
@@ -403,9 +405,6 @@ def test_classify_boundary_cases():
     assert classify_boundary(make(0.5)) is BoundaryClass.EXIT
     assert classify_boundary(make(0.6)) is BoundaryClass.EXIT
     assert classify_boundary(make(0.9)) is BoundaryClass.EXIT
-    assert classify_boundary(make(0.5), endpoint="origin") is BoundaryClass.NATURAL
-    with pytest.raises(ValueError):
-        classify_boundary(make(0.5), endpoint="middle")
 
 
 # ---------------------------------------------------------------------------
