@@ -446,6 +446,3 @@ def main(argv=None) -> int:
         return 2
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

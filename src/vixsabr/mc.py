@@ -291,14 +291,20 @@ def simulate_capped_paths(
     return simulate_capped_lanes([(params, caps, mc.horizon)], mc, n_threads)[0]
 
 
-def estimate_forward(paths: PathSet) -> McEstimate:
-    """Sample mean of the terminal values with its standard error."""
-    values = paths.terminal_values
+def _sample_mean(values) -> tuple[float, float]:
+    """Mean of a non-empty sample and its standard error (0 for one value)."""
     n = values.size
     if n == 0:
         raise ValueError("empty path set")
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(value=float(values.mean()), std_error=se, n_effective=n)
+    return float(values.mean()), se
+
+
+def estimate_forward(paths: PathSet) -> McEstimate:
+    """Sample mean of the terminal values with its standard error."""
+    values = paths.terminal_values
+    mean, se = _sample_mean(values)
+    return McEstimate(value=mean, std_error=se, n_effective=values.size)
 
 
 def price_vix_option(
@@ -321,13 +327,9 @@ def price_vix_option(
     else:
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
     discount = math.exp(-rate * maturity)
-    n = payoff.size
-    se = float(payoff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(
-        value=discount * float(payoff.mean()),
-        std_error=discount * se,
-        n_effective=n,
-    )
+    mean, se = _sample_mean(payoff)
+    return McEstimate(value=discount * mean, std_error=discount * se,
+                      n_effective=payoff.size)
 
 
 def estimate_vix_nested(

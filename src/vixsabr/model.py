@@ -45,7 +45,7 @@ def check_integer_fields(config) -> None:
         value = getattr(config, f.name)
         if f.type in (int, "int") and (
                 isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            raise ValueError(f"{f.name} must be an integer, got {shown(value)}")
 
 
 def shown(value) -> str:

@@ -27,7 +27,6 @@ from .model import CapSpec, SabrParams
 from .scale import NumericalError
 
 __all__ = [
-    "OutOfBoundsError",
     "SmilePoint",
     "ConvergenceRow",
     "bs_price",
@@ -41,19 +40,6 @@ __all__ = [
 # the ~65 halvings that take a bracket of 2**19 down to 1e-14.
 _VOL_CEILING = 1e6
 _MAX_ITERATIONS = 200
-
-
-class OutOfBoundsError(ValueError):
-    """Price outside the arbitrage bounds, no implied vol exists.
-
-    ``side`` is "below" when the price does not exceed intrinsic value
-    and "above" when it reaches the model-free upper bound.  Typically
-    signals a noisy MC price at an extreme strike.
-    """
-
-    def __init__(self, side: str, message: str):
-        super().__init__(message)
-        self.side = side
 
 
 @dataclass(frozen=True)
@@ -160,10 +146,9 @@ def _invert_black(prices, strikes, maturity: float, forward: float, kind):
     An element stops when its step falls below 1e-14 + 8.9e-16 * vol,
     which keeps the price residual under 1e-12 * forward.
 
-    Returns ``(vols, below, above)``: ``below`` marks prices at or under
-    the intrinsic value, ``above`` prices at or over the upper bound
-    (the forward for calls, the strike for puts) or beyond the largest
-    vol tried; ``vols`` is NaN at both.
+    A price at or under the intrinsic value gets 0.0, and one at or over
+    the upper bound (the forward for calls, the strike for puts) or
+    beyond the largest vol tried gets inf.
     """
     prices, strikes, kind = np.broadcast_arrays(
         np.asarray(prices, dtype=float), np.asarray(strikes, dtype=float),
@@ -212,41 +197,25 @@ def _invert_black(prices, strikes, maturity: float, forward: float, kind):
             done |= last_step <= 1e-14 + 8.9e-16 * stepped
         else:
             raise NumericalError("implied-vol iteration did not converge")
-    vols[below | above] = math.nan
-    return vols, below, above
+    vols[below] = 0.0
+    vols[above] = math.inf
+    return vols
 
 
-def implied_vol(price, strike, maturity: float, forward: float, kind="call",
-                *, saturate: bool = False):
+def implied_vol(price, strike, maturity: float, forward: float, kind="call"):
     """Invert the undiscounted Black formula.
 
     ``price``, ``strike`` and ``kind`` broadcast as arrays, and all
     elements are inverted at once; the result is a float when all three
     are scalars.  The residual |bs_price(result) - price| is at most
-    ~1e-12 * forward.  With ``saturate``, a price below the arbitrage
-    bounds gives 0.0 and one above them gives inf, instead of raising.
-
-    Raises
-    ------
-    OutOfBoundsError
-        With side "below" when a price is <= intrinsic value, "above"
-        when it is >= the upper bound (forward for calls, strike for
-        puts) or no vol up to 1e6 reproduces it.
+    ~1e-12 * forward.  A price outside the arbitrage bounds saturates
+    instead of raising: at or below intrinsic value it gives 0.0, and at
+    or above the upper bound (forward for calls, strike for puts), or
+    where no vol up to 1e6 reproduces it, it gives inf.
     """
     _is_call(kind)
     _check_market(strike, maturity, forward)
-    vols, below, above = _invert_black(price, strike, maturity, forward, kind)
-    if saturate:
-        vols = np.where(below, 0.0, np.where(above, math.inf, vols))
-    elif below.any():
-        raise OutOfBoundsError(
-            "below", f"{kind} price {price} at or below intrinsic value"
-        )
-    elif above.any():
-        raise OutOfBoundsError(
-            "above", f"{kind} price {price} at or above the upper bound, "
-            "or no volatility up to 1e6 reproduces it"
-        )
+    vols = _invert_black(price, strike, maturity, forward, kind)
     return float(vols) if vols.ndim == 0 else vols
 
 
@@ -318,7 +287,7 @@ def smile_from_paths(
     # The central price and both band edges are inverted as one array;
     # each element iterates on its own, so the stack changes no value.
     vols, lower, upper = implied_vol(np.stack((mid, mid - shift, mid + shift)),
-                                     strikes, maturity, fwd, kinds, saturate=True)
+                                     strikes, maturity, fwd, kinds)
     # With one paying path, price - SE is exactly 0; rounding would
     # otherwise decide whether that edge inverts.
     lower[paying <= 1] = 0.0

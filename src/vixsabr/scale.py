@@ -87,7 +87,6 @@ class BoundaryClass(Enum):
 
     REGULAR = "regular"
     EXIT = "exit"
-    NATURAL = "natural"
     UNCLASSIFIED = "unclassified"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -219,8 +220,14 @@ def test_estimate_forward_degenerate_inputs():
     est = estimate_forward(flat)
     assert est.value == pytest.approx(0.1, rel=1e-15)
     assert est.std_error < 1e-15
-    with pytest.raises(ValueError):
-        estimate_forward(PathSet(terminal_values=np.empty(0)))
+
+
+def test_empty_path_set_is_rejected_by_both_estimators():
+    empty = PathSet(terminal_values=np.empty(0))
+    with pytest.raises(ValueError, match="empty path set"):
+        estimate_forward(empty)
+    with pytest.raises(ValueError, match="empty path set"):
+        price_vix_option(empty, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +354,47 @@ def test_sabr_2d_frozen_vol_reduces_to_cev(params):
     assert abs(mean - 1.0) <= 4.0 * se
     spread = sample.vol.max() - sample.vol.min()
     assert spread < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# bit-level pins of the nested and 2-D engines
+# ---------------------------------------------------------------------------
+
+# SHA-256 of each output's float64 bytes at the configs of the test below.
+# The nested config is tight enough that the caps bind.
+PINNED_ENGINE_DIGESTS = {
+    "sabr_2d.spot":
+        "0e1f367d1211084790f16cd9eb729f0bda4f0cfb808f3a4aa1baa71437ba54b7",
+    "sabr_2d.vol":
+        "6b19a4b595c495e0e78559adbf359a870b88407a3b0206cb75494b41fcc2f6dd",
+    "nested.vix":
+        "8421433200bd1ed9c0388d33c81d0cc315f3e6579e61c6cd0942142f80993ece",
+    "nested.inner_std_error":
+        "1d46f0a996a59b743b9ce8d43eb308b8eb6aec281a876c193cc445a3d66594b9",
+}
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_nested_and_2d_engines_pinned_bit_for_bit(params, n_threads):
+    # 20000 paths span a full and a partial block of the 2-D engine
+    mc_2d = McConfig(n_paths=20_000, n_steps=10, horizon=0.1, seed=8)
+    sample = simulate_sabr_2d(params, 1.0, mc_2d, n_threads=n_threads)
+    nested_params = SabrParams(beta=0.5, rho=-0.7, omega=1.5, v0=0.5)
+    nested_caps = CapSpec.from_params(nested_params, vol_cap=1.8, drift_cap=0.3)
+    mc_nested = McConfig(n_paths=40, n_steps=10, horizon=0.1, seed=5,
+                         inner_paths=64, inner_steps=8)
+    nested = estimate_vix_nested(nested_params, nested_caps, mc_nested,
+                                 n_threads=n_threads)
+    outputs = {
+        "sabr_2d.spot": sample.spot,
+        "sabr_2d.vol": sample.vol,
+        "nested.vix": nested.vix,
+        "nested.inner_std_error": nested.inner_std_error,
+    }
+    for name, values in outputs.items():
+        assert values.dtype == np.float64, name
+        digest = hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+        assert digest == PINNED_ENGINE_DIGESTS[name], name
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,6 +108,9 @@ _HUGE = 10**5000
         ("vix_window", lambda p: McConfig(vix_window=-_HUGE)),
         ("inner_paths", lambda p: McConfig(inner_paths=-_HUGE)),
         ("inner_steps", lambda p: McConfig(inner_steps=-_HUGE)),
+        # the integer check prints a non-integer holding a huge integer
+        pytest.param("n_paths", lambda p: McConfig(n_paths=Fraction(_HUGE)),
+                     id="n_paths-Fraction"),
     ],
 )
 def test_range_messages_name_the_field_of_an_unprintable_integer(params, field, build):

@@ -9,7 +9,6 @@ from scipy import optimize
 from vixsabr import (
     CapSpec,
     McConfig,
-    OutOfBoundsError,
     PathSet,
     RunConfig,
     bs_price,
@@ -89,16 +88,19 @@ def test_implied_vol_round_trip():
 
 
 def test_implied_vol_out_of_bounds_sides():
-    with pytest.raises(OutOfBoundsError) as low:
-        implied_vol(0.019, 0.08, 0.1, 0.1, "call")  # below intrinsic 0.02
-    assert low.value.side == "below"
-    with pytest.raises(OutOfBoundsError) as high:
-        implied_vol(0.11, 0.08, 0.1, 0.1, "call")  # above the forward
-    assert high.value.side == "above"
-    with pytest.raises(OutOfBoundsError) as put_high:
-        implied_vol(0.13, 0.13, 0.1, 0.1, "put")  # above the strike
-    assert put_high.value.side == "above"
-    assert issubclass(OutOfBoundsError, ValueError)
+    # below intrinsic 0.02, at intrinsic, above the forward, at the forward,
+    # above the strike, and a put at 0 intrinsic value (strike below forward)
+    prices = [0.019, 0.02, 0.11, 0.1, 0.13, 0.0]
+    strikes = [0.08, 0.08, 0.08, 0.08, 0.13, 0.09]
+    kinds = ["call", "call", "call", "call", "put", "put"]
+    expected = [0.0, 0.0, math.inf, math.inf, math.inf, 0.0]
+    found = [implied_vol(p, k, 0.1, 0.1, kind) for p, k, kind in zip(prices, strikes, kinds)]
+    assert found == expected
+    assert all(type(vol) is float for vol in found)
+    assert implied_vol(prices, strikes, 0.1, 0.1, kinds).tolist() == expected
+    # inside the bounds, but no vol up to 1e6 reaches it at T = 1e-14
+    assert bs_price(0.1, 1e-14, 0.1, 1e6) < 0.05 < 0.1
+    assert implied_vol(0.05, 0.1, 1e-14, 0.1) == math.inf
 
 
 @settings(max_examples=200, deadline=None)
@@ -117,7 +119,7 @@ def test_vector_inversion_round_trip(maturity, quotes):
     kinds = ["call" if call else "put" for call in calls]
     prices = np.array([bs_price(k, maturity, forward, v, kind)
                        for k, v, kind in zip(strikes, vols, kinds)])
-    found = implied_vol(prices, strikes, maturity, forward, kinds, saturate=True)
+    found = implied_vol(prices, strikes, maturity, forward, kinds)
     below, above = found == 0.0, found == math.inf
     for i, kind in enumerate(kinds):
         intrinsic = max(forward - strikes[i], 0.0) if calls[i] else max(
@@ -141,11 +143,10 @@ def test_black_functions_on_arrays_match_their_scalar_calls():
     quotes = list(zip(prices, strikes, kinds))
     assert prices.tolist() == [bs_price(k, 0.1, 0.1, v, kind)
                                for k, v, kind in zip(strikes, vols, kinds)]
-    assert implied_vol(prices[1:], strikes[1:], 0.1, 0.1, kinds[1:]).tolist() == [
-        implied_vol(p, k, 0.1, 0.1, kind) for p, k, kind in quotes[1:]]
-    with pytest.raises(OutOfBoundsError) as low:
-        implied_vol(prices, strikes, 0.1, 0.1, kinds)
-    assert low.value.side == "below"
+    # the zero-vol put is priced at intrinsic value and inverts to 0.0
+    assert implied_vol(prices, strikes, 0.1, 0.1, kinds).tolist() == [
+        implied_vol(p, k, 0.1, 0.1, kind) for p, k, kind in quotes]
+    assert implied_vol(prices[0], strikes[0], 0.1, 0.1, kinds[0]) == 0.0
     with pytest.raises(ValueError, match="kind"):
         bs_price(strikes, 0.1, 0.1, vols, ["call", "put", "call", "straddle"])
     with pytest.raises(ValueError, match="strike"):
