@@ -31,7 +31,7 @@ from .mc import McConfig, estimate_forward, simulate_capped_lanes, \
     simulate_capped_paths
 from .model import CapSpec, FieldError, SabrParams
 from .pricing import rate_convergence_study, smile_from_paths
-from .scale import NumericalError, QuadratureConfig, explosion_verdict, \
+from .scale import _LARGE_X, NumericalError, explosion_verdict, \
     martingale_diagnostic
 
 __all__ = ["RunConfig", "ConfigError", "main"]
@@ -69,7 +69,6 @@ class RunConfig:
     model: SabrParams = _DEFAULT_MODEL
     caps: CapSpec = CapSpec.from_params(_DEFAULT_MODEL, vol_cap=2.0, drift_cap=1.0)
     mc: McConfig = McConfig()
-    quadrature: QuadratureConfig = QuadratureConfig()
     strikes: tuple[float, ...] = tuple(float(k) for k in np.geomspace(0.05, 0.25, 25))
     maturities: tuple[float, ...] = (0.1,)
     rate: float = 0.0
@@ -102,14 +101,14 @@ class RunConfig:
                 f"T = {longest}; |rate| * T must stay below 709"
             )
         # explosion_verdict evaluates the Feller test function at
-        # large_x/100, large_x/10 and large_x, and each must exceed its
+        # _LARGE_X/100, _LARGE_X/10 and _LARGE_X, and each must exceed its
         # origin cutoff 0.01*v0 (> 0); the smallest decides
         v0 = self.model.v0
-        if not 0.0 < 0.01 * v0 < self.quadrature.large_x / 100.0:
+        if not 0.0 < 0.01 * v0 < _LARGE_X / 100.0:
             problems.append(
-                f"quadrature.large_x: must exceed v0 ({v0}), so that "
-                f"the Feller tail point large_x/100 exceeds the origin cutoff "
-                f"0.01*v0 = {0.01 * v0}, which must be > 0; got {self.quadrature.large_x}"
+                f"model.v0: must be below {_LARGE_X:.0f}, so that its origin "
+                f"cutoff 0.01*v0 = {0.01 * v0} is > 0 and below the Feller "
+                f"tail point {_LARGE_X / 100.0:.0f}; got {v0}"
             )
         if not isinstance(self.output_dir, str):
             problems.append("output_dir: expected a string")
@@ -275,8 +274,8 @@ def cmd_diagnose(config: RunConfig, n_threads: int = 1) -> None:
         raise ConfigError([
             f"model.rho: diagnose needs rho < 0, got {config.model.rho}; the "
             "explosion analysis applies only under negative correlation"])
-    report = explosion_verdict(config.model, config.quadrature)
-    martingale = martingale_diagnostic(config.model, config.quadrature)
+    report = explosion_verdict(config.model)
+    martingale = martingale_diagnostic(config.model)
     payload = {"schema_version": SCHEMA_VERSION, **report.to_dict(),
                "martingale": martingale}
     path = os.path.join(config.output_dir, "diagnose.json")
@@ -446,3 +445,10 @@ def main(argv=None) -> int:
         return 2
     return 0
 
+
+if __name__ == "__main__":
+    # ``python3 -m vixsabr.cli`` lands here: the package has already
+    # imported this module, and the entry point is the package itself
+    print("vixsabr: run python3 -m vixsabr, not python3 -m vixsabr.cli",
+          file=sys.stderr)
+    raise SystemExit(2)

@@ -29,10 +29,9 @@ from enum import Enum
 import numpy as np
 from scipy import integrate
 
-from .model import SabrParams, check_float_fields, check_integer_fields, vol_variance
+from .model import SabrParams, vol_variance
 
 __all__ = [
-    "QuadratureConfig",
     "ScaleReport",
     "TailFit",
     "EnvelopeReport",
@@ -54,32 +53,17 @@ __all__ = [
 
 class NumericalError(RuntimeError):
     """Raised when quadrature fails to converge, a tail fit is rejected, or
-    a closed form is evaluated outside its domain."""
+    a closed form is evaluated outside its domain or overflows."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and limits shared by all quadrature-based routines.
-
-    ``max_subdivisions`` is a total budget distributed over the decade
-    segments of each integral; ``large_x`` is the truncation point used
-    as a stand-in for +infinity in tail diagnostics.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 1_000_000
-    large_x: float = 1e6
-
-    def __post_init__(self):
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
-            raise ValueError("abs_tol and rel_tol must be finite and > 0")
-        check_integer_fields(self)
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if not 0.0 < self.large_x < math.inf:
-            raise ValueError("large_x must be finite and > 0")
-        check_float_fields(self)
+# Tolerances shared by all quadrature-based routines.  _MAX_SUBDIVISIONS
+# is a total budget distributed over the decade segments of each
+# integral; _LARGE_X is the truncation point used as a stand-in for
+# +infinity in tail diagnostics.
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 1_000_000
+_LARGE_X = 1e6
 
 
 class BoundaryClass(Enum):
@@ -166,9 +150,14 @@ def envelope_constant(params: SabrParams) -> float:
     exactly at beta = 0 and > 1 for beta > 0.
     """
     b = params.beta
-    return math.exp(
-        0.5 * math.pi * b / (1.0 - b) * abs(params.rho) / params.rho_perp
-    )
+    try:
+        return math.exp(
+            0.5 * math.pi * b / (1.0 - b) * abs(params.rho) / params.rho_perp
+        )
+    except OverflowError:
+        raise NumericalError(
+            f"envelope constant overflows at beta = {b}, rho = {params.rho}"
+        ) from None
 
 
 # Slack allowed to either envelope inequality, for rounding in the
@@ -226,42 +215,45 @@ def _decade_edges(lo: float, hi: float) -> list[float]:
     return edges
 
 
-def _segmented_quad(integrand, lo, hi, quad: QuadratureConfig) -> float:
+def _segmented_quad(integrand, lo, hi) -> float:
     """Adaptive quadrature on [lo, hi] split into decade segments; raises
-    :class:`NumericalError` if any segment fails to converge."""
+    :class:`NumericalError` if any segment fails to converge or its
+    integrand overflows."""
     if hi < lo:
         raise ValueError(f"integration range is reversed: [{lo}, {hi}]")
     if hi == lo:
         return 0.0
     edges = _decade_edges(lo, hi)
     nseg = len(edges) - 1
-    limit = int(min(10_000, max(50, quad.max_subdivisions // nseg)))
+    limit = int(min(10_000, max(50, _MAX_SUBDIVISIONS // nseg)))
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        out = integrate.quad(
-            integrand,
-            a,
-            b,
-            epsabs=quad.abs_tol / nseg,
-            epsrel=quad.rel_tol,
-            limit=limit,
-            full_output=1,
-        )
+        try:
+            out = integrate.quad(
+                integrand,
+                a,
+                b,
+                epsabs=_ABS_TOL / nseg,
+                epsrel=_REL_TOL,
+                limit=limit,
+                full_output=1,
+            )
+        except OverflowError:
+            raise NumericalError(f"integrand overflows on [{a}, {b}]") from None
         if len(out) > 3:
             raise NumericalError(f"quadrature failed on [{a}, {b}]: {out[3]}")
         total += out[0]
     return total
 
 
-def scale_function(x, params: SabrParams, quad: QuadratureConfig | None = None):
+def scale_function(x, params: SabrParams):
     """Scale function of the volatility process, anchored at 0.
 
     Integrates exp(-2 * scale_exponent) from 0 to x by adaptive
-    quadrature.  Monotone increasing with scale_function(0) = 0; for
-    rho < 0 it stays bounded as x grows (see
+    quadrature on decade segments.  Monotone increasing with
+    scale_function(0) = 0; for rho < 0 it stays bounded as x grows (see
     :func:`scale_function_limit`).
     """
-    quad = quad or QuadratureConfig()
     integrand = lambda y: math.exp(-2.0 * scale_exponent(y, params))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0):
@@ -270,7 +262,7 @@ def scale_function(x, params: SabrParams, quad: QuadratureConfig | None = None):
     out = np.empty_like(xs)
     total, prev = 0.0, 0.0
     for i in order:
-        total += _segmented_quad(integrand, prev, float(xs[i]), quad)
+        total += _segmented_quad(integrand, prev, float(xs[i]))
         prev = float(xs[i])
         out[i] = total
     return out if np.ndim(x) else float(out[0])
@@ -283,9 +275,7 @@ _TAIL_FIT_POINTS = 5
 _TAIL_FIT_RTOL = 1e-6
 
 
-def scale_function_limit(
-    params: SabrParams, quad: QuadratureConfig | None = None
-) -> TailFit:
+def scale_function_limit(params: SabrParams) -> TailFit:
     """Extrapolated limit of the scale function at x = +infinity.
 
     Computes the scale function on a geometric grid and fits the exact
@@ -302,8 +292,7 @@ def scale_function_limit(
     """
     if params.rho >= 0.0:
         raise ValueError("scale function limit requires rho < 0")
-    quad = quad or QuadratureConfig()
-    values = scale_function(_TAIL_GRID, params, quad)
+    values = scale_function(_TAIL_GRID, params)
     xs = _TAIL_GRID[-_TAIL_FIT_POINTS:]
     ys = values[-_TAIL_FIT_POINTS:]
     design = np.column_stack([np.ones_like(xs), -(xs ** (-1.0 / (1.0 - params.beta)))])
@@ -356,7 +345,7 @@ def _feller_segment(
     return outer, h * (w @ (_feller_inner_integrand(y, params) * y))
 
 
-def feller_test_function(x, params: SabrParams, quad: QuadratureConfig | None = None):
+def feller_test_function(x, params: SabrParams):
     """Feller test function of the volatility process.
 
     Nested integral, from a small cutoff c up to x, of the scale density
@@ -373,21 +362,20 @@ def feller_test_function(x, params: SabrParams, quad: QuadratureConfig | None = 
     u = log y by Gauss-Legendre rules of 16 and 24 nodes, and the inner
     integral at each outer node by the same rule, so a segment costs a
     few array calls.  A segment whose outer or inner increments differ
-    between the two orders by more than max(abs_tol / nseg,
-    rel_tol * |increment|) is bisected, each half getting half the
+    between the two orders by more than max(1e-12 / nseg,
+    1e-10 * |increment|) is bisected, each half getting half the
     absolute tolerance; the 24-node values are kept.  The cutoff is
     c = 0.01 * v0.
 
     Raises
     ------
     NumericalError
-        If the bisections exceed ``quad.max_subdivisions``, or if an
-        integrand is not finite.
+        If the bisections exceed 1_000_000, or if an integrand is not
+        finite.
     ValueError
         If the cutoff is not > 0 (v0 is subnormal) or some x does not
         exceed it.
     """
-    quad = quad or QuadratureConfig()
     cutoff = 0.01 * params.v0
     if cutoff <= 0.0:
         raise ValueError(f"origin cutoff must be > 0, got {cutoff}")
@@ -402,7 +390,7 @@ def feller_test_function(x, params: SabrParams, quad: QuadratureConfig | None = 
     bisections = 0
     with np.errstate(all="ignore"):
         for k in range(nseg):
-            pending = [(us[k], us[k + 1], quad.abs_tol / nseg)]
+            pending = [(us[k], us[k + 1], _ABS_TOL / nseg)]
             while pending:
                 ua, ub, abs_tol = pending.pop()
                 (outer_lo, inner_lo), (outer, inner) = (
@@ -415,17 +403,17 @@ def feller_test_function(x, params: SabrParams, quad: QuadratureConfig | None = 
                         f"[{math.exp(ua)}, {math.exp(ub)}]"
                     )
                 if all(
-                    abs(hi - lo) <= max(abs_tol, quad.rel_tol * abs(hi))
+                    abs(hi - lo) <= max(abs_tol, _REL_TOL * abs(hi))
                     for lo, hi in ((outer_lo, outer), (inner_lo, inner))
                 ):
                     outer_total += outer
                     inner_total += inner
                     continue
-                if bisections >= quad.max_subdivisions:
+                if bisections >= _MAX_SUBDIVISIONS:
                     raise NumericalError(
                         f"Feller quadrature did not converge on "
                         f"[{math.exp(ua)}, {math.exp(ub)}] within "
-                        f"{quad.max_subdivisions} subdivisions"
+                        f"{_MAX_SUBDIVISIONS} subdivisions"
                     )
                 bisections += 1
                 mid = 0.5 * (ua + ub)
@@ -452,19 +440,17 @@ def feller_origin_diverges(params: SabrParams) -> bool:
 
 # Relative stabilization tolerance for the Feller tail: increments of the
 # test function across the two largest decades must fall below
-# max(abs_tol, 1e-4 * value).
+# max(_ABS_TOL, 1e-4 * value).
 _STABILIZATION_RTOL = 1e-4
 
 
-def explosion_verdict(
-    params: SabrParams, quad: QuadratureConfig | None = None
-) -> ScaleReport:
+def explosion_verdict(params: SabrParams) -> ScaleReport:
     """Run the full explosion analysis and return a :class:`ScaleReport`.
 
     The verdict is positive (explosion with non-zero probability) when
     the Feller test function diverges at the origin and stabilizes at
-    the truncation tail: |nu(10X) - nu(X)| < max(abs_tol, 1e-4 * nu(X))
-    across the two largest decades up to ``quad.large_x``.
+    the truncation tail: |nu(10X) - nu(X)| < max(1e-12, 1e-4 * nu(X))
+    across the two largest decades up to 1e6.
 
     Raises
     ------
@@ -473,12 +459,11 @@ def explosion_verdict(
     """
     if params.rho >= 0.0:
         raise ValueError("explosion analysis requires rho < 0")
-    quad = quad or QuadratureConfig()
-    fit = scale_function_limit(params, quad)
-    tail_x = np.array([quad.large_x / 100.0, quad.large_x / 10.0, quad.large_x])
-    nu = feller_test_function(tail_x, params, quad)
+    fit = scale_function_limit(params)
+    tail_x = np.array([_LARGE_X / 100.0, _LARGE_X / 10.0, _LARGE_X])
+    nu = feller_test_function(tail_x, params)
     increments = np.abs(np.diff(nu))
-    allowed = np.maximum(quad.abs_tol, _STABILIZATION_RTOL * nu[:-1])
+    allowed = np.maximum(_ABS_TOL, _STABILIZATION_RTOL * nu[:-1])
     stabilized = bool(np.all(increments < allowed))
     explodes = stabilized and feller_origin_diverges(params)
     return ScaleReport(
@@ -531,24 +516,21 @@ def auxiliary_scale_exponent(x, params: SabrParams):
     return val if val.ndim else float(val)
 
 
-def martingale_diagnostic(
-    params: SabrParams, quad: QuadratureConfig | None = None
-) -> bool:
+def martingale_diagnostic(params: SabrParams) -> bool:
     """True when the asset price is a true martingale.
 
     Integrates the auxiliary scale density exp(auxiliary_scale_exponent)
     outward in both directions and checks that the increments across
-    successive decades up to ``quad.large_x`` keep growing, i.e. the
+    successive decades up to 1e6 keep growing, i.e. the
     auxiliary scale function diverges at both infinities.  For beta < 1
     this holds for every admissible parameter set; at beta = 0 the
     density is identically 1 and the increments grow exactly tenfold.
     """
-    quad = quad or QuadratureConfig()
-    marks = [quad.large_x / 100.0, quad.large_x / 10.0, quad.large_x]
+    marks = [_LARGE_X / 100.0, _LARGE_X / 10.0, _LARGE_X]
     for sign in (1.0, -1.0):
         integrand = lambda u: math.exp(auxiliary_scale_exponent(sign * u, params))
         increments = [
-            _segmented_quad(integrand, lo, hi, quad)
+            _segmented_quad(integrand, lo, hi)
             for lo, hi in zip(marks[:-1], marks[1:])
         ]
         if not (increments[0] > 0.0 and increments[1] >= increments[0]):

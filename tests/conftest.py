@@ -1,6 +1,6 @@
 import pytest
 
-from vixsabr import CapSpec, McConfig, QuadratureConfig, SabrParams
+from vixsabr import CapSpec, McConfig, SabrParams
 
 
 @pytest.fixture(scope="session")
@@ -12,11 +12,6 @@ def params():
 @pytest.fixture(scope="session")
 def caps(params):
     return CapSpec.from_params(params, vol_cap=2.0, drift_cap=1.0)
-
-
-@pytest.fixture(scope="session")
-def quad():
-    return QuadratureConfig()
 
 
 @pytest.fixture(scope="session")

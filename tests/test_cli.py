@@ -103,8 +103,7 @@ def test_config_takes_only_a_list_of_numbers(section, value):
     assert err.value.problems == [f"{section}: expected a list of numbers"]
 
 
-@pytest.mark.parametrize("section, key", [("mc", "horizon"), ("model", "v0"),
-                                          ("quadrature", "large_x")])
+@pytest.mark.parametrize("section, key", [("mc", "horizon"), ("model", "v0")])
 def test_config_rejects_integers_beyond_float_range(section, key):
     # the section accepts a Python int above float's range (it compares
     # below inf); the checks across sections must report it, not overflow
@@ -244,17 +243,14 @@ _RUNNABLE_SIZES = {
 @st.composite
 def _runnable_config_texts(draw):
     """JSON text as the config fuzz writes it, with every simulation
-    size runnable and a quadrature budget small enough to fail fast.
-    Half the configs that are objects get several maturities, often
-    repeated, so that ``converge`` runs on them too."""
+    size runnable.  Half the configs that are objects get several
+    maturities, often repeated, so that ``converge`` runs on them too."""
     tree = draw(_CONFIG_TREES)
     if isinstance(tree, dict):
-        for name, override in (("mc", _RUNNABLE_SIZES),
-                               ("quadrature", {"max_subdivisions": st.integers(1, 200)})):
-            section = tree.get(name, {})
-            if isinstance(section, dict):
-                tree[name] = {**section,
-                              **{key: draw(value) for key, value in override.items()}}
+        section = tree.get("mc", {})
+        if isinstance(section, dict):
+            tree["mc"] = {**section, **{key: draw(value)
+                                        for key, value in _RUNNABLE_SIZES.items()}}
         if draw(st.booleans()):
             tree["maturities"] = draw(st.lists(
                 st.sampled_from([0.2, 0.1, 0.05]) | st.floats(0.0, 1.0),
@@ -278,22 +274,24 @@ def test_main_fuzz_exits_with_a_contract_code(tmp_path_factory, text):
             assert main(argv) in (0, 2, 3), (argv, text)
 
 
-@given(v0=st.floats(1e-6, 10.0), scale=st.sampled_from(
-    [0.5, 1.0, 1.0 + 1e-16, 1.0 + 1e-15, 1.0 + 1e-9, 2.0]))
+@given(v0=st.floats(5e5, 2e6) | st.sampled_from(
+    [1e6 * (1.0 - 1e-9), 1e6 * (1.0 - 1e-15), math.nextafter(1e6, 0.0), 1e6]))
 @settings(max_examples=60, deadline=None)
-def test_config_large_x_check_matches_the_feller_cutoff(v0, scale):
-    # a config that passes never makes explosion_verdict raise the
-    # cutoff's ValueError
+def test_config_large_x_check_matches_the_feller_cutoff(v0):
+    # explosion_verdict evaluates the Feller test function from 1e6/100,
+    # which must exceed the origin cutoff 0.01*v0: a config passes
+    # exactly when explosion_verdict does not raise the cutoff's ValueError
     model = {"beta": 0.5, "rho": -0.7, "omega": 1.0, "v0": v0}
     try:
-        config = RunConfig.from_dict({"model": model,
-                                      "quadrature": {"large_x": v0 * scale}})
+        config = RunConfig.from_dict({"model": model})
     except ConfigError as err:
-        assert err.problems[0].startswith("quadrature.large_x:")
-        assert scale <= 1.0 + 1e-15
+        assert err.problems[0].startswith("model.v0:")
+        assert v0 >= 1e6 * (1.0 - 1e-15)
+        with pytest.raises(ValueError, match="origin cutoff"):
+            explosion_verdict(SabrParams(**model))
         return
-    assert scale > 1.0
-    explosion_verdict(config.model, config.quadrature)
+    assert v0 < 1e6
+    explosion_verdict(config.model)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +371,9 @@ def test_main_rejects_non_finite_json(tmp_path, capsys, text):
 )
 def test_main_rejects_overflowing_literals(tmp_path, capsys, text, command):
     # json.load reads 1e999 as inf without calling parse_constant; a
-    # 400-digit integer overflows float(); 5000 digits exceed int()'s limit
+    # 400-digit integer overflows float(); 5000 digits exceed int()'s limit.
+    # A literal is rejected as it is parsed, before any section is read,
+    # so it is reported even under an unknown section such as quadrature.
     path = tmp_path / "config.json"
     path.write_text(text)
     assert main(["--config", str(path), "--out", str(tmp_path), command]) == 2
@@ -385,9 +385,7 @@ def test_main_rejects_overflowing_literals(tmp_path, capsys, text, command):
     "config",
     [pytest.param({"mc": mc}, id=f"mc{i}") for i, mc in enumerate(
         [{"n_paths": 2.5}, {"n_steps": True}, {"seed": 1.5},
-         {"inner_paths": 1000.0}, {"inner_steps": "30"}])]
-    + [pytest.param({"quadrature": {"max_subdivisions": value}}, id=f"quadrature{i}")
-       for i, value in enumerate([1.5, 2.5, True, "10"])],
+         {"inner_paths": 1000.0}, {"inner_steps": "30"}])],
 )
 def test_main_rejects_non_integer_sizes(tmp_path, capsys, config):
     code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, "forwards")
@@ -421,28 +419,36 @@ def test_main_rejects_rate_that_overflows_the_discount(tmp_path, capsys,
 
 @pytest.mark.parametrize("command", ["diagnose", "forwards", "smile", "converge"])
 @pytest.mark.parametrize(
-    "quadrature, where",
-    [({"large_x": 0.01}, "quadrature.large_x"),
-     ({"large_x": 0.1}, "quadrature.large_x"),
-     ({"max_subdivisions": 2.5}, "max_subdivisions must be an integer")],
+    "quadrature",
+    [{"large_x": 0.01}, {"large_x": 0.1}, {"max_subdivisions": 2.5}],
     ids=["large_x_0.01", "large_x_v0", "max_subdivisions_2.5"],
 )
 def test_main_rejects_bad_quadrature_on_every_command(tmp_path, capsys, quadrature,
-                                                      where, command):
-    # the default v0 is 0.1; large_x <= v0 puts the Feller tail point
-    # large_x/100 at or below the origin cutoff 0.01*v0
+                                                      command):
+    # the quadrature tolerances are constants; a section that sets them
+    # is unknown on every command
     code = run_cli(tmp_path, {"quadrature": quadrature, "maturities": [0.2, 0.1]},
                    "--out", str(tmp_path / "out"), command)
     assert code == 2
-    assert where in capsys.readouterr().err
+    assert "quadrature: unknown section" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("large_x", [math.nextafter(0.1, 1.0), 0.10000001, 0.2])
-def test_diagnose_large_x_just_above_v0_runs(tmp_path, large_x):
-    code = run_cli(tmp_path, {"quadrature": {"large_x": large_x},
-                              "output_dir": str(tmp_path)}, "diagnose")
+@pytest.mark.parametrize("v0", [999_999.99, 999_999.0, 5e5])
+def test_diagnose_v0_just_below_the_bound_runs(tmp_path, v0):
+    # the Feller tail point 1e6/100 must exceed the origin cutoff 0.01*v0
+    code = run_cli(tmp_path, {"model": {"v0": v0}, "output_dir": str(tmp_path)},
+                   "diagnose")
     assert code in (0, 3)
+
+
+@pytest.mark.parametrize("command", ["diagnose", "forwards", "smile", "converge"])
+def test_main_rejects_v0_at_the_bound_on_every_command(tmp_path, capsys, command):
+    code = run_cli(tmp_path, {"model": {"v0": 1e6}, "maturities": [0.2, 0.1]},
+                   "--out", str(tmp_path / "out"), command)
+    assert code == 2
+    assert "model.v0: must be below 1000000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -452,11 +458,30 @@ def test_main_rejects_out_of_range_seed_override(tmp_path, capsys, seed):
 
 
 def test_diagnose_overflowing_feller_integrand_exits_3(tmp_path, capsys):
-    # exp(2 * scale_exponent) overflows long before large_x = 1e300
-    code = run_cli(tmp_path, {"quadrature": {"large_x": 1e300},
-                              "output_dir": str(tmp_path)}, "diagnose")
+    # exp(2 * scale_exponent) overflows below the truncation point 1e6
+    model = {"beta": 0.99, "rho": -0.99, "omega": 1.0, "v0": 0.1}
+    code = run_cli(tmp_path, {"model": model, "output_dir": str(tmp_path)},
+                   "diagnose")
     assert code == 3
-    assert "not finite" in capsys.readouterr().err
+    assert "Feller integrand is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "diagnose.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [({"model": {"beta": 0.95, "rho": -0.9, "omega": 0.01, "v0": 0.1}},
+      "integrand overflows on [10000.0, 100000.0]"),
+     ({"model": {"beta": 0.99, "rho": -0.99, "omega": 100.0, "v0": 1.0},
+       "caps": {"vol_cap": 200.0}},
+      "envelope constant overflows")],
+    ids=["martingale_integrand", "envelope_constant"],
+)
+def test_diagnose_overflow_exits_3(tmp_path, capsys, config, message):
+    # math.exp raises OverflowError, which must surface as a numerical
+    # failure rather than a traceback
+    code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, "diagnose")
+    assert code == 3
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "diagnose.json").exists()
 
 
@@ -469,7 +494,7 @@ def test_diagnose_overflowing_feller_integrand_exits_3(tmp_path, capsys):
         ({"maturities": [True]}, "maturities[0]"),
         ({"model": {"beta": False}}, "model.beta"),
         ({"caps": {"drift_cap": True}}, "caps.drift_cap"),
-        ({"quadrature": {"rel_tol": True}}, "quadrature.rel_tol"),
+        ({"mc": {"vix_window": True}}, "mc.vix_window"),
         ({"mc": {"horizon": True}}, "mc.horizon"),
     ],
 )

@@ -17,19 +17,31 @@ def test_public_names_are_the_module_lists():
             assert getattr(vixsabr, name) is getattr(module, name), name
 
 
-def test_python_m_vixsabr_runs_the_cli(tmp_path):
+def run_module(module, *argv):
+    """Run ``python -m module argv`` on this checkout's package."""
     src = os.path.dirname(os.path.dirname(vixsabr.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "vixsabr", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
 
-    done = run("--out", str(tmp_path), "diagnose")
+def test_python_m_vixsabr_runs_the_cli(tmp_path):
+    done = run_module("vixsabr", "--out", str(tmp_path), "diagnose")
     assert done.returncode == 0
     assert done.stdout.strip() == str(tmp_path / "diagnose.json")
     assert done.stderr == ""
-    blocked = run("--out", str(tmp_path / "diagnose.json"), "diagnose")
+    blocked = run_module("vixsabr", "--out", str(tmp_path / "diagnose.json"),
+                         "diagnose")
     assert blocked.returncode == 2
     assert blocked.stderr.startswith("vixsabr: cannot write output: ")
+
+
+def test_python_m_vixsabr_cli_fails_loudly(tmp_path):
+    # runpy warns on stderr before the module runs; the last line is ours
+    done = run_module("vixsabr.cli", "--out", str(tmp_path), "diagnose")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines()[-1] == \
+        "vixsabr: run python3 -m vixsabr, not python3 -m vixsabr.cli"
+    assert not list(tmp_path.iterdir())

@@ -11,7 +11,6 @@ from scipy.integrate import quad as scipy_quad
 from vixsabr import (
     BoundaryClass,
     NumericalError,
-    QuadratureConfig,
     SabrParams,
     auxiliary_scale_exponent,
     check_scale_density_envelope,
@@ -24,6 +23,7 @@ from vixsabr import (
     scale_exponent,
     scale_function,
     scale_function_limit,
+    scale,
     vol_variance,
 )
 
@@ -164,7 +164,6 @@ def test_envelope_constant_pinned(params):
 def test_envelope_constant_is_one_for_beta_zero():
     p = SabrParams(beta=0.0, rho=-0.7, omega=1.0, v0=0.1)
     assert envelope_constant(p) == 1.0
-
 
 def test_envelope_holds_on_grid(params):
     grid = np.arange(0.0, 100.0 + 1e-9, 0.1)
@@ -344,21 +343,23 @@ def test_feller_function_rejects_points_at_the_cutoff(params):
         feller_test_function(1.0, replace(params, v0=5e-324))
 
 
-def test_feller_function_subdivision_budget(params):
-    unreachable = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=1)
-    with pytest.raises(NumericalError, match="subdivisions"):
-        feller_test_function(1e6, params, unreachable)
+def test_feller_function_subdivision_budget(params, monkeypatch):
+    # unreachable tolerances exhaust a budget of one bisection
+    monkeypatch.setattr(scale, "_ABS_TOL", 1e-300)
+    monkeypatch.setattr(scale, "_REL_TOL", 1e-300)
+    monkeypatch.setattr(scale, "_MAX_SUBDIVISIONS", 1)
+    with pytest.raises(NumericalError, match="within 1 subdivisions"):
+        feller_test_function(1e6, params)
 
 
-@pytest.mark.parametrize("budget", [1, 2, 1.5, 2.5])
-def test_feller_subdivision_budget_is_a_ceiling(budget):
-    # these parameters need more than two bisections; a fractional
-    # budget, which validation rejects, must still stop the loop
+@pytest.mark.parametrize("budget", [1, 2])
+def test_feller_subdivision_budget_is_a_ceiling(monkeypatch, budget):
+    # these parameters need more than two bisections at the default
+    # tolerances
     params = SabrParams(beta=0.95, rho=-0.5, omega=5.0, v0=0.01)
-    quad = QuadratureConfig()
-    object.__setattr__(quad, "max_subdivisions", budget)
-    with pytest.raises(NumericalError, match="subdivisions"):
-        feller_test_function(1e6, params, quad)
+    monkeypatch.setattr(scale, "_MAX_SUBDIVISIONS", budget)
+    with pytest.raises(NumericalError, match=f"within {budget} subdivisions"):
+        feller_test_function(1e6, params)
 
 
 def test_feller_origin_diverges(params):
@@ -443,35 +444,13 @@ def test_martingale_diagnostic_true_cases(params):
     assert martingale_diagnostic(SabrParams(beta=0.0, rho=-0.5, omega=1.2, v0=0.1))
     assert martingale_diagnostic(SabrParams(beta=0.9, rho=0.7, omega=1.0, v0=0.1))
 
-
 # ---------------------------------------------------------------------------
-# quadrature configuration
+# quadrature tolerances
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(abs_tol=0.0),
-        dict(abs_tol=-1e-12),
-        dict(rel_tol=0.0),
-        dict(max_subdivisions=0),
-        dict(large_x=0.0),
-        dict(abs_tol=math.inf),
-        dict(rel_tol=math.inf),
-        dict(large_x=math.inf),
-        # a fractional budget never equals the bisection count
-        dict(max_subdivisions=1.5),
-        dict(max_subdivisions=2.5),
-        dict(max_subdivisions=True),
-        dict(max_subdivisions="10"),
-    ],
-)
-def test_quadrature_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        QuadratureConfig(**kwargs)
-
-
-def test_quadrature_config_defaults(quad):
-    assert quad.abs_tol == 1e-12
-    assert quad.rel_tol == 1e-10
-    assert quad.large_x == 1e6
+def test_quadrature_config_defaults():
+    # the pinned outputs were computed at these tolerances
+    assert scale._ABS_TOL == 1e-12
+    assert scale._REL_TOL == 1e-10
+    assert scale._MAX_SUBDIVISIONS == 1_000_000
+    assert scale._LARGE_X == 1e6
