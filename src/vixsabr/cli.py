@@ -71,35 +71,21 @@ class RunConfig:
     mc: McConfig = McConfig()
     strikes: tuple[float, ...] = tuple(float(k) for k in np.geomspace(0.05, 0.25, 25))
     maturities: tuple[float, ...] = (0.1,)
-    rate: float = 0.0
     output_dir: str = "."
-    format: str = "csv"
 
     def __post_init__(self):
         problems = []
 
-        def normalise(name, convert) -> bool:
+        def normalise(name, convert) -> None:
             """Replace a field by ``convert`` of it, or report why not."""
             try:
                 object.__setattr__(self, name, convert(getattr(self, name)))
-                return True
             except (TypeError, ValueError, OverflowError) as err:
                 problems.append(f"{name}: {err}")
-                return False
 
         normalise("caps", lambda caps: CapSpec.from_params(self.model, **_settable(caps)))
         normalise("strikes", _positive_floats)
-        longest = float(self.mc.horizon)
-        if normalise("maturities", _positive_floats):
-            longest = max(longest, *self.maturities)
-        # prices are discounted by exp(-rate T) and grown back by
-        # exp(rate T), so |rate| T must stay in exp's range
-        if normalise("rate", _finite_float) and \
-                abs(self.rate) * longest > math.log(sys.float_info.max):
-            problems.append(
-                f"rate: {self.rate} makes exp(|rate| * T) overflow at "
-                f"T = {longest}; |rate| * T must stay below 709"
-            )
+        normalise("maturities", _positive_floats)
         # explosion_verdict evaluates the Feller test function at
         # _LARGE_X/100, _LARGE_X/10 and _LARGE_X, and each must exceed its
         # origin cutoff 0.01*v0 (> 0); the smallest decides
@@ -112,8 +98,6 @@ class RunConfig:
             )
         if not isinstance(self.output_dir, str):
             problems.append("output_dir: expected a string")
-        if self.format not in ("csv", "json"):
-            problems.append(f"format: must be 'csv' or 'json', got {self.format!r}")
         if problems:
             raise ConfigError(problems)
 
@@ -204,12 +188,6 @@ def _positive_floats(values) -> tuple[float, ...]:
     return values
 
 
-def _finite_float(value) -> float:
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError("expected a finite number")
-    return float(value)
-
-
 def _booleans(payload, where: str) -> list[str]:
     """Paths of the JSON booleans in a config value, at any depth; the walk
     keeps its own stack, so no nesting json.load accepts is too deep."""
@@ -252,19 +230,11 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _write_table(config: RunConfig, name: str, header: list[str],
                  rows: list[list]) -> str:
-    """Write rows as CSV or a schema-versioned JSON object; return the path."""
-    if config.format == "csv":
-        path = os.path.join(config.output_dir, f"{name}.csv")
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-        _write_atomic(path, "\n".join(lines) + "\n")
-    else:
-        path = os.path.join(config.output_dir, f"{name}.json")
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _write_atomic(path, json.dumps(payload, indent=2) + "\n")
+    """Write rows as ``<name>.csv`` in the output directory; return the path."""
+    path = os.path.join(config.output_dir, f"{name}.csv")
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+    _write_atomic(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -307,7 +277,7 @@ def cmd_smile(config: RunConfig, n_threads: int = 1) -> None:
         config.model, config.caps, replace(config.mc, horizon=maturity),
         n_threads=n_threads,
     )
-    points = smile_from_paths(paths, config.strikes, maturity, config.rate)
+    points = smile_from_paths(paths, config.strikes, maturity)
     header = ["strike", "log_strike", "price", "price_se", "implied_vol",
               "iv_lo", "iv_hi", "asymptotic_iv", "status"]
     rows = [[pt.strike, pt.log_strike, pt.price.value, pt.price.std_error,
@@ -330,7 +300,7 @@ def cmd_converge(config: RunConfig, strike: float, n_threads: int = 1) -> None:
     maturities = sorted(config.maturities, reverse=True)
     rows = rate_convergence_study(
         strike, config.model, config.caps, maturities, config.mc,
-        config.rate, n_threads=n_threads,
+        n_threads=n_threads,
     )
     header = ["maturity", "strike", "minus_t_log_price", "rate_function",
               "gap", "statistically_zero"]
@@ -387,8 +357,6 @@ def _load_config(args) -> RunConfig:
             raise ConfigError([f"--seed: {err}"]) from None
     if args.out is not None:
         config = replace(config, output_dir=args.out)
-    if args.format is not None:
-        config = replace(config, format=args.format)
     return config
 
 
@@ -403,8 +371,6 @@ def main(argv=None) -> int:
                         help="worker threads for path generation")
     parser.add_argument("--seed", type=int, help="override the MC seed")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        help="override the output format")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("diagnose", help="explosion and martingale report")
     sub.add_parser("forwards", help="cap binding levels and MC forwards")

@@ -307,15 +307,13 @@ def estimate_forward(paths: PathSet) -> McEstimate:
     return McEstimate(value=mean, std_error=se, n_effective=values.size)
 
 
-def price_vix_option(
-    paths: PathSet, strike: float, kind: str = "call", rate: float = 0.0,
-    maturity: float = 0.0,
-) -> McEstimate:
-    """Discounted Monte Carlo price of a VIX option on the terminal values.
+def price_vix_option(paths: PathSet, strike: float, kind: str = "call") -> McEstimate:
+    """Undiscounted Monte Carlo price of a VIX option on the terminal values.
 
-    The payoff is taken against the terminal volatility level (the
-    vanishing-window convention); see :func:`estimate_vix_nested` for
-    the finite-window estimator.
+    Prices are taken at zero rate, as the undiscounted Black formula of
+    :mod:`vixsabr.pricing` inverts them.  The payoff is taken against
+    the terminal volatility level (the vanishing-window convention); see
+    :func:`estimate_vix_nested` for the finite-window estimator.
     """
     if strike <= 0.0:
         raise ValueError(f"strike must be > 0, got {strike}")
@@ -326,10 +324,8 @@ def price_vix_option(
         payoff = np.maximum(strike - values, 0.0)
     else:
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
-    discount = math.exp(-rate * maturity)
     mean, se = _sample_mean(payoff)
-    return McEstimate(value=discount * mean, std_error=discount * se,
-                      n_effective=payoff.size)
+    return McEstimate(value=mean, std_error=se, n_effective=payoff.size)
 
 
 def estimate_vix_nested(

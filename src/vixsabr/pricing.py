@@ -236,17 +236,15 @@ def _tail_sums(ascending, cuts, calls):
     return np.where(calls, from_top, from_bottom)
 
 
-def smile_from_paths(
-    paths: PathSet, strikes, maturity: float, rate: float = 0.0
-) -> list[SmilePoint]:
+def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoint]:
     """Build an implied-vol smile with error bands from simulated paths.
 
     Prices the out-of-the-money side at each strike (call above the
-    forward, put at or below), undiscounts, inverts at the estimated
-    forward, and re-inverts the price shifted by one standard error for
-    the band.  The band is for display (see :class:`SmilePoint`): about
-    68% per strike, without the forward's error, and correlated across
-    strikes.  Points whose central price falls outside the arbitrage
+    forward, put at or below), inverts the undiscounted price at the
+    estimated forward, and re-inverts the price shifted by one standard
+    error for the band.  The band is for display (see
+    :class:`SmilePoint`): about 68% per strike, without the forward's
+    error, and correlated across strikes.  Points whose central price falls outside the arbitrage
     bounds are reported with a non-"ok" status instead of aborting the
     smile.
 
@@ -279,14 +277,10 @@ def smile_from_paths(
         se = np.sqrt(np.maximum(square_sum - payoff_sum * mean, 0.0) / (n - 1) / n)
     else:
         se = np.zeros(strikes.size)
-    discount = math.exp(-rate * maturity)
-    values, errors = discount * mean, discount * se
-    grow = math.exp(rate * maturity)
-    mid, shift = values * grow, errors * grow
     kinds = np.where(calls, "call", "put")
     # The central price and both band edges are inverted as one array;
     # each element iterates on its own, so the stack changes no value.
-    vols, lower, upper = implied_vol(np.stack((mid, mid - shift, mid + shift)),
+    vols, lower, upper = implied_vol(np.stack((mean, mean - se, mean + se)),
                                      strikes, maturity, fwd, kinds)
     # With one paying path, price - SE is exactly 0; rounding would
     # otherwise decide whether that edge inverts.
@@ -299,8 +293,8 @@ def smile_from_paths(
             SmilePoint(
                 strike=strike,
                 log_strike=math.log(strike / fwd),
-                price=McEstimate(value=float(values[i]),
-                                 std_error=float(errors[i]), n_effective=n),
+                price=McEstimate(value=float(mean[i]),
+                                 std_error=float(se[i]), n_effective=n),
                 implied_vol=float(vols[i]) if ok else None,
                 band=(float(lower[i]), float(upper[i])) if ok else None,
                 status="ok" if ok else ("below" if below[i] else "above"),
@@ -315,7 +309,6 @@ def rate_convergence_study(
     caps: CapSpec,
     maturities,
     mc: McConfig,
-    rate: float = 0.0,
     n_threads: int = 1,
 ) -> list[ConvergenceRow]:
     """Track -T * log(price) against the rate function as T shrinks.
@@ -344,7 +337,7 @@ def rate_convergence_study(
     rows = []
     lane_paths = simulate_capped_lanes(lanes, mc, n_threads=n_threads)
     for maturity, paths in zip(maturities, lane_paths):
-        estimate = price_vix_option(paths, strike, kind, rate, maturity)
+        estimate = price_vix_option(paths, strike, kind)
         zero = estimate.value <= 2.0 * estimate.std_error or estimate.value <= 0.0
         if estimate.value > 0.0:
             minus_t_log = -maturity * math.log(estimate.value)

@@ -241,7 +241,10 @@ def _segmented_quad(integrand, lo, hi) -> float:
         except OverflowError:
             raise NumericalError(f"integrand overflows on [{a}, {b}]") from None
         if len(out) > 3:
-            raise NumericalError(f"quadrature failed on [{a}, {b}]: {out[3]}")
+            # scipy explains a failure over several lines; the first
+            # names it, and an error message is one line
+            reason = str(out[3]).partition("\n")[0].strip()
+            raise NumericalError(f"quadrature failed on [{a}, {b}]: {reason}")
         total += out[0]
     return total
 

@@ -5,6 +5,7 @@ import math
 import os
 import sys
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from vixsabr import CapSpec, RunConfig, SabrParams, explosion_verdict, main, \
     rate_function
+from vixsabr import scale
 from vixsabr.cli import ConfigError, _load_config
 
 
@@ -53,7 +55,7 @@ def test_config_errors_are_aggregated_with_paths():
     bad = {
         "model": {"beta": 2.0},
         "mc": {"bogus": 3},
-        "format": "xml",
+        "output_dir": 3,
         "mystery": {},
     }
     with pytest.raises(ConfigError) as err:
@@ -63,7 +65,7 @@ def test_config_errors_are_aggregated_with_paths():
     joined = "\n".join(problems)
     assert "model:" in joined
     assert "mc: unknown keys ['bogus']" in joined
-    assert "format:" in joined
+    assert "output_dir: expected a string" in joined
     assert "mystery: unknown section" in joined
 
 
@@ -161,6 +163,18 @@ def test_config_rejects_the_derived_binding_level():
     assert err.value.problems == ["caps: unknown keys ['binding_level']"]
 
 
+def test_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config format", 1)[1]
+    block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    expected = json.loads(json.dumps(RunConfig().to_dict()))
+    # the block elides the middle strikes
+    strikes, default_strikes = block.pop("strikes"), expected.pop("strikes")
+    assert strikes == [default_strikes[0], "...", default_strikes[-1]]
+    assert list(block) == list(expected)
+    assert block == expected
+
+
 # json.dumps writes nan and inf as the NaN and Infinity tokens; this
 # marker string becomes the literal 1e999, which json reads as inf
 _OVERFLOW = "@1e999@"
@@ -223,7 +237,7 @@ def test_config_fuzz_validates_or_raises_config_error(tmp_path_factory, tree):
     text = json.dumps(tree).replace(json.dumps(_OVERFLOW), "1e999")
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(text)
-    args = argparse.Namespace(config=str(path), seed=None, out=None, format=None)
+    args = argparse.Namespace(config=str(path), seed=None, out=None)
     try:
         config = _load_config(args)
     except ConfigError:
@@ -403,18 +417,24 @@ def test_main_rejects_non_finite_list_entries(tmp_path, capsys, section):
 
 
 @pytest.mark.parametrize(
-    "config, command",
-    [
-        ({"rate": 1e4}, ["smile"]),
-        ({"rate": -1e4}, ["smile"]),
-        ({"rate": -1e4, "maturities": [0.2, 0.1]}, ["converge"]),
-    ],
+    "config, argv, message",
+    [({"rate": 0.0}, [], "rate: unknown section"),
+     ({"format": "csv"}, [], "format: unknown section"),
+     # argparse reads csv as the command and reports the usage error
+     ({}, ["--format", "csv"], "vixsabr: error: argument command")],
+    ids=["rate", "format", "--format"],
 )
-def test_main_rejects_rate_that_overflows_the_discount(tmp_path, capsys,
-                                                       config, command):
-    code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, *command)
+def test_main_rejects_the_removed_rate_and_format(tmp_path, capsys, config,
+                                                  argv, message):
+    # prices are undiscounted and tables are CSV; neither can be chosen
+    out = tmp_path / "out"
+    try:
+        code = run_cli(tmp_path, config, *argv, "--out", str(out), "forwards")
+    except SystemExit as exc:
+        code = exc.code
     assert code == 2
-    assert "rate:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["diagnose", "forwards", "smile", "converge"])
@@ -485,10 +505,28 @@ def test_diagnose_overflow_exits_3(tmp_path, capsys, config, message):
     assert not (tmp_path / "diagnose.json").exists()
 
 
+def test_diagnose_quadrature_failure_prints_one_line(tmp_path, capsys, monkeypatch):
+    # scipy's quad explains a failure over several lines; the error
+    # message keeps the first
+    def failing(*args, **kwargs):
+        return 0.0, 1.0, {}, ("The maximum number of subdivisions (50) has been "
+                              "achieved.\n  If increasing the limit yields no "
+                              "improvement it is advised to analyze \n  the integrand")
+
+    monkeypatch.setattr(scale.integrate, "quad", failing)
+    code = run_cli(tmp_path, {"output_dir": str(tmp_path)}, "diagnose")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith("vixsabr: numerical failure: quadrature failed on [")
+    assert err.endswith("]: The maximum number of subdivisions (50) has been achieved.\n")
+    assert not (tmp_path / "diagnose.json").exists()
+
+
 @pytest.mark.parametrize(
     "config, where",
     [
-        ({"rate": True}, "rate"),
+        ({"mc": {"n_paths": True}}, "mc.n_paths"),
         ({"strikes": [True]}, "strikes[0]"),
         ({"strikes": [0.1, False]}, "strikes[1]"),
         ({"maturities": [True]}, "maturities[0]"),
@@ -728,19 +766,6 @@ def test_forwards_seed_override_shifts_within_noise(tmp_path):
     for (fa, sa), (fb, sb) in zip(outs["12345"], outs["999"]):
         assert (fa, sa) != (fb, sb)
         assert abs(fa - fb) <= 4.0 * math.hypot(sa, sb)
-
-
-def test_forwards_json_format(tmp_path):
-    code = run_cli(
-        tmp_path,
-        {"mc": FAST_MC, "output_dir": str(tmp_path), "format": "json"},
-        "forwards",
-    )
-    assert code == 0
-    payload = json.loads((tmp_path / "forward_table.json").read_text())
-    assert payload["schema_version"] == 1
-    assert len(payload["rows"]) == 3
-    assert set(payload["rows"][0]) == {"rho", "binding_level", "forward", "forward_se"}
 
 
 # ---------------------------------------------------------------------------

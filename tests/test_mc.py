@@ -255,15 +255,6 @@ def test_option_put_call_parity_exact(params, caps):
         assert math.isclose(call.value - put.value, forward - strike, rel_tol=0, abs_tol=1e-14)
 
 
-def test_option_price_discounting(params, caps):
-    mc = McConfig(n_paths=5_000, n_steps=10, horizon=0.1, seed=6)
-    out = simulate_capped_paths(params, caps, mc)
-    plain = price_vix_option(out, 0.1, kind="call")
-    disc = price_vix_option(out, 0.1, kind="call", rate=0.05, maturity=0.1)
-    assert math.isclose(disc.value, plain.value * math.exp(-0.005), rel_tol=1e-14)
-    assert math.isclose(disc.std_error, plain.std_error * math.exp(-0.005), rel_tol=1e-14)
-
-
 def test_option_price_validation(params, caps):
     mc = McConfig(n_paths=100, n_steps=2, horizon=0.1, seed=6)
     out = simulate_capped_paths(params, caps, mc)

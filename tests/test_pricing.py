@@ -263,31 +263,30 @@ def _edge_residual_ok(edge, price, strike, maturity, forward, kind):
     return abs(residual) <= 1e-12 * forward
 
 
-def _check_against_reference(paths, strikes, maturity, rate):
+def _check_against_reference(paths, strikes, maturity):
     """Check a smile point by point against price_vix_option and the
     brentq oracle; return the statuses and saturated band edges seen."""
-    points = smile_from_paths(paths, strikes, maturity, rate)
+    points = smile_from_paths(paths, strikes, maturity)
     values = paths.terminal_values
     fwd = estimate_forward(paths).value
-    grow = math.exp(rate * maturity)
     seen = set()
     for point in points:
         strike = point.strike
         kind = "call" if strike > fwd else "put"
         paying = np.count_nonzero(values > strike if kind == "call" else values < strike)
-        reference = price_vix_option(paths, strike, kind, rate, maturity)
+        reference = price_vix_option(paths, strike, kind)
         assert abs(point.price.value - reference.value) <= 1e-15 * fwd
         assert math.isclose(point.price.std_error, reference.std_error,
                             rel_tol=1e-11, abs_tol=0.0)
-        expected = _brentq_vol(reference.value * grow, strike, maturity, fwd, kind)
+        expected = _brentq_vol(reference.value, strike, maturity, fwd, kind)
         status = expected if isinstance(expected, str) else "ok"
         assert point.status == status, strike
         seen.add(status)
         if status != "ok":
             continue
         assert math.isclose(point.implied_vol, expected, rel_tol=1e-12)
-        mid = point.price.value * grow
-        shift = point.price.std_error * grow
+        mid = point.price.value
+        shift = point.price.std_error
         assert abs(bs_price(strike, maturity, fwd, point.implied_vol, kind)
                    - mid) <= 1e-12 * fwd
         lower, upper = point.band
@@ -309,9 +308,8 @@ def test_smile_matches_per_strike_reference(seed):
     mc = McConfig(seed=seed, horizon=0.1)
     paths = simulate_capped_paths(config.model, config.caps, mc, n_threads=1)
     two = simulate_capped_paths(config.model, config.caps, mc, n_threads=2)
-    assert (smile_from_paths(two, strikes, 0.1, rate=0.05)
-            == smile_from_paths(paths, strikes, 0.1, rate=0.05))
-    seen = _check_against_reference(paths, strikes, 0.1, rate=0.05)
+    assert smile_from_paths(two, strikes, 0.1) == smile_from_paths(paths, strikes, 0.1)
+    seen = _check_against_reference(paths, strikes, 0.1)
     assert {"ok", "below"} <= seen
 
 
@@ -323,7 +321,7 @@ def test_smile_matches_per_strike_reference_on_small_path_sets():
                    [0.01] * 5 + [0.2, 0.9]):
         paths = PathSet(terminal_values=np.array(values))
         seen |= _check_against_reference(
-            paths, [0.005, 0.05, 0.1, 0.15, 0.3, 0.5], 0.1, rate=0.05)
+            paths, [0.005, 0.05, 0.1, 0.15, 0.3, 0.5], 0.1)
     assert {"ok", "below", "one paying path", "upper edge above"} <= seen
 
 
