@@ -4,10 +4,13 @@ Paths are generated in fixed-size blocks, each block drawing from its
 own counter-based Philox stream keyed by (domain, block index, seed).
 Blocks write into disjoint slices of preallocated output arrays, so the
 result is bit-identical for any worker count and any scheduling order.
-A capped-path block draws its normals one time step at a time into a
-buffer one block wide, which yields exactly the numbers of one 2-D draw of the
-whole block, and several lanes (models that share the seed and sizes)
-step from each drawn row, stacked as the rows of one array.
+Every block draws its normals one time step at a time, which yields
+exactly the numbers of one draw of the whole block, so a block holds
+only the buffers a step reads.  Several capped lanes (models that share
+the seed and sizes) step from each drawn row, stacked as the rows of
+one array; a block that steps a single stack draws each row into the
+stack's scratch once the step has freed it, and several stacks share
+one drawn row.
 
 Every path steps by log-space Euler: because the capped coefficients
 are bounded, the per-step exponential form is exact in distribution
@@ -50,7 +53,8 @@ _DOMAIN_INNER = 2
 _DOMAIN_2D = 3
 
 # At most this many lanes step as one stack.  A stack of g lanes needs
-# 3g scratch rows beside the drawn row; stacks of up to 3 keep a
+# 3g scratch rows, and a single stack draws each row into them; several
+# stacks share one drawn row beside them.  Stacks of up to 3 keep a
 # worker's scratch no larger than when each lane stepped alone with its
 # own state row and temporaries, so 4 lanes step as 2 + 2.
 _STACK_LANES = 3
@@ -167,8 +171,11 @@ def _step_capped(v, z, dt, sqrt_dt, params, caps, work) -> None:
     ``params`` (the lanes' :class:`Coefficients`), ``caps``, ``dt`` and
     ``sqrt_dt`` then hold a float shared by all lanes or an (L, 1)
     column each.  ``z`` holds the step's standard normals and is only
-    read, so every lane steps from one row.  ``work`` holds three scratch
-    arrays shaped like ``v``.  The in-place operations evaluate
+    read, so every lane steps from one row; or ``z`` is the Generator to
+    draw that row from, and the row is then drawn into the first row of
+    the third scratch array once the step has read it for the last time.  ``work`` holds
+    three scratch arrays shaped like ``v``.  The in-place operations
+    evaluate
 
         v * exp((mu - 0.5 * sig * sig) * dt + sig * sqrt_dt * z)
 
@@ -181,6 +188,8 @@ def _step_capped(v, z, dt, sqrt_dt, params, caps, work) -> None:
     np.multiply(sig, 0.5, out=tmp)
     tmp *= sig
     np.subtract(mu, tmp, out=mu)
+    if isinstance(z, np.random.Generator):
+        z = z.standard_normal(out=np.atleast_2d(tmp)[0])
     mu *= dt
     sig *= sqrt_dt
     sig *= z
@@ -262,7 +271,6 @@ def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathS
         lo = block_index * _BLOCK_PATHS
         hi = min(n, lo + _BLOCK_PATHS)
         rng = _block_rng(_DOMAIN_CAPPED, block_index, mc.seed)
-        z = np.empty(hi - lo)
         work = np.empty((3, widest, hi - lo))
         # Each stack's state is its lanes' slice of the output rows.
         steps = []
@@ -270,8 +278,12 @@ def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathS
             v = terminal[rows, lo:hi]
             v[...] = v0
             steps.append((v, constants, work[:, :v.shape[0]]))
+        # A single stack draws each row into its own freed scratch;
+        # several stacks overwrite one shared scratch array, so they
+        # share one drawn row beside it.
+        shared = np.empty(hi - lo) if len(steps) > 1 else None
         for _ in range(n_steps):
-            rng.standard_normal(out=z)
+            z = rng if shared is None else rng.standard_normal(out=shared)
             for v, (dt, sqrt_dt, params, caps), scratch in steps:
                 _step_capped(v, z, dt, sqrt_dt, params, caps, scratch)
 
@@ -412,6 +424,10 @@ def simulate_sabr_2d(
     chosen so the effective volatility starts at v0.  Returns terminal
     spot and volatility samples and the effective volatility
     sigma_T * S_T**(beta-1) of the non-absorbed paths.
+
+    Each block draws the (2, block) pair of normal rows of one step at a
+    time into a reused buffer, the numbers of one (n_steps, 2, block)
+    draw, so its memory does not grow with ``mc.n_steps``.
     """
     if s0 <= 0.0:
         raise ValueError(f"s0 must be > 0, got {s0}")
@@ -430,13 +446,12 @@ def simulate_sabr_2d(
         hi = min(n, lo + _BLOCK_PATHS)
         m = hi - lo
         rng = _block_rng(_DOMAIN_2D, block_index, mc.seed)
-        z = rng.standard_normal((mc.n_steps, 2, m))
+        z1, z2 = z = np.empty((2, m))
         s = np.full(m, float(s0))
         sig = np.full(m, sigma0)
         alive = np.ones(m, dtype=bool)
-        for k in range(mc.n_steps):
-            z1 = z[k, 0]
-            z2 = z[k, 1]
+        for _ in range(mc.n_steps):
+            rng.standard_normal(out=z)
             ds = sig * s**params.beta * sqrt_dt * z1
             s = np.where(alive, s + ds, 0.0)
             absorbed_now = alive & (s <= 0.0)

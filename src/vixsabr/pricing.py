@@ -252,7 +252,9 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
     with m paths strictly in the money, S1 and S2 the sums of v and v^2
     over them, the payoff sums are sum p = +-(S1 - K m) and
     sum p^2 = S2 - 2 K S1 + K^2 m.  The prices agree with
-    :func:`price_vix_option` up to summation order.
+    :func:`price_vix_option` up to summation order.  The sorted copy is
+    freed before the inversion, so the smile holds at most one n-path
+    array beside ``paths``.
     """
     fwd = estimate_forward(paths).value
     strikes = np.array(sorted(float(k) for k in strikes))
@@ -270,6 +272,8 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
     s1 = _tail_sums(ascending, cuts, calls)
     np.multiply(ascending, ascending, out=ascending)
     s2 = _tail_sums(ascending, cuts, calls)
+    # Free the n-path copy before the inversion allocates its temporaries.
+    del ascending
     payoff_sum = np.where(calls, s1 - strikes * paying, strikes * paying - s1)
     square_sum = s2 - 2.0 * strikes * s1 + strikes * strikes * paying
     mean = payoff_sum / n

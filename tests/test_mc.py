@@ -21,7 +21,7 @@ from vixsabr import (
     simulate_capped_paths,
     simulate_sabr_2d,
 )
-from vixsabr.mc import _BLOCK_PATHS, _DOMAIN_CAPPED, _block_rng
+from vixsabr.mc import _BLOCK_PATHS, _DOMAIN_2D, _DOMAIN_CAPPED, _block_rng
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +165,28 @@ def test_lanes_allocate_no_more_than_outputs_and_scratch(params, caps):
         tracemalloc.stop()
     assert len(results) == len(lanes)
     assert peak <= outputs + 2 * (1 + 3 + len(lanes)) * row
+
+
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc sees while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_lanes", [1, 3])
+def test_single_stack_draws_into_its_scratch(params, caps, n_lanes):
+    # one stack holds only its 3 scratch rows per lane: each row of
+    # normals is drawn into them, with no drawn row beside them
+    mc = McConfig(n_paths=2 * _BLOCK_PATHS, n_steps=4, seed=3)
+    lanes = [(params, caps, t) for t in (0.2, 0.1, 0.05)[:n_lanes]]
+    row = _BLOCK_PATHS * 8
+    outputs = n_lanes * mc.n_paths * 8
+    peak = _traced_peak(lambda: simulate_capped_lanes(lanes, mc, n_threads=2))
+    assert peak <= outputs + 2 * 3 * n_lanes * row + row // 2
 
 
 def test_lanes_validate_inputs(params, caps):
@@ -345,6 +367,49 @@ def test_sabr_2d_frozen_vol_reduces_to_cev(params):
     assert abs(mean - 1.0) <= 4.0 * se
     spread = sample.vol.max() - sample.vol.min()
     assert spread < 1e-6
+
+
+def _reference_sabr_2d(params, s0, mc):
+    """Terminal spot and vol from whole-block (n_steps, 2, block) draws
+    and the step expressions of the 2-D engine."""
+    dt = mc.horizon / mc.n_steps
+    sqrt_dt = math.sqrt(dt)
+    spot, vol = [], []
+    for b, lo in enumerate(range(0, mc.n_paths, _BLOCK_PATHS)):
+        m = min(mc.n_paths, lo + _BLOCK_PATHS) - lo
+        z = _block_rng(_DOMAIN_2D, b, mc.seed).standard_normal((mc.n_steps, 2, m))
+        s = np.full(m, float(s0))
+        sig = np.full(m, params.v0 * s0 ** (1.0 - params.beta))
+        alive = np.ones(m, dtype=bool)
+        for z1, z2 in z:
+            s = np.where(alive, s + sig * s**params.beta * sqrt_dt * z1, 0.0)
+            absorbed_now = alive & (s <= 0.0)
+            s[absorbed_now] = 0.0
+            alive &= ~absorbed_now
+            sig = sig * np.exp(-0.5 * params.omega**2 * dt + params.omega * sqrt_dt
+                               * (params.rho * z1 + params.rho_perp * z2))
+        spot.append(s)
+        vol.append(sig)
+    return np.concatenate(spot), np.concatenate(vol)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_sabr_2d_equals_whole_block_draws(params, n_threads):
+    mc = McConfig(n_paths=_BLOCK_PATHS + 17, n_steps=6, horizon=0.1, seed=21)
+    sample = simulate_sabr_2d(params, 1.3, mc, n_threads=n_threads)
+    spot, vol = _reference_sabr_2d(params, 1.3, mc)
+    assert np.array_equal(sample.spot, spot)
+    assert np.array_equal(sample.vol, vol)
+
+
+def test_sabr_2d_memory_does_not_grow_with_steps(params):
+    # each block draws one step's pair of rows at a time
+    row = _BLOCK_PATHS * 8
+    peaks = []
+    for n_steps in (10, 200):
+        mc = McConfig(n_paths=2 * _BLOCK_PATHS, n_steps=n_steps, horizon=0.1, seed=4)
+        peaks.append(_traced_peak(lambda: simulate_sabr_2d(params, 1.0, mc, n_threads=2)))
+    assert peaks[1] <= peaks[0] + 4 * row
 
 
 # ---------------------------------------------------------------------------

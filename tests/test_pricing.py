@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,31 @@ def test_smile_band_lower_edge_is_zero_with_one_paying_path(strike, tail):
     assert point.status == "ok"
     assert point.band[0] == 0.0
     assert point.implied_vol < point.band[1] < math.inf
+
+
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc sees while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_smile_frees_its_sorted_copy_before_inverting():
+    # the smile's peak is its one n-path copy; the inversion's
+    # temporaries must not come on top of it
+    n = 200_000
+    paths = PathSet(np.random.default_rng(1).lognormal(math.log(0.1), 0.3, n))
+    strikes = np.geomspace(0.03, 0.5, 161)
+    fwd = estimate_forward(paths).value
+    prices = np.array([p.price.value for p in smile_from_paths(paths, strikes, 0.1)])
+    kinds = np.where(strikes > fwd, "call", "put")
+    inversion = _traced_peak(lambda: implied_vol(np.stack((prices, prices, prices)),
+                                                 strikes, 0.1, fwd, kinds))
+    smile = _traced_peak(lambda: smile_from_paths(paths, strikes, maturity=0.1))
+    assert smile <= n * 8 + inversion // 2
 
 
 def _brentq_vol(price, strike, maturity, forward, kind):
