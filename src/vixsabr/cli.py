@@ -62,8 +62,11 @@ class RunConfig:
 
     Each field is one section of the JSON config under the same name.
     ``caps`` is always derived from ``model`` by :meth:`CapSpec.from_params`,
-    so its binding level follows the model through ``dataclasses.replace``.
-    Invalid values raise :class:`ConfigError` with one message per problem.
+    so its binding level follows the model through ``dataclasses.replace``,
+    and ``mc`` is rebuilt from its settable keys, so its library-only
+    fields keep their defaults.  Every command takes its maturities from
+    ``maturities``.  Invalid values raise :class:`ConfigError` with one
+    message per problem.
     """
 
     model: SabrParams = _DEFAULT_MODEL
@@ -84,6 +87,7 @@ class RunConfig:
                 problems.append(f"{name}: {err}")
 
         normalise("caps", lambda caps: CapSpec.from_params(self.model, **_settable(caps)))
+        normalise("mc", lambda mc: McConfig(**_settable(mc)))
         normalise("strikes", _positive_floats)
         normalise("maturities", _positive_floats)
         # explosion_verdict evaluates the Feller test function at
@@ -153,7 +157,7 @@ class RunConfig:
         return config
 
     def to_dict(self) -> dict:
-        """The config as JSON-style sections, without derived fields."""
+        """The config as JSON-style sections, without unsettable fields."""
         return {f.name: _settable(getattr(self, f.name)) for f in fields(self)}
 
 
@@ -169,11 +173,12 @@ def _problem(section: str, default, changes: dict):
 
 def _settable(section):
     """A config section as a config file sets it: a dataclass as the dict
-    of its fields less the derived ones, anything else as it is."""
+    of its fields less those marked ``settable: False``, anything else as
+    it is."""
     if not is_dataclass(section):
         return section
     return {f.name: getattr(section, f.name) for f in fields(section)
-            if not f.metadata.get("derived")}
+            if f.metadata.get("settable", True)}
 
 
 def _positive_floats(values) -> tuple[float, ...]:
@@ -253,13 +258,22 @@ def cmd_diagnose(config: RunConfig, n_threads: int = 1) -> None:
     print(path)
 
 
+def _single_maturity(config: RunConfig, command: str) -> float:
+    """The one entry of ``maturities``, which ``command`` needs alone."""
+    if len(config.maturities) != 1:
+        raise ConfigError([f"maturities: {command} needs exactly one maturity, "
+                           f"got {list(config.maturities)}"])
+    return config.maturities[0]
+
+
 def cmd_forwards(config: RunConfig, n_threads: int = 1) -> None:
     """Write the cap binding level and the MC forward per correlation."""
+    maturity = _single_maturity(config, "forwards")
     header = ["rho", "binding_level", "forward", "forward_se"]
     lanes = [replace(config, model=replace(config.model, rho=rho))
              for rho in _FORWARD_RHOS]
     lane_paths = simulate_capped_lanes(
-        [(lane.model, lane.caps, config.mc.horizon) for lane in lanes],
+        [(lane.model, lane.caps, maturity) for lane in lanes],
         config.mc, n_threads=n_threads)
     forwards = map(estimate_forward, lane_paths)
     rows = [[lane.model.rho, lane.caps.binding_level, f.value, f.std_error]
@@ -269,10 +283,7 @@ def cmd_forwards(config: RunConfig, n_threads: int = 1) -> None:
 
 def cmd_smile(config: RunConfig, n_threads: int = 1) -> None:
     """Write the MC smile at one maturity with the asymptotic overlay."""
-    if len(config.maturities) != 1:
-        raise ConfigError([f"maturities: smile needs exactly one maturity, got "
-                           f"{list(config.maturities)}"])
-    maturity = config.maturities[0]
+    maturity = _single_maturity(config, "smile")
     paths = simulate_capped_paths(
         config.model, config.caps, replace(config.mc, horizon=maturity),
         n_threads=n_threads,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -66,15 +66,19 @@ class McConfig:
 
     ``inner_paths``/``inner_steps`` size the nested sub-simulations used
     by the finite-window VIX estimator and are ignored elsewhere.
+    Fields marked ``settable: False`` are library-only: the CLI's
+    commands take their maturities from the config's ``maturities`` and
+    none runs the nested estimator, so a config file sets only
+    ``n_paths``, ``n_steps`` and ``seed``.
     """
 
     n_paths: int = 100_000
     n_steps: int = 100
-    horizon: float = 0.1
-    vix_window: float = 30.0 / 365.0
+    horizon: float = field(default=0.1, metadata={"settable": False})
+    vix_window: float = field(default=30.0 / 365.0, metadata={"settable": False})
     seed: int = 12345
-    inner_paths: int = 0
-    inner_steps: int = 30
+    inner_paths: int = field(default=0, metadata={"settable": False})
+    inner_steps: int = field(default=30, metadata={"settable": False})
 
     def __post_init__(self):
         check_integer_fields(self)

@@ -137,12 +137,13 @@ class CapSpec:
     Build instances with :meth:`from_params` so that ``binding_level`` is
     consistent with the model parameters and the constraint
     ``vol_cap > omega`` is enforced (otherwise the cap binds at v = 0 and
-    the capped model degenerates).
+    the capped model degenerates).  ``binding_level`` is marked
+    ``settable: False``: a config file sets only the two caps.
     """
 
     vol_cap: float
     drift_cap: float
-    binding_level: float = field(metadata={"derived": True})
+    binding_level: float = field(metadata={"settable": False})
 
     def __post_init__(self):
         check_float_fields(self)

@@ -257,6 +257,11 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
     array beside ``paths``.
     """
     fwd = estimate_forward(paths).value
+    # every path can underflow to 0 (or overflow) over a long maturity,
+    # and no price is then quoted against the forward
+    if not 0.0 < fwd < math.inf:
+        raise NumericalError(f"the estimated forward at maturity {maturity} is "
+                             f"{fwd}, not finite and > 0")
     strikes = np.array(sorted(float(k) for k in strikes))
     if not np.all(strikes > 0.0):
         raise ValueError("strikes must be > 0")
@@ -275,7 +280,10 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
     # Free the n-path copy before the inversion allocates its temporaries.
     del ascending
     payoff_sum = np.where(calls, s1 - strikes * paying, strikes * paying - s1)
-    square_sum = s2 - 2.0 * strikes * s1 + strikes * strikes * paying
+    # K^2 overflows for K above sqrt(float max); a strike no path pays
+    # has no K^2 term, and inf * 0 must not turn its sum into NaN
+    k_sq = np.square(strikes, where=paying > 0, out=np.zeros(strikes.size))
+    square_sum = s2 - 2.0 * strikes * s1 + k_sq * paying
     mean = payoff_sum / n
     if n > 1:
         se = np.sqrt(np.maximum(square_sum - payoff_sum * mean, 0.0) / (n - 1) / n)

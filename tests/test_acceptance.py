@@ -357,7 +357,8 @@ def test_criterion_11_cli_forward_determinism(tmp_path):
     import json
 
     config = {
-        "mc": {"n_paths": 50_000, "n_steps": 50, "horizon": 0.1, "seed": 12345},
+        "mc": {"n_paths": 50_000, "n_steps": 50, "seed": 12345},
+        "maturities": [0.1],
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))

@@ -80,9 +80,11 @@ def test_lane_commands_call_the_traced_coefficient_bindings(tmp_path, monkeypatc
     for name in ("capped_vol_diffusion", "capped_vol_drift"):
         monkeypatch.setattr(mc, name, _counting(counts, getattr(mc, name), name))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"mc": {"n_paths": 500, "n_steps": 3},
-                                  "maturities": [0.2, 0.1, 0.05, 0.025]}))
-    for command in (["forwards"], ["converge", "--strike", "0.15"]):
+    for maturities, command in (([0.1], ["forwards"]),
+                                ([0.2, 0.1, 0.05, 0.025],
+                                 ["converge", "--strike", "0.15"])):
+        config.write_text(json.dumps({"mc": {"n_paths": 500, "n_steps": 3},
+                                      "maturities": maturities}))
         counts.clear()
         argv = ["--config", str(config), "--out", str(tmp_path), *command]
         assert cli.main(argv) == 0

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vixsabr import CapSpec, RunConfig, SabrParams, explosion_verdict, main, \
-    rate_function
+from vixsabr import CapSpec, McConfig, RunConfig, SabrParams, estimate_forward, \
+    explosion_verdict, main, rate_function, simulate_capped_lanes
 from vixsabr import scale
 from vixsabr.cli import ConfigError, _load_config
 
@@ -30,7 +30,7 @@ def read_csv(path):
     return header, rows
 
 
-FAST_MC = {"n_paths": 20_000, "n_steps": 10, "horizon": 0.1, "seed": 12345}
+FAST_MC = {"n_paths": 20_000, "n_steps": 10, "seed": 12345}
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def test_config_takes_only_a_list_of_numbers(section, value):
     assert err.value.problems == [f"{section}: expected a list of numbers"]
 
 
-@pytest.mark.parametrize("section, key", [("mc", "horizon"), ("model", "v0")])
+@pytest.mark.parametrize("section, key", [("caps", "drift_cap"), ("model", "v0")])
 def test_config_rejects_integers_beyond_float_range(section, key):
     # the section accepts a Python int above float's range (it compares
     # below inf); the checks across sections must report it, not overflow
@@ -117,7 +117,7 @@ def test_config_rejects_integers_beyond_float_range(section, key):
 _FLOAT_FIELDS = [(section.name, f.name)
                  for section in fields(RunConfig) if is_dataclass(section.default)
                  for f in fields(section.default)
-                 if f.type in (float, "float") and not f.metadata.get("derived")]
+                 if f.type in (float, "float") and f.metadata.get("settable", True)]
 
 
 @pytest.mark.parametrize("section, key", _FLOAT_FIELDS)
@@ -143,8 +143,22 @@ def test_config_sections_are_the_dataclass_fields():
     for name, section in data.items():
         value = getattr(config, name)
         if is_dataclass(value):
-            expected = {f.name for f in fields(value)} - {"binding_level"}
+            expected = {f.name for f in fields(value)
+                        if f.metadata.get("settable", True)}
             assert set(section) == expected, name
+    assert list(data["caps"]) == ["vol_cap", "drift_cap"]
+    assert list(data["mc"]) == ["n_paths", "n_steps", "seed"]
+    assert sum(len(v) if isinstance(v, dict) else 1 for v in data.values()) == 12
+
+
+def test_config_rebuilds_mc_from_its_settable_keys():
+    # the library-only fields keep their defaults, as the CLI reads none
+    mc = McConfig(n_paths=7, horizon=0.05, vix_window=0.5, inner_paths=9,
+                  inner_steps=3)
+    config = RunConfig(mc=mc)
+    assert config.mc == McConfig(n_paths=7)
+    assert replace(RunConfig(), mc=mc) == config
+    assert RunConfig.from_dict(config.to_dict()) == config
 
 
 def test_config_caps_follow_the_model():
@@ -161,6 +175,20 @@ def test_config_rejects_the_derived_binding_level():
     with pytest.raises(ConfigError) as err:
         RunConfig.from_dict({"caps": {"binding_level": 1.0}})
     assert err.value.problems == ["caps: unknown keys ['binding_level']"]
+
+
+@pytest.mark.parametrize("command", ["diagnose", "forwards", "smile", "converge"])
+@pytest.mark.parametrize("key, value", [("horizon", 0.05), ("vix_window", 0.1),
+                                        ("inner_paths", 1000), ("inner_steps", 30)])
+def test_main_rejects_the_library_only_mc_keys(tmp_path, capsys, key, value, command):
+    # maturities come from `maturities`, and no command runs the nested
+    # estimator that the other three keys size
+    code = run_cli(tmp_path, {"mc": {key: value}, "maturities": [0.2, 0.1]},
+                   "--out", str(tmp_path / "out"), command)
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["vixsabr: invalid configuration:", f"  mc: unknown keys ['{key}']"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_config_block_is_the_default_config():
@@ -202,6 +230,11 @@ def _near(value):
     return st.floats(-abs(value) - 1.0, 4.0 * abs(value) + 1.0) | huge
 
 
+# Positive floats spread evenly in log10 over most of a float's range,
+# where strikes and maturities overflow squares or underflow paths.
+_LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
 def _config_trees(noisy: bool):
     """Partial configs built from each section's fields and plausible
     values; ``noisy`` mixes in arbitrary JSON at every level, unknown
@@ -214,9 +247,9 @@ def _config_trees(noisy: bool):
             return st.fixed_dictionaries({}, optional={
                 **{f.name: _near(getattr(default, f.name)) | junk
                    for f in fields(default)
-                   if noisy or not f.metadata.get("derived")}, **extra})
+                   if noisy or f.metadata.get("settable", True)}, **extra})
         if isinstance(default, tuple):
-            return st.lists(st.floats(0.0, 1.0) | junk, max_size=4)
+            return st.lists(st.floats(0.0, 1.0) | _LOG_UNIFORM | junk, max_size=4)
         return _near(default)
 
     nesting = {"n_paths": _JUNK, "vol_cap": _JUNK} if noisy else {}
@@ -257,8 +290,9 @@ _RUNNABLE_SIZES = {
 @st.composite
 def _runnable_config_texts(draw):
     """JSON text as the config fuzz writes it, with every simulation
-    size runnable.  Half the configs that are objects get several
-    maturities, often repeated, so that ``converge`` runs on them too."""
+    size runnable.  Half the configs that are objects get one to four
+    maturities, often repeated, so that ``converge`` runs on them too,
+    and half get strikes from across the float range."""
     tree = draw(_CONFIG_TREES)
     if isinstance(tree, dict):
         section = tree.get("mc", {})
@@ -267,8 +301,11 @@ def _runnable_config_texts(draw):
                                         for key, value in _RUNNABLE_SIZES.items()}}
         if draw(st.booleans()):
             tree["maturities"] = draw(st.lists(
-                st.sampled_from([0.2, 0.1, 0.05]) | st.floats(0.0, 1.0),
-                min_size=2, max_size=4))
+                st.sampled_from([0.2, 0.1, 0.05]) | st.floats(0.0, 1.0)
+                | _LOG_UNIFORM,
+                min_size=1, max_size=4))
+        if draw(st.booleans()):
+            tree["strikes"] = draw(st.lists(_LOG_UNIFORM, min_size=1, max_size=4))
     return json.dumps(tree).replace(json.dumps(_OVERFLOW), "1e999")
 
 
@@ -399,7 +436,7 @@ def test_main_rejects_overflowing_literals(tmp_path, capsys, text, command):
     "config",
     [pytest.param({"mc": mc}, id=f"mc{i}") for i, mc in enumerate(
         [{"n_paths": 2.5}, {"n_steps": True}, {"seed": 1.5},
-         {"inner_paths": 1000.0}, {"inner_steps": "30"}])],
+         {"n_steps": 1000.0}, {"seed": "30"}])],
 )
 def test_main_rejects_non_integer_sizes(tmp_path, capsys, config):
     code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, "forwards")
@@ -503,6 +540,19 @@ def test_diagnose_overflow_exits_3(tmp_path, capsys, config, message):
     assert code == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "diagnose.json").exists()
+
+
+def test_diagnose_near_beta_one_fails_within_the_segment_limit(tmp_path, capsys):
+    # quad cannot resolve this scale integrand; 1,000 subdivisions per
+    # decade segment end the attempt within seconds
+    config = {"model": {"beta": 0.9999999, "rho": -0.999999, "omega": 0.001,
+                        "v0": 0.1556}, "caps": {"vol_cap": 1.001}}
+    code = run_cli(tmp_path, config, "--out", str(tmp_path / "out"), "diagnose")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("vixsabr: numerical failure: quadrature failed on [")
+    assert err.endswith("The maximum number of subdivisions (1000) has been achieved.\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_diagnose_quadrature_failure_prints_one_line(tmp_path, capsys, monkeypatch):
@@ -643,11 +693,13 @@ def test_converge_rejects_at_the_money_strike(tmp_path, capsys):
     [
         ({"model": {"rho": 0.5}}, ["diagnose"], "model.rho: "),
         ({"maturities": [0.1, 0.2]}, ["smile"], "maturities: "),
+        ({"maturities": [0.1, 0.2]}, ["forwards"], "maturities: "),
         ({"maturities": [0.1]}, ["converge"], "maturities: "),
         ({"maturities": [0.2, 0.1, 0.2]}, ["converge"], "maturities: "),
         ({"maturities": [0.2, 0.1]}, ["converge", "--strike", "0.1"], "--strike: "),
     ],
-    ids=["diagnose_rho", "smile_two_maturities", "converge_one_maturity",
+    ids=["diagnose_rho", "smile_two_maturities", "forwards_two_maturities",
+         "converge_one_maturity",
          "converge_repeated_maturities", "converge_at_the_money"],
 )
 def test_command_preconditions_are_reported_by_main(tmp_path, capsys, config,
@@ -768,16 +820,55 @@ def test_forwards_seed_override_shifts_within_noise(tmp_path):
         assert abs(fa - fb) <= 4.0 * math.hypot(sa, sb)
 
 
+def test_forwards_takes_its_maturity_from_maturities(tmp_path):
+    mc = {"n_paths": 20_000, "n_steps": 10, "seed": 12345}
+    code = run_cli(tmp_path, {"mc": mc, "maturities": [0.05]},
+                   "--out", str(tmp_path), "forwards")
+    assert code == 0
+    _, rows = read_csv(tmp_path / "forward_table.csv")
+    config = RunConfig.from_dict({"mc": mc})
+    models = [replace(config.model, rho=rho) for rho in (-0.7, 0.0, 0.7)]
+    lanes = [(model, CapSpec.from_params(model, 2.0, 1.0), 0.05) for model in models]
+    for row, paths in zip(rows, simulate_capped_lanes(lanes, config.mc)):
+        forward = estimate_forward(paths)
+        assert (float(row[2]), float(row[3])) == (forward.value, forward.std_error)
+
+
 # ---------------------------------------------------------------------------
 # smile command
 # ---------------------------------------------------------------------------
+
+def test_smile_reports_a_strike_whose_square_overflows(tmp_path):
+    # K^2 overflows above sqrt(float max) ~ 1.34e154; no path pays such
+    # a strike, so it reads "below" and the other rows keep their bytes
+    mc = {"n_paths": 2000, "n_steps": 5}
+    for name, strikes in (("both", [0.1, 1e200]), ("near", [0.1])):
+        code = run_cli(tmp_path, {"strikes": strikes, "mc": mc},
+                       "--out", str(tmp_path / name), "smile")
+        assert code == 0
+    _, both = read_csv(tmp_path / "both" / "smile.csv")
+    _, near = read_csv(tmp_path / "near" / "smile.csv")
+    assert both[0] == near[0]
+    assert both[1][2:5] == ["0", "0", "nan"] and both[1][8] == "below"
+
+
+def test_smile_reports_an_underflowed_forward_as_numerical(tmp_path, capsys):
+    # over a long maturity every path underflows to 0
+    code = run_cli(tmp_path, {"maturities": [1e5], "mc": {"n_paths": 2000, "n_steps": 5}},
+                   "--out", str(tmp_path / "out"), "smile")
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "vixsabr: numerical failure: the estimated forward at maturity 100000.0 "
+        "is 0.0, not finite and > 0"]
+    assert not (tmp_path / "out").exists()
+
 
 def test_smile_table_content(tmp_path):
     strikes = [0.07, 0.08, 0.09, 0.1, 0.11, 0.12, 0.13, 0.14, 0.15]
     code = run_cli(
         tmp_path,
         {
-            "mc": {"n_paths": 20_000, "n_steps": 20, "horizon": 0.1, "seed": 12345},
+            "mc": {"n_paths": 20_000, "n_steps": 20, "seed": 12345},
             "strikes": strikes,
             "maturities": [0.1],
             "output_dir": str(tmp_path),
@@ -809,7 +900,7 @@ def test_smile_marks_uninvertible_strikes(tmp_path):
     code = run_cli(
         tmp_path,
         {
-            "mc": {"n_paths": 1_000, "n_steps": 5, "horizon": 0.1, "seed": 1},
+            "mc": {"n_paths": 1_000, "n_steps": 5, "seed": 1},
             "strikes": [0.1, 5.0],
             "maturities": [0.1],
             "output_dir": str(tmp_path),
@@ -831,7 +922,7 @@ def test_converge_table_content(tmp_path):
     code = run_cli(
         tmp_path,
         {
-            "mc": {"n_paths": 20_000, "n_steps": 20, "horizon": 0.1, "seed": 12345},
+            "mc": {"n_paths": 20_000, "n_steps": 20, "seed": 12345},
             "maturities": [0.1, 0.2],
             "output_dir": str(tmp_path),
         },

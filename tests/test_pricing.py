@@ -10,6 +10,7 @@ from scipy import optimize
 from vixsabr import (
     CapSpec,
     McConfig,
+    NumericalError,
     PathSet,
     RunConfig,
     bs_price,
@@ -202,6 +203,23 @@ def test_smile_far_strike_reports_status(params, caps):
     assert far.status == "below"  # zero-price call: at intrinsic value
     assert far.implied_vol is None
     assert far.band is None
+
+
+def test_smile_strike_whose_square_overflows_reports_below():
+    # K^2 is inf above sqrt(float max); no path pays, so the square sum
+    # has no K^2 term, and the nearer strike keeps its bytes
+    paths = PathSet(terminal_values=np.array([0.05, 0.1, 0.2]))
+    near, far = smile_from_paths(paths, [0.15, 1e200], maturity=0.1)
+    assert (far.status, far.price.value, far.price.std_error) == ("below", 0.0, 0.0)
+    assert near == smile_from_paths(paths, [0.15], maturity=0.1)[0]
+
+
+@pytest.mark.parametrize("values", [[0.0, 0.0], [0.1, math.nan]],
+                         ids=["underflow", "nan"])
+def test_smile_rejects_a_forward_that_is_not_finite_and_positive(values):
+    paths = PathSet(terminal_values=np.array(values))
+    with pytest.raises(NumericalError, match="forward at maturity 0.1 is"):
+        smile_from_paths(paths, [0.1], maturity=0.1)
 
 
 def test_smile_band_saturates_at_zero():

@@ -453,4 +453,5 @@ def test_quadrature_config_defaults():
     assert scale._ABS_TOL == 1e-12
     assert scale._REL_TOL == 1e-10
     assert scale._MAX_SUBDIVISIONS == 1_000_000
+    assert scale._SEGMENT_SUBDIVISIONS == 1_000
     assert scale._LARGE_X == 1e6
