@@ -4,9 +4,9 @@ The effective lognormal volatility of a SABR asset solves a
 one-dimensional SDE that explodes in finite time under negative
 correlation.  This package prices VIX futures and options on a capped,
 non-explosive modification of that process, evaluates the short-maturity
-smile asymptotics in closed form, and verifies the explosion and
-martingale analysis numerically (scale function, Feller test, boundary
-classification).
+smile asymptotics in closed form, and decides explosion (Feller test)
+and the martingale property from the closed-form tail powers of the
+scale exponents, with the scale and Feller functions by quadrature.
 """
 
 from .model import *

@@ -91,14 +91,13 @@ class RunConfig:
         normalise("strikes", _positive_floats)
         normalise("maturities", _positive_floats)
         # explosion_verdict evaluates the Feller test function at
-        # _LARGE_X/100, _LARGE_X/10 and _LARGE_X, and each must exceed its
-        # origin cutoff 0.01*v0 (> 0); the smallest decides
+        # _LARGE_X, which must exceed its origin cutoff 0.01*v0 (> 0)
         v0 = self.model.v0
-        if not 0.0 < 0.01 * v0 < _LARGE_X / 100.0:
+        if not 0.0 < 0.01 * v0 < _LARGE_X:
             problems.append(
-                f"model.v0: must be below {_LARGE_X:.0f}, so that its origin "
-                f"cutoff 0.01*v0 = {0.01 * v0} is > 0 and below the Feller "
-                f"tail point {_LARGE_X / 100.0:.0f}; got {v0}"
+                f"model.v0: must be below {100.0 * _LARGE_X:.0f}, so that its "
+                f"origin cutoff 0.01*v0 = {0.01 * v0} is > 0 and below the "
+                f"Feller tail point {_LARGE_X:.0f}; got {v0}"
             )
         if not isinstance(self.output_dir, str):
             problems.append("output_dir: expected a string")

@@ -162,20 +162,20 @@ def _invert_black(prices, strikes, maturity: float, forward: float, kind):
     lo = np.zeros(prices.shape)
     hi = np.ones(prices.shape)
     growing = ~(below | above)
-    while True:
-        growing &= bs_price(strikes, maturity, forward, hi, kind) < prices
-        if not growing.any():
-            break
-        hi[growing] *= 2.0
-        lost = growing & (hi > _VOL_CEILING)
-        above |= lost
-        growing &= ~lost
-    done = below | above
-    inflection = np.sqrt(2.0 * np.abs(np.log(forward / strikes)) / maturity)
-    vols = np.where(inflection > 0.0, np.minimum(inflection, hi), 0.5 * hi)
-    last_step = hi - lo
-    vega_scale = forward * math.sqrt(maturity) / math.sqrt(2.0 * math.pi)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            growing &= bs_price(strikes, maturity, forward, hi, kind) < prices
+            if not growing.any():
+                break
+            hi[growing] *= 2.0
+            lost = growing & (hi > _VOL_CEILING)
+            above |= lost
+            growing &= ~lost
+        done = below | above
+        inflection = np.sqrt(2.0 * np.abs(np.log(forward / strikes)) / maturity)
+        vols = np.where(inflection > 0.0, np.minimum(inflection, hi), 0.5 * hi)
+        last_step = hi - lo
+        vega_scale = forward * math.sqrt(maturity) / math.sqrt(2.0 * math.pi)
         for _ in range(_MAX_ITERATIONS):
             if done.all():
                 break

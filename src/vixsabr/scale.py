@@ -6,18 +6,19 @@ computable:
 
 * closed form of the exponent appearing in the scale density,
 * the scale function itself with its finite limit and tail fit,
-* the Feller test function whose finiteness at +infinity certifies
-  explosion, and
+* the Feller test function, whose divergence at the origin and
+  finiteness at +infinity certify explosion, and
 * a diagnostic for the martingale property of the asset price, which
   reduces to non-explosion of an auxiliary diffusion.
 
+Both verdicts are read from the tails a*log|x| + C of the exponents.
+
 Integrals run over geometric decade segments so that integrals to very
 large truncation points converge without wasted refinement.  The scale
-function and the martingale diagnostic use adaptive quadrature
-(scipy.integrate.quad) on each segment.  The Feller test function, a
-double integral, is one cumulative Gauss-Legendre pass in u = log y:
-every segment is evaluated as numpy arrays at two orders, and bisected
-when they disagree.
+function uses adaptive quadrature (scipy.integrate.quad) on each
+segment.  The Feller test function, a double integral, is one cumulative
+Gauss-Legendre pass in u = log y: every segment is evaluated as numpy
+arrays at two orders, and bisected when they disagree.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "scale_function",
     "scale_function_limit",
     "feller_test_function",
-    "feller_origin_diverges",
     "explosion_verdict",
     "classify_boundary",
     "auxiliary_scale_exponent",
@@ -61,7 +61,7 @@ class NumericalError(RuntimeError):
 # those of adaptive quad on each decade segment; passing models need at
 # most 4 per segment (over 1200 random models, beta up to 0.9999999), so
 # an integrand that quad cannot resolve fails fast.  _LARGE_X is the
-# truncation point used as a stand-in for +infinity in tail diagnostics.
+# point at which the reported Feller tail value is evaluated.
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 1_000_000
@@ -118,6 +118,42 @@ class ScaleReport:
         return {**asdict(self), "boundary_class": self.boundary_class.value}
 
 
+def _log_arctan(x, coefficients, params: SabrParams):
+    """A*log(vol_variance(x)/omega^2) + B*(arctan((b1*x - rho*omega) /
+    (omega*rho_perp)) + arcsin(rho)) for (A, B) = ``coefficients`` and
+    b1 = 1 - beta: the shape of both closed-form exponents."""
+    x = np.asarray(x, dtype=float)
+    log_coef, arctan_coef = coefficients
+    rho, omega, rp = params.rho, params.omega, params.rho_perp
+    b1 = 1.0 - params.beta
+    log_term = log_coef * np.log(vol_variance(x, params) / omega**2)
+    arctan_term = arctan_coef * (
+        np.arctan((b1 * x - rho * omega) / (omega * rp)) + math.atan(rho / rp)
+    )
+    val = log_term + arctan_term
+    return val if val.ndim else float(val)
+
+
+def _tail(coefficients, sign: float, params: SabrParams) -> tuple[float, float]:
+    """Power a = 2A and constant C with :func:`_log_arctan` equal to
+    a*log|x| + C + O(1/x) as x -> sign*infinity, where the variance is
+    ((1-beta)*x)^2 * (1 + O(1/x)) and the arctan tends to sign*pi/2:
+    C = a*log((1-beta)/omega) + B*(sign*pi/2 + arcsin(rho))."""
+    log_coef, arctan_coef = coefficients
+    power = 2.0 * log_coef
+    # a difference of logs, so that no ratio overflows
+    log_scale = math.log(1.0 - params.beta) - math.log(params.omega)
+    return power, power * log_scale + arctan_coef * (
+        sign * 0.5 * math.pi + math.asin(params.rho))
+
+
+def _scale_coefficients(params: SabrParams) -> tuple[float, float]:
+    """(A, B) of :func:`scale_exponent` in :func:`_log_arctan`."""
+    b1 = 1.0 - params.beta
+    return ((2.0 - params.beta) / (4.0 * b1),
+            params.beta * params.rho / (2.0 * b1 * params.rho_perp))
+
+
 def scale_exponent(x, params: SabrParams):
     """Closed form of the integral of drift over variance.
 
@@ -133,17 +169,7 @@ def scale_exponent(x, params: SabrParams):
     arctan term and is valid for every rho in (-1, 1); it matches
     adaptive quadrature of the defining integral to full precision.
     """
-    x = np.asarray(x, dtype=float)
-    beta, rho, omega = params.beta, params.rho, params.omega
-    b1 = 1.0 - beta
-    rp = params.rho_perp
-    ratio = vol_variance(x, params) / omega**2
-    log_term = (2.0 - beta) / (4.0 * b1) * np.log(ratio)
-    arctan_term = (beta * rho / (2.0 * b1 * rp)) * (
-        np.arctan((b1 * x - rho * omega) / (omega * rp)) + math.atan(rho / rp)
-    )
-    val = log_term + arctan_term
-    return val if val.ndim else float(val)
+    return _log_arctan(x, _scale_coefficients(params), params)
 
 
 def envelope_constant(params: SabrParams) -> float:
@@ -355,11 +381,11 @@ def feller_test_function(x, params: SabrParams):
 
     Nested integral, from a small cutoff c up to x, of the scale density
     times the inner integral of 2 / (scale_density * level_variance).
-    Finiteness of its limit as x grows certifies explosion; divergence
-    at the origin is certified separately by
-    :func:`feller_origin_diverges` because the inner integrand blows up
-    like 2/(omega^2 z^2) there and brute quadrature of a known
-    divergence is wasted effort.
+    Finiteness of its limit as x grows, together with divergence at the
+    origin, certifies explosion; :func:`explosion_verdict` reads both
+    from power laws, and the origin is cut off because the inner
+    integrand blows up like 2/(omega^2 z^2) there and brute quadrature
+    of a known divergence is wasted effort.
 
     ``x`` may be a scalar or an array; all points share one pass.  The
     segments are those of the decade edges from c to max(x), split
@@ -428,34 +454,22 @@ def feller_test_function(x, params: SabrParams):
     return out if np.ndim(x) else float(out[0])
 
 
-def feller_origin_diverges(params: SabrParams) -> bool:
-    """Certify that the Feller test function diverges at the origin.
-
-    Near 0 the inner integrand behaves like 2/(omega^2 z^2); its
-    integral from 0 therefore diverges like 1/z.  The check fits the
-    local log-log slope of the integrand at a sequence of vanishing z
-    and reports divergence when the slope is <= -1 (non-integrable
-    power).  For the model coefficients the slope tends to -2.
-    """
-    z = params.v0 * 10.0 ** -np.arange(4.0, 9.0)
-    vals = _feller_inner_integrand(z, params)
-    slopes = np.diff(np.log(vals)) / np.diff(np.log(z))
-    return bool(np.all(slopes <= -1.0))
-
-
-# Relative stabilization tolerance for the Feller tail: increments of the
-# test function across the two largest decades must fall below
-# max(_ABS_TOL, 1e-4 * value).
-_STABILIZATION_RTOL = 1e-4
+# Power of the inner Feller integrand at the origin, where it is
+# 2/(omega^2 z^2) * (1 + o(1)): the exponent vanishes at 0 and the
+# variance tends to omega^2.
+_FELLER_ORIGIN_POWER = -2.0
 
 
 def explosion_verdict(params: SabrParams) -> ScaleReport:
     """Run the full explosion analysis and return a :class:`ScaleReport`.
 
-    The verdict is positive (explosion with non-zero probability) when
-    the Feller test function diverges at the origin and stabilizes at
-    the truncation tail: |nu(10X) - nu(X)| < max(1e-12, 1e-4 * nu(X))
-    across the two largest decades up to 1e6.
+    The verdict is the Feller test: explosion has non-zero probability
+    when the test function diverges at the origin, where the inner
+    integrand is 2/(omega^2 z^2) * (1 + o(1)), a power <= -1, and is
+    finite at +infinity, where the scale density is exp(-2C) * y^(-p)
+    with p = (2-beta)/(1-beta) > 1, so the outer integrand is
+    O(y^-3 + y^-p) (times log y at beta = 1/2).  ``feller_tail_value``
+    is the test function at 1e6.
 
     Raises
     ------
@@ -465,17 +479,16 @@ def explosion_verdict(params: SabrParams) -> ScaleReport:
     if params.rho >= 0.0:
         raise ValueError("explosion analysis requires rho < 0")
     fit = scale_function_limit(params)
-    tail_x = np.array([_LARGE_X / 100.0, _LARGE_X / 10.0, _LARGE_X])
-    nu = feller_test_function(tail_x, params)
-    increments = np.abs(np.diff(nu))
-    allowed = np.maximum(_ABS_TOL, _STABILIZATION_RTOL * nu[:-1])
-    stabilized = bool(np.all(increments < allowed))
-    explodes = stabilized and feller_origin_diverges(params)
+    tail_value = feller_test_function(_LARGE_X, params)
+    power, constant = _tail(_scale_coefficients(params), 1.0, params)
+    outer_power = max(-2.0 * power, -3.0)
+    explodes = (_FELLER_ORIGIN_POWER <= -1.0 and outer_power < -1.0
+                and math.isfinite(constant))
     return ScaleReport(
         scale_limit=fit.limit,
         tail_coefficient=fit.coefficient,
         envelope_constant=envelope_constant(params),
-        feller_tail_value=float(nu[-1]),
+        feller_tail_value=tail_value,
         explosion_flag=explodes,
         boundary_class=classify_boundary(params),
     )
@@ -496,6 +509,14 @@ def classify_boundary(params: SabrParams) -> BoundaryClass:
     return BoundaryClass.EXIT
 
 
+def _auxiliary_coefficients(params: SabrParams) -> tuple[float, float]:
+    """(A, B) of :func:`auxiliary_scale_exponent` in :func:`_log_arctan`."""
+    beta, rho, omega = params.beta, params.rho, params.omega
+    b1 = 1.0 - beta
+    return (beta / (2.0 * b1),
+            beta * rho * (omega - 2.0) / (b1 * omega * params.rho_perp))
+
+
 def auxiliary_scale_exponent(x, params: SabrParams):
     """Closed-form exponent of the auxiliary scale density used by the
     martingale diagnostic.
@@ -509,35 +530,18 @@ def auxiliary_scale_exponent(x, params: SabrParams):
     exp(auxiliary_scale_exponent) diverges at both +infinity and
     -infinity.
     """
-    x = np.asarray(x, dtype=float)
-    beta, rho, omega = params.beta, params.rho, params.omega
-    b1 = 1.0 - beta
-    rp = params.rho_perp
-    log_term = (beta / (2.0 * b1)) * np.log(vol_variance(x, params) / omega**2)
-    arctan_term = (beta * rho * (omega - 2.0) / (b1 * omega * rp)) * (
-        np.arctan((b1 * x - rho * omega) / (omega * rp)) + math.atan(rho / rp)
-    )
-    val = log_term + arctan_term
-    return val if val.ndim else float(val)
+    return _log_arctan(x, _auxiliary_coefficients(params), params)
 
 
 def martingale_diagnostic(params: SabrParams) -> bool:
     """True when the asset price is a true martingale.
 
-    Integrates the auxiliary scale density exp(auxiliary_scale_exponent)
-    outward in both directions and checks that the increments across
-    successive decades up to 1e6 keep growing, i.e. the
-    auxiliary scale function diverges at both infinities.  For beta < 1
-    this holds for every admissible parameter set; at beta = 0 the
-    density is identically 1 and the increments grow exactly tenfold.
+    That is when the integral of exp(auxiliary_scale_exponent) diverges
+    at both infinities, where the density is exp(C+-) * |x|^a * (1 +
+    O(1/x)) with a = beta/(1-beta): when a > -1 and C+- are finite, as
+    for every admissible model (Sin, Adv. Appl. Probab. 1998;
+    Mijatovic & Urusov, PTRF 2012).
     """
-    marks = [_LARGE_X / 100.0, _LARGE_X / 10.0, _LARGE_X]
-    for sign in (1.0, -1.0):
-        integrand = lambda u: math.exp(auxiliary_scale_exponent(sign * u, params))
-        increments = [
-            _segmented_quad(integrand, lo, hi)
-            for lo, hi in zip(marks[:-1], marks[1:])
-        ]
-        if not (increments[0] > 0.0 and increments[1] >= increments[0]):
-            return False
-    return True
+    coefficients = _auxiliary_coefficients(params)
+    return all(power > -1.0 and math.isfinite(constant) for power, constant in
+               (_tail(coefficients, sign, params) for sign in (1.0, -1.0)))

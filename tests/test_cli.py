@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -325,23 +326,23 @@ def test_main_fuzz_exits_with_a_contract_code(tmp_path_factory, text):
             assert main(argv) in (0, 2, 3), (argv, text)
 
 
-@given(v0=st.floats(5e5, 2e6) | st.sampled_from(
-    [1e6 * (1.0 - 1e-9), 1e6 * (1.0 - 1e-15), math.nextafter(1e6, 0.0), 1e6]))
+@given(v0=st.floats(5e7, 2e8) | st.sampled_from(
+    [1e8 * (1.0 - 1e-9), 1e8 * (1.0 - 1e-15), math.nextafter(1e8, 0.0), 1e8]))
 @settings(max_examples=60, deadline=None)
 def test_config_large_x_check_matches_the_feller_cutoff(v0):
-    # explosion_verdict evaluates the Feller test function from 1e6/100,
-    # which must exceed the origin cutoff 0.01*v0: a config passes
+    # explosion_verdict evaluates the Feller test function at 1e6, which
+    # must exceed the origin cutoff 0.01*v0: a config passes
     # exactly when explosion_verdict does not raise the cutoff's ValueError
     model = {"beta": 0.5, "rho": -0.7, "omega": 1.0, "v0": v0}
     try:
         config = RunConfig.from_dict({"model": model})
     except ConfigError as err:
         assert err.problems[0].startswith("model.v0:")
-        assert v0 >= 1e6 * (1.0 - 1e-15)
+        assert v0 >= 1e8 * (1.0 - 1e-15)
         with pytest.raises(ValueError, match="origin cutoff"):
             explosion_verdict(SabrParams(**model))
         return
-    assert v0 < 1e6
+    assert v0 < 1e8
     explosion_verdict(config.model)
 
 
@@ -491,9 +492,9 @@ def test_main_rejects_bad_quadrature_on_every_command(tmp_path, capsys, quadratu
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("v0", [999_999.99, 999_999.0, 5e5])
+@pytest.mark.parametrize("v0", [99_999_999.99, 99_999_999.0, 5e7])
 def test_diagnose_v0_just_below_the_bound_runs(tmp_path, v0):
-    # the Feller tail point 1e6/100 must exceed the origin cutoff 0.01*v0
+    # the Feller tail point 1e6 must exceed the origin cutoff 0.01*v0
     code = run_cli(tmp_path, {"model": {"v0": v0}, "output_dir": str(tmp_path)},
                    "diagnose")
     assert code in (0, 3)
@@ -501,10 +502,10 @@ def test_diagnose_v0_just_below_the_bound_runs(tmp_path, v0):
 
 @pytest.mark.parametrize("command", ["diagnose", "forwards", "smile", "converge"])
 def test_main_rejects_v0_at_the_bound_on_every_command(tmp_path, capsys, command):
-    code = run_cli(tmp_path, {"model": {"v0": 1e6}, "maturities": [0.2, 0.1]},
+    code = run_cli(tmp_path, {"model": {"v0": 1e8}, "maturities": [0.2, 0.1]},
                    "--out", str(tmp_path / "out"), command)
     assert code == 2
-    assert "model.v0: must be below 1000000" in capsys.readouterr().err
+    assert "model.v0: must be below 100000000" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -526,12 +527,10 @@ def test_diagnose_overflowing_feller_integrand_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config, message",
-    [({"model": {"beta": 0.95, "rho": -0.9, "omega": 0.01, "v0": 0.1}},
-      "integrand overflows on [10000.0, 100000.0]"),
-     ({"model": {"beta": 0.99, "rho": -0.99, "omega": 100.0, "v0": 1.0},
+    [({"model": {"beta": 0.99, "rho": -0.99, "omega": 100.0, "v0": 1.0},
        "caps": {"vol_cap": 200.0}},
       "envelope constant overflows")],
-    ids=["martingale_integrand", "envelope_constant"],
+    ids=["envelope_constant"],
 )
 def test_diagnose_overflow_exits_3(tmp_path, capsys, config, message):
     # math.exp raises OverflowError, which must surface as a numerical
@@ -540,6 +539,40 @@ def test_diagnose_overflow_exits_3(tmp_path, capsys, config, message):
     assert code == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "diagnose.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"model": {"beta": 0.0, "rho": -0.5, "omega": 5.0, "v0": 1.0},
+      "caps": {"vol_cap": 10.0}},
+     {"model": {"beta": 0.95, "rho": -0.9, "omega": 0.01, "v0": 0.1}},
+     {"model": {"beta": 0.92, "rho": -0.993, "omega": 0.226, "v0": 31.57}}],
+    ids=["explosion", "martingale_overflow", "martingale"],
+)
+def test_diagnose_verdicts_hold_where_decade_quadrature_misjudged(tmp_path, config):
+    # decade increments of quadrature on [1e4, 1e6] read these models as
+    # not exploding, as overflowing and as not a martingale; the tail
+    # powers make both verdicts true
+    code = run_cli(tmp_path, config, "--out", str(tmp_path), "diagnose")
+    assert code == 0
+    report = json.loads((tmp_path / "diagnose.json").read_text())
+    assert report["explosion_flag"] is True
+    assert report["martingale"] is True
+
+
+def test_smile_subnormal_strike_prints_one_line(tmp_path, capsys):
+    # forward / 5e-324 overflows inside the implied-vol inversion; numpy
+    # warns through the warnings module, which pytest would otherwise
+    # keep off stderr, so the test records the warnings itself
+    config = {"strikes": [5e-324, 0.1], "mc": {"n_paths": 2000, "n_steps": 5}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(tmp_path, config, "--out", str(tmp_path / "out"), "smile")
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("vixsabr: numerical failure: ")
 
 
 def test_diagnose_near_beta_one_fails_within_the_segment_limit(tmp_path, capsys):

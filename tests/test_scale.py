@@ -17,7 +17,6 @@ from vixsabr import (
     classify_boundary,
     envelope_constant,
     explosion_verdict,
-    feller_origin_diverges,
     feller_test_function,
     martingale_diagnostic,
     scale_exponent,
@@ -362,10 +361,91 @@ def test_feller_subdivision_budget_is_a_ceiling(monkeypatch, budget):
         feller_test_function(1e6, params)
 
 
-def test_feller_origin_diverges(params):
-    assert feller_origin_diverges(params)
-    assert feller_origin_diverges(SabrParams(beta=0.25, rho=-0.9, omega=1.3, v0=0.1))
-    assert feller_origin_diverges(SabrParams(beta=0.9, rho=-0.7, omega=1.3, v0=0.1))
+# The verdicts are read from closed-form tail powers; decade increments
+# of adaptive quadrature on [1e4, 1e6] are their oracle.
+VERDICT_BETAS = (0.0, 0.25, 0.5, 0.6, 0.75, 0.9)
+VERDICT_RHO_OMEGAS = ((-0.5, 1.0), (-0.9, 0.3), (-0.2, 5.0))
+DECADES = ((1e4, 1e5), (1e5, 1e6))
+
+
+def _decade_integral(f, a, b):
+    val, err = scipy_quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
+    assert err < 1e-10 * abs(val)
+    return val
+
+
+@pytest.mark.parametrize("rho,omega", VERDICT_RHO_OMEGAS)
+@pytest.mark.parametrize("beta", VERDICT_BETAS)
+def test_tail_constants_match_the_exponents(beta, rho, omega):
+    # exponent = a*log|x| + C + r(x); with u = -2*rho*omega/(b1*x)
+    # + (omega/(b1*x))^2 the log term leaves A*log(1 + u), at most
+    # 6*|A|*omega/(b1*|x|), and the arctan term at most
+    # 2*|B|*omega/(b1*|x|), once b1*|x| >= 2*omega
+    p = SabrParams(beta=beta, rho=rho, omega=omega, v0=0.1)
+    b1 = 1.0 - beta
+    cases = [(scale_exponent, scale._scale_coefficients(p), 1.0)]
+    cases += [(auxiliary_scale_exponent, scale._auxiliary_coefficients(p), sign)
+              for sign in (1.0, -1.0)]
+    for exponent, (log_coef, arctan_coef), sign in cases:
+        power, constant = scale._tail((log_coef, arctan_coef), sign, p)
+        assert power == 2.0 * log_coef
+        for x in (1e8, 1e9):
+            remainder = exponent(sign * x, p) - power * math.log(x) - constant
+            bound = 6.0 * (abs(log_coef) + abs(arctan_coef)) * omega / (b1 * x)
+            rounding = 1e-13 * (1.0 + abs(power) * math.log(x) + abs(constant))
+            assert abs(remainder) <= bound + rounding
+
+
+@pytest.mark.parametrize("rho,omega", VERDICT_RHO_OMEGAS)
+@pytest.mark.parametrize("beta", VERDICT_BETAS)
+def test_feller_increments_decay_at_the_tail_power(beta, rho, omega):
+    # the outer integrand is O(y^-3 + y^-p) with p - 1 = 1/(1-beta), so
+    # nu's decade increments shrink by 10^-min(1/(1-beta), 2)
+    p = SabrParams(beta=beta, rho=rho, omega=omega, v0=0.1)
+    nu = feller_test_function(np.array([1e4, 1e5, 1e6]), p)
+    ratio = (nu[2] - nu[1]) / (nu[1] - nu[0])
+    assert 0.0 < ratio <= 1.01 * 10.0 ** -min(1.0 / (1.0 - beta), 2.0)
+    assert explosion_verdict(p).explosion_flag
+
+
+@pytest.mark.parametrize("rho,omega", VERDICT_RHO_OMEGAS)
+@pytest.mark.parametrize("beta", VERDICT_BETAS)
+def test_auxiliary_increments_grow_at_the_tail_power(beta, rho, omega):
+    # the auxiliary density is exp(C) |x|^(beta/(1-beta)) at +-infinity,
+    # so its decade integrals grow by 10^(1/(1-beta))
+    p = SabrParams(beta=beta, rho=rho, omega=omega, v0=0.1)
+    growth = 10.0 ** (1.0 / (1.0 - beta))
+    for sign in (1.0, -1.0):
+        density = lambda u: math.exp(auxiliary_scale_exponent(sign * u, p))
+        first, second = (_decade_integral(density, a, b) for a, b in DECADES)
+        assert second / first == pytest.approx(growth, rel=0.02)
+    assert martingale_diagnostic(p)
+
+
+def test_verdicts_make_one_feller_pass_and_no_quad_call(params, monkeypatch):
+    calls = {"quad": 0, "feller": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scale.integrate, "quad",
+                        counting("quad", scale.integrate.quad))
+    monkeypatch.setattr(scale, "feller_test_function",
+                        counting("feller", scale.feller_test_function))
+    assert martingale_diagnostic(params)
+    assert calls == {"quad": 0, "feller": 0}
+    assert explosion_verdict(params).explosion_flag
+    assert calls["feller"] == 1
+
+
+def test_explosion_verdict_tail_value_is_the_feller_function_at_1e6(params):
+    report = explosion_verdict(params)
+    assert report.feller_tail_value == feller_test_function(1e6, params)
+    nu = feller_test_function(np.array([1e4, 1e5, 1e6]), params)
+    assert report.feller_tail_value == nu[-1]
 
 
 @pytest.mark.parametrize("beta", [0.4, 0.5, 0.6])
@@ -443,6 +523,26 @@ def test_martingale_diagnostic_true_cases(params):
     assert martingale_diagnostic(params)
     assert martingale_diagnostic(SabrParams(beta=0.0, rho=-0.5, omega=1.2, v0=0.1))
     assert martingale_diagnostic(SabrParams(beta=0.9, rho=0.7, omega=1.0, v0=0.1))
+
+
+@given(st.builds(
+    SabrParams,
+    beta=st.floats(0.0, 0.9999),
+    rho=st.floats(-0.999, 0.999),
+    omega=st.floats(1e-3, 100.0),
+    v0=st.just(0.1),
+))
+@settings(max_examples=200, deadline=None)
+def test_martingale_diagnostic_holds_for_every_admissible_model(p):
+    assert martingale_diagnostic(p)
+
+
+def test_segmented_quad_reports_an_overflowing_integrand():
+    # math.exp raises OverflowError, which becomes a NumericalError
+    # naming the decade segment
+    with pytest.raises(NumericalError,
+                       match=r"integrand overflows on \[100\.0, 1000\.0\]"):
+        scale._segmented_quad(math.exp, 1.0, 1e3)
 
 # ---------------------------------------------------------------------------
 # quadrature tolerances
