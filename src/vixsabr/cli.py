@@ -31,8 +31,7 @@ from .mc import McConfig, estimate_forward, simulate_capped_lanes, \
     simulate_capped_paths
 from .model import CapSpec, FieldError, SabrParams
 from .pricing import rate_convergence_study, smile_from_paths
-from .scale import _LARGE_X, NumericalError, explosion_verdict, \
-    martingale_diagnostic
+from .scale import NumericalError, explosion_verdict, martingale_diagnostic
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -90,15 +89,6 @@ class RunConfig:
         normalise("mc", lambda mc: McConfig(**_settable(mc)))
         normalise("strikes", _positive_floats)
         normalise("maturities", _positive_floats)
-        # explosion_verdict evaluates the Feller test function at
-        # _LARGE_X, which must exceed its origin cutoff 0.01*v0 (> 0)
-        v0 = self.model.v0
-        if not 0.0 < 0.01 * v0 < _LARGE_X:
-            problems.append(
-                f"model.v0: must be below {100.0 * _LARGE_X:.0f}, so that its "
-                f"origin cutoff 0.01*v0 = {0.01 * v0} is > 0 and below the "
-                f"Feller tail point {_LARGE_X:.0f}; got {v0}"
-            )
         if not isinstance(self.output_dir, str):
             problems.append("output_dir: expected a string")
         if problems:

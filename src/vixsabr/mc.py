@@ -27,6 +27,7 @@ import numpy as np
 
 from .model import CapSpec, Coefficients, SabrParams, capped_vol_diffusion, \
     capped_vol_drift, check_float_fields, check_integer_fields, shown
+from .scale import NumericalError
 
 __all__ = [
     "McConfig",
@@ -286,10 +287,12 @@ def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathS
         # several stacks overwrite one shared scratch array, so they
         # share one drawn row beside it.
         shared = np.empty(hi - lo) if len(steps) > 1 else None
-        for _ in range(n_steps):
-            z = rng if shared is None else rng.standard_normal(out=shared)
-            for v, (dt, sqrt_dt, params, caps), scratch in steps:
-                _step_capped(v, z, dt, sqrt_dt, params, caps, scratch)
+        # A path may overflow to inf; the estimators report that.
+        with np.errstate(over="ignore"):
+            for _ in range(n_steps):
+                z = rng if shared is None else rng.standard_normal(out=shared)
+                for v, (dt, sqrt_dt, params, caps), scratch in steps:
+                    _step_capped(v, z, dt, sqrt_dt, params, caps, scratch)
 
     _run_blocks((n + _BLOCK_PATHS - 1) // _BLOCK_PATHS, run_block, n_threads)
     return [PathSet(terminal[i]) for i in range(len(lanes))]
@@ -308,12 +311,21 @@ def simulate_capped_paths(
 
 
 def _sample_mean(values) -> tuple[float, float]:
-    """Mean of a non-empty sample and its standard error (0 for one value)."""
+    """Mean of a non-empty sample and its standard error (0 for one value).
+
+    Raises :class:`NumericalError` when either is not finite, as when
+    paths overflow or their squares do.
+    """
     n = values.size
     if n == 0:
         raise ValueError("empty path set")
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(values.mean()), se
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        mean = float(values.mean())
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise NumericalError(
+            f"the sample mean {mean} or its standard error {se} is not finite")
+    return mean, se
 
 
 def estimate_forward(paths: PathSet) -> McEstimate:

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .asymptotics import _ATM_LOG_THRESHOLD, rate_function
-# simulate_capped_paths is unused here but stays bound, because
-# bench/spans.py wraps this module's binding of it.
+# simulate_capped_paths and estimate_forward are unused here but stay
+# bound, because bench/spans.py wraps this module's bindings of them.
 from .mc import McConfig, McEstimate, PathSet, estimate_forward, price_vix_option, \
     simulate_capped_lanes, simulate_capped_paths  # noqa: F401
 from .model import CapSpec, SabrParams
@@ -256,9 +256,11 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
     freed before the inversion, so the smile holds at most one n-path
     array beside ``paths``.
     """
-    fwd = estimate_forward(paths).value
-    # every path can underflow to 0 (or overflow) over a long maturity,
+    # the forward is the mean of the paths; its error is not needed.
+    # Every path can underflow to 0 (or overflow) over a long maturity,
     # and no price is then quoted against the forward
+    with np.errstate(over="ignore", invalid="ignore"):
+        fwd = float(paths.terminal_values.mean())
     if not 0.0 < fwd < math.inf:
         raise NumericalError(f"the estimated forward at maturity {maturity} is "
                              f"{fwd}, not finite and > 0")
@@ -274,21 +276,28 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
     cuts = np.concatenate((np.searchsorted(ascending, strikes[:n_puts], "left"),
                            np.searchsorted(ascending, strikes[n_puts:], "right")))
     paying = np.where(calls, n - cuts, cuts)
-    s1 = _tail_sums(ascending, cuts, calls)
-    np.multiply(ascending, ascending, out=ascending)
-    s2 = _tail_sums(ascending, cuts, calls)
-    # Free the n-path copy before the inversion allocates its temporaries.
-    del ascending
-    payoff_sum = np.where(calls, s1 - strikes * paying, strikes * paying - s1)
-    # K^2 overflows for K above sqrt(float max); a strike no path pays
-    # has no K^2 term, and inf * 0 must not turn its sum into NaN
-    k_sq = np.square(strikes, where=paying > 0, out=np.zeros(strikes.size))
-    square_sum = s2 - 2.0 * strikes * s1 + k_sq * paying
-    mean = payoff_sum / n
-    if n > 1:
-        se = np.sqrt(np.maximum(square_sum - payoff_sum * mean, 0.0) / (n - 1) / n)
-    else:
-        se = np.zeros(strikes.size)
+    # Sums of huge paths can overflow; a price or SE that is not finite
+    # is reported below, before the inversion.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = _tail_sums(ascending, cuts, calls)
+        np.multiply(ascending, ascending, out=ascending)
+        s2 = _tail_sums(ascending, cuts, calls)
+        # Free the n-path copy before the inversion allocates its temporaries.
+        del ascending
+        payoff_sum = np.where(calls, s1 - strikes * paying, strikes * paying - s1)
+        # K^2 overflows for K above sqrt(float max); a strike no path pays
+        # has no K^2 term, and inf * 0 must not turn its sum into NaN
+        k_sq = np.square(strikes, where=paying > 0, out=np.zeros(strikes.size))
+        square_sum = s2 - 2.0 * strikes * s1 + k_sq * paying
+        mean = payoff_sum / n
+        if n > 1:
+            se = np.sqrt(np.maximum(square_sum - payoff_sum * mean, 0.0) / (n - 1) / n)
+        else:
+            se = np.zeros(strikes.size)
+    bad = ~(np.isfinite(mean) & np.isfinite(se))
+    if bad.any():
+        raise NumericalError(f"the price or its standard error is not finite at "
+                             f"strikes {strikes[bad].tolist()}")
     kinds = np.where(calls, "call", "put")
     # The central price and both band edges are inverted as one array;
     # each element iterates on its own, so the stack changes no value.

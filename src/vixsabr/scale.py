@@ -18,7 +18,9 @@ large truncation points converge without wasted refinement.  The scale
 function uses adaptive quadrature (scipy.integrate.quad) on each
 segment.  The Feller test function, a double integral, is one cumulative
 Gauss-Legendre pass in u = log y: every segment is evaluated as numpy
-arrays at two orders, and bisected when they disagree.
+arrays at two orders, and bisected when they disagree.  The pass carries
+the inner integral times the scale density, so none of its exponentials
+overflows.
 """
 
 from __future__ import annotations
@@ -61,12 +63,14 @@ class NumericalError(RuntimeError):
 # those of adaptive quad on each decade segment; passing models need at
 # most 4 per segment (over 1200 random models, beta up to 0.9999999), so
 # an integrand that quad cannot resolve fails fast.  _LARGE_X is the
-# point at which the reported Feller tail value is evaluated.
+# point at which the reported Feller tail value is evaluated, and
+# _FELLER_BASE the base point of the Feller test function.
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 1_000_000
 _SEGMENT_SUBDIVISIONS = 1_000
 _LARGE_X = 1e6
+_FELLER_BASE = 1e-3
 
 
 class BoundaryClass(Enum):
@@ -121,12 +125,16 @@ class ScaleReport:
 def _log_arctan(x, coefficients, params: SabrParams):
     """A*log(vol_variance(x)/omega^2) + B*(arctan((b1*x - rho*omega) /
     (omega*rho_perp)) + arcsin(rho)) for (A, B) = ``coefficients`` and
-    b1 = 1 - beta: the shape of both closed-form exponents."""
+    b1 = 1 - beta: the shape of both closed-form exponents.  Raises
+    :class:`NumericalError` when omega^2 underflows to 0."""
     x = np.asarray(x, dtype=float)
     log_coef, arctan_coef = coefficients
     rho, omega, rp = params.rho, params.omega, params.rho_perp
     b1 = 1.0 - params.beta
-    log_term = log_coef * np.log(vol_variance(x, params) / omega**2)
+    omega_sq = omega**2
+    if omega_sq == 0.0:
+        raise NumericalError(f"omega**2 underflows to 0 at omega = {omega}")
+    log_term = log_coef * np.log(vol_variance(x, params) / omega_sq)
     arctan_term = arctan_coef * (
         np.arctan((b1 * x - rho * omega) / (omega * rp)) + math.atan(rho / rp)
     )
@@ -317,7 +325,8 @@ def scale_function_limit(params: SabrParams) -> TailFit:
     ------
     NumericalError
         If the relative fit residual exceeds 1e-6, which signals that
-        the tail has not reached its asymptotic regime.
+        the tail has not reached its asymptotic regime, or the fitted
+        limit is 0 because the scale density underflows.
     ValueError
         If rho >= 0 (the limit is finite only for negative correlation).
     """
@@ -329,6 +338,9 @@ def scale_function_limit(params: SabrParams) -> TailFit:
     design = np.column_stack([np.ones_like(xs), -(xs ** (-1.0 / (1.0 - params.beta)))])
     coef, _, _, _ = np.linalg.lstsq(design, ys, rcond=None)
     limit, coefficient = float(coef[0]), float(coef[1])
+    if limit == 0.0:
+        raise NumericalError("scale-function tail fit gives a limit of 0.0; "
+                             "the scale density underflows")
     residual = float(np.max(np.abs(design @ coef - ys))) / abs(limit)
     if residual > _TAIL_FIT_RTOL:
         raise NumericalError(
@@ -338,12 +350,14 @@ def scale_function_limit(params: SabrParams) -> TailFit:
     return TailFit(limit=limit, coefficient=coefficient, residual=residual)
 
 
-def _feller_inner_integrand(z, params: SabrParams):
+def _scaled_inner_integrand(z, phi_z, phi_ref, params: SabrParams):
     """Inner integrand of the Feller test function, 2 / (scale_density(z)
-    * z^2 * vol_variance(z)), which blows up like 2/(omega^2 z^2) at 0."""
+    * z^2 * vol_variance(z)), times scale_density(y) = exp(-2*phi_ref) for
+    phi = scale_exponent: phi increases for rho < 0, so with z <= y the
+    exponential cannot overflow.  It blows up like 2/(omega^2 z^2) at 0."""
     return (
         2.0
-        * np.exp(2.0 * scale_exponent(z, params))
+        * np.exp(2.0 * (phi_z - phi_ref))
         / (z * z * vol_variance(z, params))
     )
 
@@ -358,45 +372,58 @@ _FELLER_RULES = tuple(
 
 
 def _feller_segment(
-    ua: float, ub: float, inner_base: float, params: SabrParams, rule
+    ua: float, ub: float, base: tuple[float, float], phi_b: float,
+    params: SabrParams, rule
 ) -> tuple[float, float]:
-    """Outer and inner increments of the Feller integrals over [e^ua, e^ub].
+    """Outer and scaled inner increments of the Feller integrals over
+    [e^ua, e^ub].
 
-    Integrates in u = log y, so dy = y du.  The inner integral up to each
-    outer node y_i is ``inner_base`` plus the same rule mapped onto
-    [ua, log y_i], evaluated as one n x n array.
+    Integrates in u = log y, so dy = y du.  The inner integral I is
+    carried scaled, as J(y) = I(y) * exp(-2*phi(y)); ``base`` is
+    (J(e^ua), phi(e^ua)) and ``phi_b`` is phi(e^ub).  J at each outer node
+    y_i is the base rescaled plus the same rule mapped onto [ua, log y_i],
+    evaluated as one n x n array, and the outer integrand is J(y) * y.
+    The inner increment is returned scaled by exp(-2*phi_b).
     """
     t, w = rule
+    scaled_base, phi_a = base
     h = ub - ua
     spans = h * t
     y = np.exp(ua + spans)
     z = np.exp(ua + np.multiply.outer(spans, t))
-    inner = inner_base + spans * ((_feller_inner_integrand(z, params) * z) @ w)
-    outer = h * (w @ (np.exp(-2.0 * scale_exponent(y, params)) * inner * y))
-    return outer, h * (w @ (_feller_inner_integrand(y, params) * y))
+    phi_y = scale_exponent(y, params)
+    inner = scaled_base * np.exp(2.0 * (phi_a - phi_y)) + spans * (
+        (_scaled_inner_integrand(z, scale_exponent(z, params), phi_y[:, None],
+                                 params) * z) @ w)
+    outer = h * (w @ (inner * y))
+    return outer, h * (w @ (_scaled_inner_integrand(y, phi_y, phi_b, params) * y))
 
 
 def feller_test_function(x, params: SabrParams):
     """Feller test function of the volatility process.
 
-    Nested integral, from a small cutoff c up to x, of the scale density
-    times the inner integral of 2 / (scale_density * level_variance).
-    Finiteness of its limit as x grows, together with divergence at the
-    origin, certifies explosion; :func:`explosion_verdict` reads both
-    from power laws, and the origin is cut off because the inner
-    integrand blows up like 2/(omega^2 z^2) there and brute quadrature
-    of a known divergence is wasted effort.
+    Nested integral, from the base point c = 1e-3 up to x, of the scale
+    density times the inner integral of 2 / (scale_density *
+    level_variance).  Finiteness of its limit as x grows, together with
+    divergence at the origin, certifies explosion; the base point is
+    arbitrary (Karatzas & Shreve, 1991, Sec. 5.5.C), so the function
+    depends on (beta, rho, omega) alone.  :func:`explosion_verdict`
+    reads both limits from power laws; the origin is left out because
+    the inner integrand blows up like 2/(omega^2 z^2) there and brute
+    quadrature of a known divergence is wasted effort.
 
     ``x`` may be a scalar or an array; all points share one pass.  The
     segments are those of the decade edges from c to max(x), split
     further at every requested x.  Each segment is integrated in
     u = log y by Gauss-Legendre rules of 16 and 24 nodes, and the inner
     integral at each outer node by the same rule, so a segment costs a
-    few array calls.  A segment whose outer or inner increments differ
-    between the two orders by more than max(1e-12 / nseg,
-    1e-10 * |increment|) is bisected, each half getting half the
-    absolute tolerance; the 24-node values are kept.  The cutoff is
-    c = 0.01 * v0.
+    few array calls.  The inner integral is carried times the scale
+    density at its upper end, so no exponential overflows for rho < 0.
+    A segment whose outer or inner increments differ between the two
+    orders by more than max(1e-12 / nseg, 1e-10 * |increment|) (for the
+    scaled inner increment, the absolute part scaled alike) is bisected,
+    each half getting half the absolute tolerance; the 24-node values
+    are kept.
 
     Raises
     ------
@@ -404,52 +431,53 @@ def feller_test_function(x, params: SabrParams):
         If the bisections exceed 1_000_000, or if an integrand is not
         finite.
     ValueError
-        If the cutoff is not > 0 (v0 is subnormal) or some x does not
-        exceed it.
+        If some x does not exceed the base point.
     """
-    cutoff = 0.01 * params.v0
-    if cutoff <= 0.0:
-        raise ValueError(f"origin cutoff must be > 0, got {cutoff}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= cutoff):
-        raise ValueError(f"x must exceed the origin cutoff {cutoff}")
-    edges = np.union1d(_decade_edges(cutoff, float(xs.max())), xs)
+    if np.any(xs <= _FELLER_BASE):
+        raise ValueError(f"x must exceed the base point {_FELLER_BASE}")
+    edges = np.union1d(_decade_edges(_FELLER_BASE, float(xs.max())), xs)
     us = np.log(edges)
     nseg = len(edges) - 1
     totals = np.zeros(len(edges))
-    outer_total = inner_total = 0.0
+    outer_total = 0.0
+    # (J, phi) at the left end of the next segment; J(c) = 0
+    base = (0.0, scale_exponent(math.exp(us[0]), params))
     bisections = 0
-    with np.errstate(all="ignore"):
-        for k in range(nseg):
-            pending = [(us[k], us[k + 1], _ABS_TOL / nseg)]
-            while pending:
-                ua, ub, abs_tol = pending.pop()
-                (outer_lo, inner_lo), (outer, inner) = (
-                    _feller_segment(ua, ub, inner_total, params, rule)
-                    for rule in _FELLER_RULES
+    for k in range(nseg):
+        pending = [(us[k], us[k + 1], _ABS_TOL / nseg)]
+        while pending:
+            ua, ub, abs_tol = pending.pop()
+            phi_b = scale_exponent(math.exp(ub), params)
+            (outer_lo, inner_lo), (outer, inner) = (
+                _feller_segment(ua, ub, base, phi_b, params, rule)
+                for rule in _FELLER_RULES
+            )
+            if not math.isfinite(outer + inner):
+                raise NumericalError(
+                    f"Feller integrand is not finite on "
+                    f"[{math.exp(ua)}, {math.exp(ub)}]"
                 )
-                if not math.isfinite(outer + inner):
-                    raise NumericalError(
-                        f"Feller integrand is not finite on "
-                        f"[{math.exp(ua)}, {math.exp(ub)}]"
-                    )
-                if all(
-                    abs(hi - lo) <= max(abs_tol, _REL_TOL * abs(hi))
-                    for lo, hi in ((outer_lo, outer), (inner_lo, inner))
-                ):
-                    outer_total += outer
-                    inner_total += inner
-                    continue
-                if bisections >= _MAX_SUBDIVISIONS:
-                    raise NumericalError(
-                        f"Feller quadrature did not converge on "
-                        f"[{math.exp(ua)}, {math.exp(ub)}] within "
-                        f"{_MAX_SUBDIVISIONS} subdivisions"
-                    )
-                bisections += 1
-                mid = 0.5 * (ua + ub)
-                pending += [(mid, ub, 0.5 * abs_tol), (ua, mid, 0.5 * abs_tol)]
-            totals[k + 1] = outer_total
+            inner_tol = abs_tol * math.exp(-2.0 * phi_b)
+            if all(
+                abs(hi - lo) <= max(tol, _REL_TOL * abs(hi))
+                for lo, hi, tol in ((outer_lo, outer, abs_tol),
+                                    (inner_lo, inner, inner_tol))
+            ):
+                outer_total += outer
+                base = (base[0] * math.exp(2.0 * (base[1] - phi_b)) + inner,
+                        phi_b)
+                continue
+            if bisections >= _MAX_SUBDIVISIONS:
+                raise NumericalError(
+                    f"Feller quadrature did not converge on "
+                    f"[{math.exp(ua)}, {math.exp(ub)}] within "
+                    f"{_MAX_SUBDIVISIONS} subdivisions"
+                )
+            bisections += 1
+            mid = 0.5 * (ua + ub)
+            pending += [(mid, ub, 0.5 * abs_tol), (ua, mid, 0.5 * abs_tol)]
+        totals[k + 1] = outer_total
     out = totals[np.searchsorted(edges, xs)]
     return out if np.ndim(x) else float(out[0])
 

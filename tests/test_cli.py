@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vixsabr import CapSpec, McConfig, RunConfig, SabrParams, estimate_forward, \
-    explosion_verdict, main, rate_function, simulate_capped_lanes
+from vixsabr import CapSpec, McConfig, RunConfig, estimate_forward, main, \
+    rate_function, simulate_capped_lanes
 from vixsabr import scale
 from vixsabr.cli import ConfigError, _load_config
 
@@ -326,26 +326,6 @@ def test_main_fuzz_exits_with_a_contract_code(tmp_path_factory, text):
             assert main(argv) in (0, 2, 3), (argv, text)
 
 
-@given(v0=st.floats(5e7, 2e8) | st.sampled_from(
-    [1e8 * (1.0 - 1e-9), 1e8 * (1.0 - 1e-15), math.nextafter(1e8, 0.0), 1e8]))
-@settings(max_examples=60, deadline=None)
-def test_config_large_x_check_matches_the_feller_cutoff(v0):
-    # explosion_verdict evaluates the Feller test function at 1e6, which
-    # must exceed the origin cutoff 0.01*v0: a config passes
-    # exactly when explosion_verdict does not raise the cutoff's ValueError
-    model = {"beta": 0.5, "rho": -0.7, "omega": 1.0, "v0": v0}
-    try:
-        config = RunConfig.from_dict({"model": model})
-    except ConfigError as err:
-        assert err.problems[0].startswith("model.v0:")
-        assert v0 >= 1e8 * (1.0 - 1e-15)
-        with pytest.raises(ValueError, match="origin cutoff"):
-            explosion_verdict(SabrParams(**model))
-        return
-    assert v0 < 1e8
-    explosion_verdict(config.model)
-
-
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -492,21 +472,35 @@ def test_main_rejects_bad_quadrature_on_every_command(tmp_path, capsys, quadratu
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("v0", [99_999_999.99, 99_999_999.0, 5e7])
-def test_diagnose_v0_just_below_the_bound_runs(tmp_path, v0):
-    # the Feller tail point 1e6 must exceed the origin cutoff 0.01*v0
-    code = run_cli(tmp_path, {"model": {"v0": v0}, "output_dir": str(tmp_path)},
-                   "diagnose")
-    assert code in (0, 3)
+def test_diagnose_json_does_not_depend_on_v0(tmp_path):
+    # the Feller base point is fixed at 1e-3, so diagnose reads only
+    # (beta, rho, omega), and no v0 is refused
+    reports = set()
+    for i, v0 in enumerate([5e-324, 1e-300, 0.1, 1e8, float(2**1000)]):
+        out = tmp_path / str(i)
+        assert run_cli(tmp_path, {"model": {"v0": v0}}, "--out", str(out),
+                       "diagnose") == 0
+        reports.add((out / "diagnose.json").read_bytes())
+    assert len(reports) == 1
+
+
+@pytest.mark.parametrize("v0", [5e-324, 1e8, 1e300])
+def test_config_accepts_every_positive_v0(v0):
+    assert RunConfig.from_dict({"model": {"v0": v0}}).model.v0 == v0
 
 
 @pytest.mark.parametrize("command", ["diagnose", "forwards", "smile", "converge"])
-def test_main_rejects_v0_at_the_bound_on_every_command(tmp_path, capsys, command):
-    code = run_cli(tmp_path, {"model": {"v0": 1e8}, "maturities": [0.2, 0.1]},
-                   "--out", str(tmp_path / "out"), command)
-    assert code == 2
-    assert "model.v0: must be below 100000000" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize("v0", [5e-324, 1e8, float(2**1000)])
+def test_every_command_runs_or_fails_numerically_at_extreme_v0(tmp_path, capsys,
+                                                               command, v0):
+    config = {"model": {"v0": v0}, "maturities": [0.1, 0.05],
+              "mc": {"n_paths": 64, "n_steps": 4}}
+    if command in ("forwards", "smile"):
+        config["maturities"] = [0.1]
+    code = run_cli(tmp_path, config, "--out", str(tmp_path / "out"), command)
+    assert code in (0, 3)
+    err = capsys.readouterr().err.splitlines()
+    assert err == [] if code == 0 else len(err) == 1
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -515,14 +509,31 @@ def test_main_rejects_out_of_range_seed_override(tmp_path, capsys, seed):
     assert "--seed: seed must fit in 64 bits" in capsys.readouterr().err
 
 
-def test_diagnose_overflowing_feller_integrand_exits_3(tmp_path, capsys):
-    # exp(2 * scale_exponent) overflows below the truncation point 1e6
-    model = {"beta": 0.99, "rho": -0.99, "omega": 1.0, "v0": 0.1}
+def test_diagnose_near_beta_one_runs_the_scaled_feller_pass(tmp_path, capsys):
+    # exp(2 * scale_exponent) overflows below the truncation point 1e6;
+    # the Feller pass never evaluates it unscaled
+    model = {"beta": 0.99, "rho": -0.5, "omega": 1.0, "v0": 0.1}
     code = run_cli(tmp_path, {"model": model, "output_dir": str(tmp_path)},
                    "diagnose")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "diagnose.json").read_text())
+    assert report["feller_tail_value"] == pytest.approx(24459.83, rel=1e-6)
+    assert report["explosion_flag"] is True
+
+
+@pytest.mark.parametrize(
+    "omega, message",
+    [(1e-160, "scale-function tail fit gives a limit of 0.0"),
+     (1e-300, "omega**2 underflows to 0 at omega = 1e-300")],
+    ids=["limit_underflows", "omega_squared_underflows"])
+def test_diagnose_tiny_omega_exits_3(tmp_path, capsys, omega, message):
+    code = run_cli(tmp_path, {"model": {"omega": omega}},
+                   "--out", str(tmp_path / "out"), "diagnose")
     assert code == 3
-    assert "Feller integrand is not finite" in capsys.readouterr().err
-    assert not (tmp_path / "diagnose.json").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -573,6 +584,34 @@ def test_smile_subnormal_strike_prints_one_line(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("vixsabr: numerical failure: ")
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [({"model": {"v0": 1e7}, "caps": {"drift_cap": 600.0},
+       "strikes": [0.1, 1e266, 1e268], "maturities": [1.0]},
+      ["smile"], "the price or its standard error is not finite at strikes "
+      "[1e+266, 1e+268]"),
+     ({"model": {"v0": 9e7}, "caps": {"drift_cap": 700.0}, "maturities": [1.0]},
+      ["forwards"], "the sample mean inf or its standard error nan is not finite"),
+     ({"model": {"v0": 9e7}, "caps": {"drift_cap": 700.0},
+       "maturities": [1.0, 0.5]},
+      ["converge", "--strike", "1e9"],
+      "the sample mean inf or its standard error nan is not finite")],
+    ids=["smile_square_sum", "forwards", "converge"])
+def test_overflowing_estimates_exit_3_with_one_line(tmp_path, capsys, config,
+                                                    argv, message):
+    # the squares of the paths, or the paths themselves, overflow; the
+    # estimate is refused before anything is written, without warnings
+    config = {**config, "mc": {"n_paths": 2000, "n_steps": 5}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(tmp_path, config, "--out", str(tmp_path / "out"), *argv)
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"vixsabr: numerical failure: {message}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_diagnose_near_beta_one_fails_within_the_segment_limit(tmp_path, capsys):
@@ -1015,7 +1054,7 @@ PINNED_DIGESTS = {
     "converge.csv":
         "f685f6c703926695433478124c8b12808266c983cd52354760dfe2f53c286870",
     "diagnose.json":
-        "22521cb97fbd029d537dc499c5269f6e5f4336b77de713775d3b7e8cb0135244",
+        "08ae0387dc2781a9d366be995e3e4fa9b6a9af30a3f828bed2b18a44badbcc1b",
 }
 
 

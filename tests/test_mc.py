@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from vixsabr import (
     CapSpec,
     McConfig,
+    NumericalError,
     PathSet,
     SabrParams,
     capped_vol_diffusion,
@@ -242,6 +244,19 @@ def test_estimate_forward_degenerate_inputs():
     est = estimate_forward(flat)
     assert est.value == pytest.approx(0.1, rel=1e-15)
     assert est.std_error < 1e-15
+
+
+@pytest.mark.parametrize(
+    "values", [[0.1, math.inf], [1e300, 1e300 * (1.0 + 1e-15)], [0.1, math.nan]],
+    ids=["inf_path", "square_overflows", "nan_path"])
+def test_estimates_that_are_not_finite_are_refused_by_both_estimators(values):
+    paths = PathSet(terminal_values=np.array(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="is not finite"):
+            estimate_forward(paths)
+        with pytest.raises(NumericalError, match="is not finite"):
+            price_vix_option(paths, 0.05)
 
 
 def test_empty_path_set_is_rejected_by_both_estimators():

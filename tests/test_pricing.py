@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,17 @@ def test_smile_rejects_a_forward_that_is_not_finite_and_positive(values):
     paths = PathSet(terminal_values=np.array(values))
     with pytest.raises(NumericalError, match="forward at maturity 0.1 is"):
         smile_from_paths(paths, [0.1], maturity=0.1)
+
+
+def test_smile_rejects_a_price_whose_square_sum_overflows():
+    # the paths' squares overflow while their mean and spread are finite:
+    # the put at the forward then has an inf - inf square sum
+    paths = PathSet(terminal_values=np.array([1e160, 1e160 * (1.0 + 1e-12)]))
+    forward = float(paths.terminal_values.mean())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not finite at strikes"):
+            smile_from_paths(paths, [forward], maturity=0.1)
 
 
 def test_smile_band_saturates_at_zero():

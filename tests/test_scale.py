@@ -337,9 +337,65 @@ def test_feller_function_with_origin_cutoff(p):
 def test_feller_function_rejects_points_at_the_cutoff(params):
     with pytest.raises(ValueError):
         feller_test_function(0.001, params)
-    # 0.01 * v0 rounds to 0 for the smallest subnormal v0
-    with pytest.raises(ValueError, match="cutoff must be > 0"):
-        feller_test_function(1.0, replace(params, v0=5e-324))
+
+
+@pytest.mark.parametrize("v0", [5e-324, 1e-300, 1e8, float(2**1000)])
+def test_feller_function_does_not_read_v0(params, v0):
+    # the base point is fixed at 1e-3, 0.01 * v0 at the default v0
+    xs = np.array([0.005, 1e4, 1e6])
+    np.testing.assert_array_equal(
+        feller_test_function(xs, replace(params, v0=v0)),
+        feller_test_function(xs, params))
+
+
+def scaled_feller_oracle(xs, p, cutoff):
+    """:func:`feller_oracle` with the inner integral carried times the
+    scale density at its upper end, J(y) = I(y) * exp(-2 phi(y)), so
+    that no exponential overflows near beta = 1."""
+
+    def inner_integrand(z, y):
+        return 2.0 * math.exp(2.0 * (scale_exponent(z, p) - scale_exponent(y, p))) \
+            / (z * z * vol_variance(z, p))
+
+    def integrate(f, a, b):
+        val, err = scipy_quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert err < 1e-11 * max(abs(val), 1.0)
+        return val
+
+    def rescale(a, y):
+        return math.exp(2.0 * (scale_exponent(a, p) - scale_exponent(y, p)))
+
+    top = max(xs)
+    powers = (10.0**k for k in range(-12, 13))
+    edges = sorted({cutoff, *xs, *(e for e in powers if cutoff < e < top)})
+    scaled_at = [0.0]
+    for a, b in zip(edges[:-1], edges[1:]):
+        scaled_at.append(scaled_at[-1] * rescale(a, b)
+                         + integrate(lambda z: inner_integrand(z, b), a, b))
+    nu = [0.0]
+    for base, a, b in zip(scaled_at, edges[:-1], edges[1:]):
+        def outer(y, base=base, a=a):
+            return base * rescale(a, y) + integrate(
+                lambda z: inner_integrand(z, y), a, y)
+        nu.append(nu[-1] + integrate(outer, a, b))
+    return np.array([nu[edges.index(x)] for x in xs])
+
+
+def test_feller_function_near_beta_one_matches_scaled_quadrature():
+    # exp(2 * scale_exponent) overflows below 1e6 here, so only a scaled
+    # pass evaluates the test function
+    p = SabrParams(beta=0.99, rho=-0.5, omega=1.0, v0=0.1)
+    xs = np.array([0.005, 1e4, 1e6])
+    expected = scaled_feller_oracle(xs, p, 1e-3)
+    np.testing.assert_allclose(feller_test_function(xs, p), expected, rtol=1e-10)
+    assert expected[-1] == pytest.approx(24459.83, rel=1e-6)
+
+
+def test_feller_function_rejects_an_integrand_that_is_not_finite(params, monkeypatch):
+    monkeypatch.setattr(scale, "_scaled_inner_integrand",
+                        lambda z, *args: np.full(np.shape(z), math.nan))
+    with pytest.raises(NumericalError, match="Feller integrand is not finite"):
+        feller_test_function(1e6, params)
 
 
 def test_feller_function_subdivision_budget(params, monkeypatch):
@@ -555,3 +611,4 @@ def test_quadrature_config_defaults():
     assert scale._MAX_SUBDIVISIONS == 1_000_000
     assert scale._SEGMENT_SUBDIVISIONS == 1_000
     assert scale._LARGE_X == 1e6
+    assert scale._FELLER_BASE == 1e-3
