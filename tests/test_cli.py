@@ -484,6 +484,16 @@ def test_diagnose_json_does_not_depend_on_v0(tmp_path):
     assert len(reports) == 1
 
 
+@pytest.mark.parametrize("v0", [99_999_999.99, 99_999_999.0, 5e7])
+def test_diagnose_v0_just_below_the_bound_runs(tmp_path, v0):
+    # v0 once had to stay below 1e8 so that the Feller origin cutoff
+    # 0.01*v0 sat under the tail point 1e6; with the base point fixed at
+    # 1e-3 these values run like any other
+    code = run_cli(tmp_path, {"model": {"v0": v0}, "output_dir": str(tmp_path)},
+                   "diagnose")
+    assert code == 0
+
+
 @pytest.mark.parametrize("v0", [5e-324, 1e8, 1e300])
 def test_config_accepts_every_positive_v0(v0):
     assert RunConfig.from_dict({"model": {"v0": v0}}).model.v0 == v0
