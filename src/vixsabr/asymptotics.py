@@ -6,18 +6,21 @@ function, the limiting implied-volatility curve it induces, and the
 level/skew/convexity expansion of that curve at the money are all
 available in closed form; this module implements them.
 
-The closed forms are hand-derived antiderivatives and are cross-checked
-against adaptive quadrature of the defining integrals in the test suite;
-the two routes are kept independent on purpose.
+The closed forms are antiderivatives and are cross-checked against
+adaptive quadrature of the defining integrals in the test suite; the two
+routes are kept independent on purpose.  The rate integral's
+antiderivative is logarithmic; it is evaluated to full precision on any
+interval 0 < lo <= hi, subnormal or huge, and raises no
+``NumericalError``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import CapSpec, SabrParams, vol_diffusion
-from .scale import NumericalError
 
 __all__ = [
     "SmileExpansion",
@@ -50,58 +53,47 @@ class SmileExpansion:
     convexity: float
 
 
-def _speed_ratio(v: float, params: SabrParams) -> float:
-    """Argument of the inverse hyperbolic tangent in the closed form.
+def _log_ratio(a: float, b: float) -> float:
+    """log(a / b) for a, b > 0, also where the quotient leaves the float
+    range: ``math.log(a / b)`` when the quotient is a normal float, so
+    that the usual case rounds as it always has, and log a - log b when
+    it overflows or underflows."""
+    q = a / b
+    if sys.float_info.min <= q < math.inf:
+        return math.log(q)
+    return math.log(a) - math.log(b)
 
-    Equals (rho*(beta-1)*v + omega) / vol_diffusion(v), which lies
-    strictly inside (-1, 1) for every v > 0 and |rho| < 1.
-    """
-    return (params.rho * (params.beta - 1.0) * v + params.omega) / vol_diffusion(
-        v, params
-    )
 
+def _uncapped_rate_integral(lo: float, hi: float, params: SabrParams) -> float:
+    """Integral of 1 / (z * vol_diffusion(z)) over [lo, hi], 0 < lo < hi.
 
-def _atanh_diff(u: float, w: float, params: SabrParams) -> float:
-    """atanh(_speed_ratio(u)) - atanh(_speed_ratio(w)), stable form.
+    The antiderivative of 1 / (z * s(z)) (Gradshteyn & Ryzhik, Table of
+    Integrals, Series, and Products, 2.26) is -log(g(z) / z) / omega,
+    with s = vol_diffusion, n(z) = omega + rho*(beta-1)*z and g = n + s,
+    so omega times the integral is log((g_lo * hi) / (g_hi * lo)) =
+    log1p(x) with
 
-    The two arctanh values are both large and nearly equal when u and w
-    are close (the finite-difference regime of the smile expansion), so
-    subtracting them directly loses most of the precision.  The
-    subtraction identity atanh(p) - atanh(q) = atanh((p-q)/(1-p*q)) is
-    used instead, with p - q and 1 - p*q expanded analytically so that
-    no term subtracts nearly equal numbers:
+        x = omega * ((hi-lo)/lo) * (g_lo + t*g_hi) / ((s_lo + t*s_hi) * g_hi)
 
-        p - q     = (rho^2-1)*b^2*omega*(u-w)*(omega*(u+w) + 2*rho*b*u*w)
-                    / (s_u*s_w*(n_u*s_w + n_w*s_u))
-        1 - p*q   = c*(u^2*n_w^2 + w^2*n_u^2 + c*u^2*w^2)
-                    / (s_u*s_w*(s_u*s_w + n_u*n_w))
-
-    where b = beta-1, c = b^2*(1-rho^2), n_v = rho*b*v + omega and s_v
-    the diffusion coefficient at v.
+    and t = lo / hi.  No term subtracts nearly equal numbers: where
+    n < 0, g is taken as c*z**2 / (s - n), c = (beta-1)**2 * (1-rho**2).
+    Where x overflows, the log is taken term by term.
     """
     b = params.beta - 1.0
-    rho = params.rho
-    omega = params.omega
-    c = b * b * (1.0 - rho * rho)
-    n_u = rho * b * u + omega
-    n_w = rho * b * w + omega
-    s_u = vol_diffusion(u, params)
-    s_w = vol_diffusion(w, params)
-    p_minus_q = (
-        (rho * rho - 1.0)
-        * b
-        * b
-        * omega
-        * (u - w)
-        * (omega * (u + w) + 2.0 * rho * b * u * w)
-        / (s_u * s_w * (n_u * s_w + n_w * s_u))
-    )
-    one_minus_pq = (
-        c
-        * (u * u * n_w * n_w + w * w * n_u * n_u + c * u * u * w * w)
-        / (s_u * s_w * (s_u * s_w + n_u * n_w))
-    )
-    return math.atanh(p_minus_q / one_minus_pq)
+    c = b * b * (1.0 - params.rho * params.rho)
+
+    def ends(z):
+        n = params.omega + params.rho * b * z
+        s = vol_diffusion(z, params)
+        return s, n + s if n >= 0.0 else c * z * (z / (s - n))
+
+    s_lo, g_lo = ends(lo)
+    s_hi, g_hi = ends(hi)
+    t = lo / hi
+    x = params.omega * ((hi - lo) / lo) * (g_lo + t * g_hi) / ((s_lo + t * s_hi) * g_hi)
+    if x < math.inf:
+        return math.log1p(x) / params.omega
+    return (math.log(g_lo / g_hi) + math.log(hi) - math.log(lo)) / params.omega
 
 
 def rate_integral(lo: float, hi: float, params: SabrParams, caps: CapSpec) -> float:
@@ -112,9 +104,16 @@ def rate_integral(lo: float, hi: float, params: SabrParams, caps: CapSpec) -> fl
     additively at the cap binding level:
 
     * below the binding level the capped diffusion equals the uncapped
-      one and the antiderivative is -arctanh(_speed_ratio(z)) / omega;
+      one, whose antiderivative is -log((omega + rho*(beta-1)*z
+      + vol_diffusion(z)) / z) / omega, evaluated without cancellation
+      by :func:`_uncapped_rate_integral`;
     * above it the diffusion is pinned at the cap and the integral is a
       plain logarithm divided by the cap.
+
+    Every 0 < lo <= hi, subnormal or huge, gives a finite value >= 0, to
+    a few ulps, while omega**2 is a normal float (omega above about
+    1e-154; below it vol_diffusion underflows to 0 near z = 0).  No
+    ``NumericalError`` is raised.
 
     Parameters
     ----------
@@ -125,8 +124,6 @@ def rate_integral(lo: float, hi: float, params: SabrParams, caps: CapSpec) -> fl
     ------
     ValueError
         If lo <= 0 or lo > hi.
-    NumericalError
-        If the speed ratio leaves (-1, 1), where arctanh is undefined.
     """
     if lo <= 0.0:
         raise ValueError(f"lower bound must be > 0, got {lo}")
@@ -137,17 +134,9 @@ def rate_integral(lo: float, hi: float, params: SabrParams, caps: CapSpec) -> fl
     split = caps.binding_level
     total = 0.0
     if lo < split:
-        upper = min(hi, split)
-        g_lo = _speed_ratio(lo, params)
-        g_hi = _speed_ratio(upper, params)
-        if not (-1.0 < g_lo < 1.0 and -1.0 < g_hi < 1.0):
-            raise NumericalError(
-                f"speed ratio outside (-1, 1) on [{lo}, {upper}]: "
-                f"{g_lo}, {g_hi}"
-            )
-        total += _atanh_diff(lo, upper, params) / params.omega
+        total += _uncapped_rate_integral(lo, min(hi, split), params)
     if hi > split:
-        total += math.log(hi / max(lo, split)) / caps.vol_cap
+        total += _log_ratio(hi, max(lo, split)) / caps.vol_cap
     return total
 
 
@@ -179,7 +168,7 @@ def limiting_implied_vol(strike: float, params: SabrParams, caps: CapSpec) -> fl
     """
     if strike <= 0.0:
         raise ValueError(f"strike must be > 0, got {strike}")
-    x = math.log(strike / params.v0)
+    x = _log_ratio(strike, params.v0)
     if abs(x) < _ATM_LOG_THRESHOLD:
         return vol_diffusion(params.v0, params)
     lo, hi = min(strike, params.v0), max(strike, params.v0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .asymptotics import _ATM_LOG_THRESHOLD, limiting_implied_vol
+from .asymptotics import _ATM_LOG_THRESHOLD, _log_ratio, limiting_implied_vol
 from .mc import McConfig, estimate_forward, simulate_capped_lanes, \
     simulate_capped_paths
 from .model import CapSpec, FieldError, SabrParams
@@ -294,7 +294,7 @@ def cmd_converge(config: RunConfig, strike: float, n_threads: int = 1) -> None:
     if distinct < 2 or distinct < len(config.maturities):
         raise ConfigError([f"maturities: converge needs at least two maturities, "
                            f"all distinct, got {list(config.maturities)}"])
-    if abs(math.log(strike / config.model.v0)) < _ATM_LOG_THRESHOLD:
+    if abs(_log_ratio(strike, config.model.v0)) < _ATM_LOG_THRESHOLD:
         raise ConfigError([f"--strike: {strike} equals v0; the at-the-money price "
                            "does not decay exponentially, pick an OTM strike"])
     maturities = sorted(config.maturities, reverse=True)

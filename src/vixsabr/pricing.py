@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .asymptotics import _ATM_LOG_THRESHOLD, rate_function
+from .asymptotics import _ATM_LOG_THRESHOLD, _log_ratio, rate_function
 # simulate_capped_paths and estimate_forward are unused here but stay
 # bound, because bench/spans.py wraps this module's bindings of them.
 from .mc import McConfig, McEstimate, PathSet, estimate_forward, price_vix_option, \
@@ -313,7 +313,7 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
         points.append(
             SmilePoint(
                 strike=strike,
-                log_strike=math.log(strike / fwd),
+                log_strike=_log_ratio(strike, fwd),
                 price=McEstimate(value=float(mean[i]),
                                  std_error=float(se[i]), n_effective=n),
                 implied_vol=float(vols[i]) if ok else None,
@@ -350,7 +350,7 @@ def rate_convergence_study(
         raise ValueError("need at least two maturities")
     if any(b >= a for a, b in zip(maturities[:-1], maturities[1:])):
         raise ValueError("maturities must be strictly decreasing")
-    if abs(math.log(strike / params.v0)) < _ATM_LOG_THRESHOLD:
+    if abs(_log_ratio(strike, params.v0)) < _ATM_LOG_THRESHOLD:
         raise ValueError("strike must differ from v0 for the rate comparison")
     kind = "call" if strike > params.v0 else "put"
     target = rate_function(strike, params, caps)

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from scipy.integrate import quad as scipy_quad
 
 from vixsabr import (
     CapSpec,
-    NumericalError,
     SabrParams,
     limiting_implied_vol,
     rate_function,
@@ -58,12 +59,6 @@ def test_rate_integral_pinned(params, caps):
 
 def test_rate_integral_degenerate_interval(params, caps):
     assert rate_integral(0.7, 0.7, params, caps) == 0.0
-
-
-def test_rate_integral_raises_outside_arctanh_domain(params, caps, monkeypatch):
-    monkeypatch.setattr("vixsabr.asymptotics._speed_ratio", lambda v, p: 1.0)
-    with pytest.raises(NumericalError):
-        rate_integral(0.05, 0.1, params, caps)
 
 
 def test_rate_integral_rejects_bad_interval(params, caps):
@@ -116,6 +111,85 @@ def test_rate_integral_zero_rho_matches_quadrature(params):
     closed = rate_integral(0.1, 0.2, p, caps)
     direct = rate_oracle(0.1, 0.2, p, caps)
     assert math.isclose(closed, direct, rel_tol=1e-12)
+
+
+def short_range_oracle(lo, hi, p, caps):
+    """Quadrature of the rate integrand over [lo, hi] for hi <= 2*lo, in
+    y = (z - lo) / lo on [0, (hi - lo) / lo]: hi - lo is exact there, so
+    the width keeps its digits however close hi is to lo, and no value
+    overflows for a subnormal lo.  Split at the cap binding level."""
+
+    def integrand(y):
+        return 1.0 / ((1.0 + y) * min(caps.vol_cap, vol_diffusion(lo + lo * y, p)))
+
+    ends = [0.0, (hi - lo) / lo]
+    if lo < caps.binding_level < hi:
+        ends.insert(1, (caps.binding_level - lo) / lo)
+    return sum(scipy_quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(ends[:-1], ends[1:]))
+
+
+def log_range_oracle(lo, hi, p, caps):
+    """Quadrature of the rate integrand over [lo, hi] in u = log z, on
+    segments at most 0.5 long, with a segment end at the binding level."""
+
+    def integrand(u):
+        return 1.0 / min(caps.vol_cap, vol_diffusion(math.exp(u), p))
+
+    a, b = math.log(lo), math.log(hi)
+    ends = list(np.linspace(a, b, max(2, math.ceil((b - a) / 0.5) + 1)))
+    if lo < caps.binding_level < hi:
+        ends = sorted([*ends, math.log(caps.binding_level)])
+    return sum(scipy_quad(integrand, u, w, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for u, w in zip(ends[:-1], ends[1:]))
+
+
+@pytest.mark.parametrize("beta, rho", [(0.5, -0.7), (0.5, 0.7), (0.9999, -0.3),
+                                       (0.9999, 0.9), (0.0, 0.5)])
+@pytest.mark.parametrize("lo", [1e-4, 1e-8, 1e-300, 5e-324])
+def test_rate_integral_matches_quadrature_down_to_subnormal_bounds(beta, rho, lo):
+    # near v = 0 the integrand tends to 1 / (z * omega), and the closed
+    # form must keep full precision however small lo is and however
+    # close hi is to it
+    p = SabrParams(beta=beta, rho=rho, omega=0.5, v0=0.1)
+    caps = CapSpec.from_params(p, vol_cap=3.0, drift_cap=1.0)
+    for gap in (1e-10, 1e-6, 1.0, 1e3):
+        # a subnormal lo has too few digits for lo * (1 + gap); take the
+        # next float up instead
+        hi = max(lo * (1.0 + gap), math.nextafter(lo, math.inf))
+        oracle = short_range_oracle if hi <= 2.0 * lo else log_range_oracle
+        expected = oracle(lo, hi, p, caps)
+        assert math.isclose(rate_integral(lo, hi, p, caps), expected, rel_tol=1e-12), hi
+    for hi in (0.1, 100.0):
+        expected = log_range_oracle(lo, hi, p, caps)
+        assert math.isclose(rate_integral(lo, hi, p, caps), expected, rel_tol=1e-12), hi
+
+
+_ANY_POSITIVE = st.floats(5e-324, sys.float_info.max)
+
+
+@st.composite
+def admissible_models_and_caps(draw):
+    p = SabrParams(beta=draw(st.floats(0.0, 0.9999)), rho=draw(st.floats(-0.999, 0.999)),
+                   omega=draw(st.floats(1e-3, 1e3)), v0=0.1)
+    vol_cap = min(p.omega * (1.0 + 10.0 ** draw(st.floats(-6.0, 160.0))), 1.34e154)
+    return p, CapSpec.from_params(p, vol_cap=vol_cap, drift_cap=1.0)
+
+
+@given(admissible_models_and_caps(), _ANY_POSITIVE, _ANY_POSITIVE)
+@settings(max_examples=300, deadline=None)
+def test_rate_integral_is_finite_and_additive_over_the_float_range(model, a, b):
+    p, caps = model
+    lo, hi = min(a, b), max(a, b)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = rate_integral(lo, hi, p, caps)
+        split = caps.binding_level
+        if lo < split < hi:
+            parts = rate_integral(lo, split, p, caps) + rate_integral(split, hi, p, caps)
+            assert math.isclose(value, parts, rel_tol=1e-13)
+    assert [str(w.message) for w in caught] == []
+    assert 0.0 <= value < math.inf
 
 
 # ---------------------------------------------------------------------------

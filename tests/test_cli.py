@@ -9,7 +9,7 @@ from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vixsabr import CapSpec, McConfig, RunConfig, estimate_forward, main, \
@@ -311,6 +311,12 @@ def _runnable_config_texts(draw):
 
 
 @given(text=_runnable_config_texts())
+# strikes whose quotient with v0 underflows to 0, which 60 random
+# examples rarely draw
+@example(text=json.dumps({"model": {"v0": 1e8}, "strikes": [5e-324, 0.1],
+                          "mc": {"n_paths": 64, "n_steps": 2}}))
+@example(text=json.dumps({"model": {"v0": 1e300}, "strikes": [1e-30, 0.1],
+                          "mc": {"n_paths": 64, "n_steps": 2}}))
 @settings(max_examples=60, deadline=None)
 def test_main_fuzz_exits_with_a_contract_code(tmp_path_factory, text):
     """Every command on every generated config exits 0, 2 or 3: a
@@ -589,11 +595,44 @@ def test_smile_subnormal_strike_prints_one_line(tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run_cli(tmp_path, config, "--out", str(tmp_path / "out"), "smile")
-    assert code == 3
+    assert code == 0
     assert [str(w.message) for w in caught] == []
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("vixsabr: numerical failure: ")
+    assert capsys.readouterr().err == ""
+    header, rows = read_csv(tmp_path / "out" / "smile.csv")
+    assert float(rows[0][header.index("strike")]) == 5e-324
+    assert math.isfinite(float(rows[0][header.index("asymptotic_iv")]))
+
+
+# v0 below the reach of an arctanh form of the rate integral, and
+# strikes whose quotient with v0 or the forward leaves the float range
+@pytest.mark.parametrize(
+    "v0, strikes",
+    [(1e-9, None), (1e-300, None), (5e-324, None),
+     (1e8, [5e-324, 0.1]), (1e300, [1e-30, 0.1]), (1e-9, [1e300, 0.1])],
+    ids=["v0_1e-9", "v0_1e-300", "v0_subnormal", "v0_1e8_strike_subnormal",
+         "v0_1e300_strike_1e-30", "v0_1e-9_strike_1e300"])
+@pytest.mark.parametrize("command", ["smile", "converge"])
+def test_overlay_and_rate_are_finite_at_any_v0_and_strike(tmp_path, capsys, command,
+                                                          v0, strikes):
+    config = {"model": {"v0": v0}, "mc": {"n_paths": 2000, "n_steps": 5}}
+    argv = ["smile"]
+    if strikes is not None:
+        config["strikes"] = strikes
+    if command == "converge":
+        config["maturities"] = [0.2, 0.1]
+        argv = ["converge", "--strike", str(strikes[0] if strikes else 0.15)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(tmp_path, config, "--out", str(tmp_path / "out"), *argv)
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    header, rows = read_csv(tmp_path / "out" / f"{command}.csv")
+    columns = (["asymptotic_iv", "log_strike"] if command == "smile"
+               else ["rate_function"])
+    for column in columns:
+        values = [float(row[header.index(column)]) for row in rows]
+        assert all(math.isfinite(v) for v in values), (column, values)
 
 
 @pytest.mark.parametrize(
@@ -707,7 +746,10 @@ def test_main_refuses_arrays_past_the_address_space(tmp_path, capsys, command,
 
 
 def test_main_maps_rate_domain_error_to_exit_three(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("vixsabr.asymptotics._speed_ratio", lambda v, p: 1.0)
+    def failing(*args):
+        raise scale.NumericalError("rate function is not finite")
+
+    monkeypatch.setattr("vixsabr.pricing.rate_function", failing)
     code = run_cli(
         tmp_path,
         {"maturities": [0.2, 0.1], "mc": FAST_MC, "output_dir": str(tmp_path)},
@@ -1056,13 +1098,16 @@ def test_out_override_creates_directory(tmp_path):
 # diagnose.json was recorded again when the Feller test function became
 # one cumulative Gauss-Legendre pass: feller_tail_value moved from
 # 3107.9327831543415 to 3107.932783154341 (relative 1.5e-16).
+# smile.csv and converge.csv were recorded again when the rate integral
+# became the log1p of its antiderivative's ratio: asymptotic_iv moved by
+# at most 8.4e-16 relative, rate_function by 9.2e-16 and gap by 4.8e-16.
 PINNED_DIGESTS = {
     "forward_table.csv":
         "87cda6f1b8e251f7a7fcc5e5e9efaa5911145155b05ef8b56caacc7111f61aae",
     "smile.csv":
-        "e514710d5dffbf041a6dee1068c926a30a8633d5a7c1dd6cca5aac2891eca8a4",
+        "0cbdb34251e7374ed0acf048dbf5d17b3e84f91f1fbd4b57ca1ad8128763004d",
     "converge.csv":
-        "f685f6c703926695433478124c8b12808266c983cd52354760dfe2f53c286870",
+        "f4ff28902bb6bdfa1e0eb3853d66ebc4f5a71a01ac469f44fd9a30a14a492aa9",
     "diagnose.json":
         "08ae0387dc2781a9d366be995e3e4fa9b6a9af30a3f828bed2b18a44badbcc1b",
 }
