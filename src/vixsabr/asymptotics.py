@@ -10,8 +10,8 @@ The closed forms are antiderivatives and are cross-checked against
 adaptive quadrature of the defining integrals in the test suite; the two
 routes are kept independent on purpose.  The rate integral's
 antiderivative is logarithmic; it is evaluated to full precision on any
-interval 0 < lo <= hi, subnormal or huge, and raises no
-``NumericalError``.
+interval 0 < lo <= hi, subnormal or huge, while omega**2 is a normal
+float.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .model import CapSpec, SabrParams, vol_diffusion
+from .model import CapSpec, NumericalError, SabrParams, vol_diffusion
 
 __all__ = [
     "SmileExpansion",
@@ -90,7 +90,10 @@ def _uncapped_rate_integral(lo: float, hi: float, params: SabrParams) -> float:
     s_lo, g_lo = ends(lo)
     s_hi, g_hi = ends(hi)
     t = lo / hi
-    x = params.omega * ((hi - lo) / lo) * (g_lo + t * g_hi) / ((s_lo + t * s_hi) * g_hi)
+    den = (s_lo + t * s_hi) * g_hi
+    if den == 0.0 or g_lo == 0.0:
+        raise NumericalError(f"the rate integral underflows at omega = {params.omega}")
+    x = params.omega * ((hi - lo) / lo) * (g_lo + t * g_hi) / den
     if x < math.inf:
         return math.log1p(x) / params.omega
     return (math.log(g_lo / g_hi) + math.log(hi) - math.log(lo)) / params.omega
@@ -112,8 +115,7 @@ def rate_integral(lo: float, hi: float, params: SabrParams, caps: CapSpec) -> fl
 
     Every 0 < lo <= hi, subnormal or huge, gives a finite value >= 0, to
     a few ulps, while omega**2 is a normal float (omega above about
-    1e-154; below it vol_diffusion underflows to 0 near z = 0).  No
-    ``NumericalError`` is raised.
+    1e-154).
 
     Parameters
     ----------
@@ -124,6 +126,8 @@ def rate_integral(lo: float, hi: float, params: SabrParams, caps: CapSpec) -> fl
     ------
     ValueError
         If lo <= 0 or lo > hi.
+    NumericalError
+        If the antiderivative's terms underflow to 0 at a smaller omega.
     """
     if lo <= 0.0:
         raise ValueError(f"lower bound must be > 0, got {lo}")
@@ -143,7 +147,8 @@ def rate_integral(lo: float, hi: float, params: SabrParams, caps: CapSpec) -> fl
 def rate_function(strike: float, params: SabrParams, caps: CapSpec) -> float:
     """Large-deviations rate of OTM VIX option prices at this strike.
 
-    Returns 0.5 * rate_integral(min(K, v0), max(K, v0))**2.  Vanishes at
+    Returns 0.5 * rate_integral(min(K, v0), max(K, v0))**2, or inf where
+    that square leaves the float range.  Vanishes at
     the money, grows in both directions, and is continuous across the
     cap binding level because the underlying integral is split there
     additively.  Covers all relative positions of the strike, the spot
@@ -153,7 +158,9 @@ def rate_function(strike: float, params: SabrParams, caps: CapSpec) -> float:
     if strike <= 0.0:
         raise ValueError(f"strike must be > 0, got {strike}")
     lo, hi = min(strike, params.v0), max(strike, params.v0)
-    return 0.5 * rate_integral(lo, hi, params, caps) ** 2
+    integral = rate_integral(lo, hi, params, caps)
+    # float ** raises OverflowError exactly above sqrt(float max)
+    return 0.5 * integral ** 2 if integral <= math.sqrt(sys.float_info.max) else math.inf
 
 
 def limiting_implied_vol(strike: float, params: SabrParams, caps: CapSpec) -> float:

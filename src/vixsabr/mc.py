@@ -287,8 +287,10 @@ def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathS
         # several stacks overwrite one shared scratch array, so they
         # share one drawn row beside it.
         shared = np.empty(hi - lo) if len(steps) > 1 else None
-        # A path may overflow to inf; the estimators report that.
-        with np.errstate(over="ignore"):
+        # A path may overflow to inf, and its coefficients then form
+        # 0 * inf and inf - inf; the estimators report that.  numpy's
+        # error state is per thread, so it is set here, in the worker.
+        with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(n_steps):
                 z = rng if shared is None else rng.standard_normal(out=shared)
                 for v, (dt, sqrt_dt, params, caps), scratch in steps:

@@ -66,6 +66,11 @@ class FieldError(ValueError):
     """A field's value is out of range; the message starts with its name."""
 
 
+class NumericalError(RuntimeError):
+    """Raised when quadrature fails to converge, a tail fit is rejected, or
+    a closed form is evaluated outside its domain or overflows."""
+
+
 def check_float_fields(config) -> None:
     """Raise :class:`FieldError` unless every field of the dataclass
     ``config`` annotated ``float`` holds finite floats, or arrays of them:

@@ -35,9 +35,9 @@ __all__ = [
     "rate_convergence_study",
 ]
 
-# Largest vol the upper bracket may grow to before a price counts as
-# out of bounds, and the iteration budget of the inversion: far above
-# the ~65 halvings that take a bracket of 2**19 down to 1e-14.
+# Upper end of every inversion bracket, [0, 1e6]: a price that no vol up
+# to it reaches counts as out of bounds.  The iteration budget is far
+# above the ~67 halvings that take that bracket down to 1e-14.
 _VOL_CEILING = 1e6
 _MAX_ITERATIONS = 200
 
@@ -133,22 +133,22 @@ def bs_price(strike, maturity: float, forward: float, vol, kind="call"):
 def _invert_black(prices, strikes, maturity: float, forward: float, kind):
     """Implied vols of undiscounted Black prices, for every strike at once.
 
-    Safeguarded Newton--bisection on each element.  The bracket starts
-    at [0, 1], and its upper end doubles until :func:`bs_price` prices
-    it above the target; a target that no vol up to 1e6 reaches is out
-    of bounds.
-    Newton starts at the inflection point sqrt(2 |log(F/K)| / T) of the
-    price in vol, from where it converges monotonically (Manaster &
-    Koehler 1982).  Every evaluation replaces one end of the bracket, and
-    an iterate that leaves the bracket or fails to halve the previous
-    step is replaced by the bracket's midpoint (Jaeckel, "Let's Be
+    Safeguarded Newton--bisection on each element, on the bracket
+    [0, 1e6].  Newton starts at the inflection point sqrt(2 |log(F/K)| / T)
+    of the price in vol, from where it converges monotonically (Manaster &
+    Koehler 1982); at the money it starts at price * sqrt(2 pi / T) / F
+    (Brenner & Subrahmanyam 1988), below the root because the price is
+    concave in vol there.  Every evaluation replaces one end of the
+    bracket, and an iterate that leaves the bracket or fails to halve the
+    previous step is replaced by the bracket's midpoint (Jaeckel, "Let's Be
     Rational", Wilmott 2015, discusses why plain Newton is not enough).
     An element stops when its step falls below 1e-14 + 8.9e-16 * vol,
     which keeps the price residual under 1e-12 * forward.
 
-    A price at or under the intrinsic value gets 0.0, and one at or over
-    the upper bound (the forward for calls, the strike for puts) or
-    beyond the largest vol tried gets inf.
+    A price at or under the intrinsic value gets 0.0.  Black's price
+    increases with vol, so one :func:`bs_price` at 1e6 finds the prices
+    that get inf: those at or over the upper bound (the forward for calls,
+    the strike for puts), and those beyond every vol up to 1e6.
     """
     prices, strikes, kind = np.broadcast_arrays(
         np.asarray(prices, dtype=float), np.asarray(strikes, dtype=float),
@@ -158,22 +158,15 @@ def _invert_black(prices, strikes, maturity: float, forward: float, kind):
         raise ValueError("prices must not be NaN")
     intrinsic = np.maximum(np.where(calls, forward - strikes, strikes - forward), 0.0)
     below = prices <= intrinsic
-    above = ~below & (prices >= np.where(calls, forward, strikes))
     lo = np.zeros(prices.shape)
-    hi = np.ones(prices.shape)
-    growing = ~(below | above)
+    hi = np.full(prices.shape, _VOL_CEILING)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while True:
-            growing &= bs_price(strikes, maturity, forward, hi, kind) < prices
-            if not growing.any():
-                break
-            hi[growing] *= 2.0
-            lost = growing & (hi > _VOL_CEILING)
-            above |= lost
-            growing &= ~lost
+        # Black's price at the ceiling is at most the upper bound
+        above = ~below & (prices >= bs_price(strikes, maturity, forward, hi, kind))
         done = below | above
         inflection = np.sqrt(2.0 * np.abs(np.log(forward / strikes)) / maturity)
-        vols = np.where(inflection > 0.0, np.minimum(inflection, hi), 0.5 * hi)
+        vols = np.where(inflection > 0.0, inflection,
+                        prices * math.sqrt(2.0 * math.pi / maturity) / forward)
         last_step = hi - lo
         vega_scale = forward * math.sqrt(maturity) / math.sqrt(2.0 * math.pi)
         for _ in range(_MAX_ITERATIONS):
@@ -210,8 +203,8 @@ def implied_vol(price, strike, maturity: float, forward: float, kind="call"):
     are scalars.  The residual |bs_price(result) - price| is at most
     ~1e-12 * forward.  A price outside the arbitrage bounds saturates
     instead of raising: at or below intrinsic value it gives 0.0, and at
-    or above the upper bound (forward for calls, strike for puts), or
-    where no vol up to 1e6 reproduces it, it gives inf.
+    or above Black's price at vol 1e6, which is below the upper bound
+    (forward for calls, strike for puts), it gives inf.
     """
     _is_call(kind)
     _check_market(strike, maturity, forward)

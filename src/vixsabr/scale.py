@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 from scipy import integrate
 
-from .model import SabrParams, vol_variance
+from .model import NumericalError, SabrParams, vol_variance
 
 __all__ = [
     "ScaleReport",
@@ -51,11 +51,6 @@ __all__ = [
     "auxiliary_scale_exponent",
     "martingale_diagnostic",
 ]
-
-
-class NumericalError(RuntimeError):
-    """Raised when quadrature fails to converge, a tail fit is rejected, or
-    a closed form is evaluated outside its domain or overflows."""
 
 
 # Tolerances shared by all quadrature-based routines.  _MAX_SUBDIVISIONS
@@ -126,19 +121,19 @@ def _log_arctan(x, coefficients, params: SabrParams):
     """A*log(vol_variance(x)/omega^2) + B*(arctan((b1*x - rho*omega) /
     (omega*rho_perp)) + arcsin(rho)) for (A, B) = ``coefficients`` and
     b1 = 1 - beta: the shape of both closed-form exponents.  Raises
-    :class:`NumericalError` when omega^2 underflows to 0."""
+    :class:`NumericalError` where it is not finite, as when a tiny omega
+    makes vol_variance(x)/omega^2 overflow."""
     x = np.asarray(x, dtype=float)
     log_coef, arctan_coef = coefficients
     rho, omega, rp = params.rho, params.omega, params.rho_perp
     b1 = 1.0 - params.beta
-    omega_sq = omega**2
-    if omega_sq == 0.0:
-        raise NumericalError(f"omega**2 underflows to 0 at omega = {omega}")
-    log_term = log_coef * np.log(vol_variance(x, params) / omega_sq)
-    arctan_term = arctan_coef * (
-        np.arctan((b1 * x - rho * omega) / (omega * rp)) + math.atan(rho / rp)
-    )
-    val = log_term + arctan_term
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_term = log_coef * np.log(np.divide(vol_variance(x, params), omega**2))
+        arctan_term = arctan_coef * (np.arctan((b1 * x - rho * omega) / (omega * rp))
+                                     + math.atan(rho / rp))
+        val = log_term + arctan_term
+    if not np.all(np.isfinite(val)):
+        raise NumericalError(f"closed-form exponent is not finite at omega = {omega}")
     return val if val.ndim else float(val)
 
 

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 from vixsabr import CapSpec, McConfig, SabrParams, cli, mc, scale
 
 SPANS_FILE = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ORACLE_FILE = SPANS_FILE.with_name("oracle.json")
 
 
 def _load_spans():
@@ -131,3 +133,28 @@ def test_cap_replay_counts_stacked_lanes_per_lane(monkeypatch):
     assert expected["cap.diffusion.bound"] > 0
     assert expected["cap.drift.bound"] > 0
     assert {key: counts[key] for key in expected} == dict(expected)
+
+
+def test_diagnose_matches_the_benchmark_oracle(tmp_path):
+    # The benchmark holds diagnose.json to its recorded reports by this
+    # rule, and counts a mismatch as an incorrect output: floats within
+    # rel_tol 1e-10 and abs_tol 1e-12, every other field equal.
+    entries = json.loads(ORACLE_FILE.read_text())["diagnose"]
+    assert len(entries) == 31
+    mismatches = []
+    for entry in entries:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": entry["model"]}))
+        assert cli.main(["--config", str(config), "--out", str(tmp_path),
+                         "diagnose"]) == 0, entry["model"]
+        report = json.loads((tmp_path / "diagnose.json").read_text())
+        for key, want in entry["report"].items():
+            got = report.get(key)
+            if isinstance(want, float):
+                same = isinstance(got, (int, float)) and math.isclose(
+                    got, want, rel_tol=1e-10, abs_tol=1e-12)
+            else:
+                same = got == want
+            if not same:
+                mismatches.append((entry["model"], key, got, want))
+    assert mismatches == []

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -310,26 +312,76 @@ def _runnable_config_texts(draw):
     return json.dumps(tree).replace(json.dumps(_OVERFLOW), "1e999")
 
 
-@given(text=_runnable_config_texts())
+def _log10_uniform(lo, hi):
+    """10**e for e uniform on [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _extreme_config_texts(draw):
+    """Valid models at the edges of their ranges: omega down to 1e-160,
+    beta up to 1 - 1e-9, rho just inside (-1, 0), v0 and strikes across
+    the float range, vol_cap from below omega up to 1e150 and maturities
+    from 1e-6 to 10, decreasing, at 300 paths and 3 steps."""
+    omega = draw(_log10_uniform(-160.0, 3.0))
+    return json.dumps({
+        "model": {"beta": draw(st.just(0.0) | st.floats(0.0, 1.0 - 1e-9)),
+                  "rho": draw(st.floats(-0.9999, -1e-4)),
+                  "omega": omega, "v0": draw(_LOG_UNIFORM)},
+        "caps": {"vol_cap": min(omega * draw(_log10_uniform(-4.0, 3.0)), 1e150),
+                 "drift_cap": draw(_log10_uniform(-5.0, 5.0))},
+        "mc": {"n_paths": 300, "n_steps": 3},
+        "strikes": draw(st.lists(_LOG_UNIFORM, min_size=1, max_size=4)),
+        "maturities": sorted(draw(st.lists(_log10_uniform(-6.0, 1.0), min_size=1,
+                                           max_size=3, unique=True)), reverse=True),
+    })
+
+
+@given(text=_runnable_config_texts() | _extreme_config_texts(),
+       strike=st.none() | _LOG_UNIFORM)
 # strikes whose quotient with v0 underflows to 0, which 60 random
 # examples rarely draw
 @example(text=json.dumps({"model": {"v0": 1e8}, "strikes": [5e-324, 0.1],
-                          "mc": {"n_paths": 64, "n_steps": 2}}))
+                          "mc": {"n_paths": 64, "n_steps": 2}}), strike=None)
 @example(text=json.dumps({"model": {"v0": 1e300}, "strikes": [1e-30, 0.1],
-                          "mc": {"n_paths": 64, "n_steps": 2}}))
+                          "mc": {"n_paths": 64, "n_steps": 2}}), strike=None)
+# paths that overflow to inf, whose coefficients form 0 * inf
+@example(text=json.dumps({"model": {"v0": 1e200}, "caps": {"drift_cap": 500.0},
+                          "mc": {"n_paths": 300, "n_steps": 3},
+                          "maturities": [4.0]}), strike=None)
+# a scale exponent that overflows at a tiny omega
+@example(text=json.dumps({"model": {"beta": 0.1, "rho": -0.2, "omega": 1e-150}}),
+         strike=None)
+# a rate integral whose diffusion underflows to 0
+@example(text=json.dumps({"model": {"omega": 1e-200, "v0": 1e-210},
+                          "strikes": [1.5e-210]}), strike=None)
+# a rate function past the float range
+@example(text=json.dumps({"model": {"omega": 1e-152}, "maturities": [0.2, 0.1],
+                          "mc": {"n_paths": 2000, "n_steps": 5}}), strike=1e-300)
 @settings(max_examples=60, deadline=None)
-def test_main_fuzz_exits_with_a_contract_code(tmp_path_factory, text):
+def test_main_fuzz_exits_with_a_contract_code(tmp_path_factory, text, strike):
     """Every command on every generated config exits 0, 2 or 3: a
-    config error or a refused size is 2, a numerical failure 3, and
-    nothing escapes as an uncaught exception."""
+    config error or a refused size is 2, a numerical failure 3 with one
+    line on stderr, and nothing escapes as an uncaught exception or
+    warns on the way."""
     base = tmp_path_factory.getbasetemp()
     path = base / "fuzz_main.json"
     path.write_text(text)
+    converge = ["converge"] + ([] if strike is None else ["--strike", repr(strike)])
     for threads in ("1", "2"):
-        for command in (["diagnose"], ["forwards"], ["smile"], ["converge"]):
+        for command in (["diagnose"], ["forwards"], ["smile"], converge):
             argv = ["--config", str(path), "--out", str(base / "fuzz_out"),
                     "--threads", threads, *command]
-            assert main(argv) in (0, 2, 3), (argv, text)
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = main(argv)
+            assert code in (0, 2, 3), (argv, text)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+                (argv, text, [str(w.message) for w in caught])
+            if code == 3:
+                assert len(stderr.getvalue().splitlines()) == 1, (argv, text)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +592,10 @@ def test_diagnose_near_beta_one_runs_the_scaled_feller_pass(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "omega, message",
-    [(1e-160, "scale-function tail fit gives a limit of 0.0"),
-     (1e-300, "omega**2 underflows to 0 at omega = 1e-300")],
-    ids=["limit_underflows", "omega_squared_underflows"])
+    [(1e-140, "scale-function tail fit gives a limit of 0.0"),
+     (1e-150, "closed-form exponent is not finite at omega = 1e-150"),
+     (1e-300, "closed-form exponent is not finite at omega = 1e-300")],
+    ids=["limit_underflows", "exponent_overflows", "omega_squared_underflows"])
 def test_diagnose_tiny_omega_exits_3(tmp_path, capsys, omega, message):
     code = run_cli(tmp_path, {"model": {"omega": omega}},
                    "--out", str(tmp_path / "out"), "diagnose")
@@ -1101,11 +1154,14 @@ def test_out_override_creates_directory(tmp_path):
 # smile.csv and converge.csv were recorded again when the rate integral
 # became the log1p of its antiderivative's ratio: asymptotic_iv moved by
 # at most 8.4e-16 relative, rate_function by 9.2e-16 and gap by 4.8e-16.
+# smile.csv was recorded again when the inversion started every strike on
+# the fixed bracket [0, 1e6]: implied_vol moved by at most 1.9e-15
+# relative, iv_lo by 2.6e-15 and iv_hi by 2.3e-15, and no status changed.
 PINNED_DIGESTS = {
     "forward_table.csv":
         "87cda6f1b8e251f7a7fcc5e5e9efaa5911145155b05ef8b56caacc7111f61aae",
     "smile.csv":
-        "0cbdb34251e7374ed0acf048dbf5d17b3e84f91f1fbd4b57ca1ad8128763004d",
+        "142cd749c3b050fd3f15750b7fa7d90d8f97b8cc656fa1f3c7f08e01dfbf4b26",
     "converge.csv":
         "f4ff28902bb6bdfa1e0eb3853d66ebc4f5a71a01ac469f44fd9a30a14a492aa9",
     "diagnose.json":
