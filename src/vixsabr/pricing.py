@@ -133,17 +133,17 @@ def bs_price(strike, maturity: float, forward: float, vol, kind="call"):
 def _invert_black(prices, strikes, maturity: float, forward: float, kind):
     """Implied vols of undiscounted Black prices, for every strike at once.
 
-    Safeguarded Newton--bisection on each element, on the bracket
-    [0, 1e6].  Newton starts at the inflection point sqrt(2 |log(F/K)| / T)
-    of the price in vol, from where it converges monotonically (Manaster &
-    Koehler 1982); at the money it starts at price * sqrt(2 pi / T) / F
-    (Brenner & Subrahmanyam 1988), below the root because the price is
-    concave in vol there.  Every evaluation replaces one end of the
-    bracket, and an iterate that leaves the bracket or fails to halve the
-    previous step is replaced by the bracket's midpoint (Jaeckel, "Let's Be
-    Rational", Wilmott 2015, discusses why plain Newton is not enough).
-    An element stops when its step falls below 1e-14 + 8.9e-16 * vol,
-    which keeps the price residual under 1e-12 * forward.
+    Safeguarded Newton--bisection on each element, on the bracket [0, 1e6].
+    Newton starts at the inflection point sqrt(2 |log(F/K)| / T) of the price
+    in vol, from where it converges monotonically (Manaster & Koehler 1982); at
+    the money it starts at price * sqrt(2 pi / T) / F (Brenner & Subrahmanyam
+    1988), below the root because the price is concave in vol there; either
+    start is capped at 1e6.  Every evaluation replaces one end of the bracket,
+    and an iterate that leaves the bracket or fails to halve the previous step
+    is replaced by the bracket's midpoint (Jaeckel, "Let's Be Rational",
+    Wilmott 2015, discusses why plain Newton is not enough).  An element stops
+    when its step falls below 1e-14 + 8.9e-16 * vol, which keeps the price
+    residual under 1e-12 * forward.
 
     A price at or under the intrinsic value gets 0.0.  Black's price
     increases with vol, so one :func:`bs_price` at 1e6 finds the prices
@@ -165,8 +165,9 @@ def _invert_black(prices, strikes, maturity: float, forward: float, kind):
         above = ~below & (prices >= bs_price(strikes, maturity, forward, hi, kind))
         done = below | above
         inflection = np.sqrt(2.0 * np.abs(np.log(forward / strikes)) / maturity)
-        vols = np.where(inflection > 0.0, inflection,
-                        prices * math.sqrt(2.0 * math.pi / maturity) / forward)
+        start = np.where(inflection > 0.0, inflection,
+                         prices * math.sqrt(2.0 * math.pi / maturity) / forward)
+        vols = np.where(start < hi, start, hi)
         last_step = hi - lo
         vega_scale = forward * math.sqrt(maturity) / math.sqrt(2.0 * math.pi)
         for _ in range(_MAX_ITERATIONS):

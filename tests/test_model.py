@@ -215,13 +215,11 @@ def test_vectorized_coefficients_match_scalar(params, caps):
 @settings(max_examples=200, deadline=None)
 def test_drift_diffusion_polynomial_identity(p):
     # v * drift(v) must equal cubic*v^3 + quadratic*v^2 for all levels.
-    # Near a root of the cubic both sides cancel, so the error is
-    # measured against the size of the terms, not of their sum.
     cubic, quadratic = drift_polynomial_coefficients(p)
     v = np.linspace(0.0, 10.0, 41)
     lhs = v * vol_drift(v, p)
     rhs = cubic * v**3 + quadratic * v**2
-    scale = np.abs(cubic * v**3) + np.abs(quadratic * v**2)
+    scale = np.maximum(np.abs(rhs), 1e-30)
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale + 1e-15)
 
 
