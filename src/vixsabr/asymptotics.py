@@ -20,7 +20,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .model import CapSpec, NumericalError, SabrParams, vol_diffusion
+from .model import CapSpec, NumericalError, SabrParams, capped_vol_diffusion, \
+    vol_diffusion
 
 __all__ = [
     "SmileExpansion",
@@ -168,8 +169,8 @@ def limiting_implied_vol(strike: float, params: SabrParams, caps: CapSpec) -> fl
 
     Harmonic-mean-type formula: |log(K / v0)| divided by the rate
     integral between v0 and K.  At the money the removable singularity
-    is continued by vol_diffusion(v0), and the result is consistent with
-    the rate function through
+    is continued by its limit, capped_vol_diffusion(v0), and the result
+    is consistent with the rate function through
 
         limiting_implied_vol(K)**2 == log(K/v0)**2 / (2 * rate_function(K)).
     """
@@ -177,7 +178,7 @@ def limiting_implied_vol(strike: float, params: SabrParams, caps: CapSpec) -> fl
         raise ValueError(f"strike must be > 0, got {strike}")
     x = _log_ratio(strike, params.v0)
     if abs(x) < _ATM_LOG_THRESHOLD:
-        return vol_diffusion(params.v0, params)
+        return capped_vol_diffusion(params.v0, params, caps)
     lo, hi = min(strike, params.v0), max(strike, params.v0)
     return abs(x) / rate_integral(lo, hi, params, caps)
 

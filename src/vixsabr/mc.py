@@ -12,16 +12,16 @@ one array; a block that steps a single stack draws each row into the
 stack's scratch once the step has freed it, and several stacks share
 one drawn row.
 
-Every path steps by log-space Euler: because the capped coefficients
-are bounded, the per-step exponential form is exact in distribution
-conditionally on the frozen coefficients, and positivity is automatic.
+Every path steps by log-space Euler, exact in distribution given the
+bounded capped coefficients frozen over the step; it keeps paths
+positive until they overflow.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -90,10 +90,9 @@ class McConfig:
         if not 0.0 < self.horizon < math.inf:
             raise ValueError(
                 f"horizon must be finite and > 0, got {shown(self.horizon)}")
-        if not 0.0 <= self.vix_window < math.inf:
+        if not 0.0 < self.vix_window < math.inf:
             raise ValueError(
-                f"vix_window must be finite and >= 0, got {shown(self.vix_window)}"
-            )
+                f"vix_window must be finite and > 0, got {shown(self.vix_window)}")
         if self.inner_paths < 0:
             raise ValueError(f"inner_paths must be >= 0, got {shown(self.inner_paths)}")
         if self.inner_steps < 1:
@@ -109,7 +108,6 @@ class McEstimate:
 
     value: float
     std_error: float
-    n_effective: int
 
 
 @dataclass
@@ -150,23 +148,25 @@ class Sabr2dSample:
     absorbed_fraction: float
 
 
-def _block_rng(domain: int, block_index: int, seed: int) -> np.random.Generator:
-    key = (domain << 96) | (block_index << 64) | seed
-    return np.random.Generator(np.random.Philox(key=key))
+def _run_blocks(domain, seed, n, width, run_block, n_threads) -> None:
+    """Run ``run_block(lo, hi, rng)`` per block on up to n_threads workers.
 
-
-def _run_blocks(n_blocks: int, run_block, n_threads: int) -> None:
-    """Call ``run_block(i)`` for every block index on up to n_threads workers.
-
+    Block b holds paths [b * width, min(n, (b + 1) * width)) and draws
+    from the Philox stream keyed ``(domain << 96) | (b << 64) | seed``.
     Blocks must write disjoint outputs; the result then does not depend
     on the worker count or on the order in which blocks finish.
     """
+    def run(block: int) -> None:
+        lo = block * width
+        key = (domain << 96) | (block << 64) | seed
+        run_block(lo, min(n, lo + width), np.random.Generator(np.random.Philox(key=key)))
+
+    blocks = range(-(-n // width))
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(run_block, range(n_blocks)))
+            list(pool.map(run, blocks))
     else:
-        for block_index in range(n_blocks):
-            run_block(block_index)
+        list(map(run, blocks))
 
 
 def _step_capped(v, z, dt, sqrt_dt, params, caps, work) -> None:
@@ -208,7 +208,9 @@ def evolve_capped(v_init, normals, horizon, params, caps):
     ``normals`` has shape (n_steps, n_paths) and holds standard normal
     draws; the step size is horizon / n_steps.  Exposed so convergence
     studies can couple coarse and fine grids through common Brownian
-    increments (aggregate fine rows into coarse ones and rescale).
+    increments (aggregate fine rows into coarse ones and rescale).  Paths
+    stay positive until they overflow to inf or NaN, which is silent here
+    and a :class:`NumericalError` in the estimators.
     """
     normals = np.asarray(normals, dtype=float)
     dt = horizon / normals.shape[0]
@@ -216,8 +218,9 @@ def evolve_capped(v_init, normals, horizon, params, caps):
     coefficients = Coefficients.of(params)
     v = np.broadcast_to(np.asarray(v_init, dtype=float), normals.shape[1:]).copy()
     work = np.empty((3, *v.shape))
-    for z in normals:
-        _step_capped(v, z, dt, sqrt_dt, coefficients, caps, work)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in normals:
+            _step_capped(v, z, dt, sqrt_dt, coefficients, caps, work)
     return v
 
 
@@ -233,7 +236,8 @@ def _column(values):
 def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathSet]:
     """Simulate several capped processes on common random numbers.
 
-    Each lane is a ``(params, caps, horizon)`` triple; all lanes share
+    Each lane is a ``(params, caps, horizon)`` triple, its horizon
+    checked as :class:`McConfig` checks its own; all lanes share
     ``mc.seed``, ``mc.n_paths`` and ``mc.n_steps`` (``mc.horizon`` is
     not used).  Every block draws each row of normals once and steps the
     lanes from it as rows of one stacked array, so lane i of the result
@@ -243,8 +247,7 @@ def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathS
     """
     lanes = list(lanes)
     for _, _, horizon in lanes:
-        if not horizon > 0.0:
-            raise ValueError(f"horizon must be > 0, got {horizon}")
+        replace(mc, horizon=horizon)  # McConfig's own check of a horizon
     if not lanes:
         return []
     n, n_steps = mc.n_paths, mc.n_steps
@@ -272,10 +275,7 @@ def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathS
         ))
     widest = max(rows.stop - rows.start for rows, *_ in stacks)
 
-    def run_block(block_index: int) -> None:
-        lo = block_index * _BLOCK_PATHS
-        hi = min(n, lo + _BLOCK_PATHS)
-        rng = _block_rng(_DOMAIN_CAPPED, block_index, mc.seed)
+    def run_block(lo: int, hi: int, rng) -> None:
         work = np.empty((3, widest, hi - lo))
         # Each stack's state is its lanes' slice of the output rows.
         steps = []
@@ -296,7 +296,7 @@ def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathS
                 for v, (dt, sqrt_dt, params, caps), scratch in steps:
                     _step_capped(v, z, dt, sqrt_dt, params, caps, scratch)
 
-    _run_blocks((n + _BLOCK_PATHS - 1) // _BLOCK_PATHS, run_block, n_threads)
+    _run_blocks(_DOMAIN_CAPPED, mc.seed, n, _BLOCK_PATHS, run_block, n_threads)
     return [PathSet(terminal[i]) for i in range(len(lanes))]
 
 
@@ -306,8 +306,8 @@ def simulate_capped_paths(
     """Simulate the capped volatility process to the horizon.
 
     Deterministic given (seed, n_paths, n_steps) no matter how many
-    worker threads run the blocks, and every simulated value is strictly
-    positive.  This is the one-lane case of :func:`simulate_capped_lanes`.
+    worker threads run the blocks; paths stay positive until they
+    overflow.  This is the one-lane case of :func:`simulate_capped_lanes`.
     """
     return simulate_capped_lanes([(params, caps, mc.horizon)], mc, n_threads)[0]
 
@@ -334,7 +334,7 @@ def estimate_forward(paths: PathSet) -> McEstimate:
     """Sample mean of the terminal values with its standard error."""
     values = paths.terminal_values
     mean, se = _sample_mean(values)
-    return McEstimate(value=mean, std_error=se, n_effective=values.size)
+    return McEstimate(value=mean, std_error=se)
 
 
 def price_vix_option(paths: PathSet, strike: float, kind: str = "call") -> McEstimate:
@@ -355,7 +355,7 @@ def price_vix_option(paths: PathSet, strike: float, kind: str = "call") -> McEst
     else:
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
     mean, se = _sample_mean(payoff)
-    return McEstimate(value=mean, std_error=se, n_effective=payoff.size)
+    return McEstimate(value=mean, std_error=se)
 
 
 def estimate_vix_nested(
@@ -381,9 +381,6 @@ def estimate_vix_nested(
     with a 3-standard-error allowance for inner noise.
     """
     window = mc.vix_window
-    # McConfig accepts a zero window, which the estimator cannot average over
-    if window <= 0.0:
-        raise ValueError(f"vix_window must be > 0, got {window}")
     if mc.inner_paths < 2:
         raise ValueError("inner_paths must be >= 2 for the nested estimator")
     outer = simulate_capped_paths(params, caps, mc, n_threads=n_threads)
@@ -395,8 +392,8 @@ def estimate_vix_nested(
     vix = np.empty(n_outer)
     inner_se = np.empty(n_outer)
 
-    def run_outer(i: int) -> None:
-        rng = _block_rng(_DOMAIN_INNER, i, mc.seed)
+    # blocks of width 1: one stream per outer path
+    def run_outer(i: int, _, rng) -> None:
         # The inner block is small, so it is drawn in one call: a draw
         # per row would release the interpreter lock once per step, and
         # with several workers those hand-offs cost more than the step.
@@ -414,7 +411,7 @@ def estimate_vix_nested(
         vix[i] = math.sqrt(mean_sq)
         inner_se[i] = se_sq / (2.0 * vix[i]) if vix[i] > 0.0 else 0.0
 
-    _run_blocks(n_outer, run_outer, n_threads)
+    _run_blocks(_DOMAIN_INNER, mc.seed, n_outer, 1, run_outer, n_threads)
 
     lower = v_t * math.exp(-caps.drift_cap * window)
     upper = v_t * math.exp(caps.drift_cap * window + 0.5 * caps.vol_cap**2 * window)
@@ -459,11 +456,8 @@ def simulate_sabr_2d(
     spot = np.empty(n)
     vol = np.empty(n)
 
-    def run_block(block_index: int) -> None:
-        lo = block_index * _BLOCK_PATHS
-        hi = min(n, lo + _BLOCK_PATHS)
+    def run_block(lo: int, hi: int, rng) -> None:
         m = hi - lo
-        rng = _block_rng(_DOMAIN_2D, block_index, mc.seed)
         z1, z2 = z = np.empty((2, m))
         s = np.full(m, float(s0))
         sig = np.full(m, sigma0)
@@ -481,7 +475,7 @@ def simulate_sabr_2d(
         spot[lo:hi] = s
         vol[lo:hi] = sig
 
-    _run_blocks((n + _BLOCK_PATHS - 1) // _BLOCK_PATHS, run_block, n_threads)
+    _run_blocks(_DOMAIN_2D, mc.seed, n, _BLOCK_PATHS, run_block, n_threads)
 
     alive = spot > 0.0
     effective = vol[alive] * spot[alive] ** (params.beta - 1.0)

@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "SabrParams",
     "CapSpec",
-    "Coefficients",
     "vol_variance",
     "vol_diffusion",
     "vol_drift",

@@ -308,8 +308,7 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
             SmilePoint(
                 strike=strike,
                 log_strike=_log_ratio(strike, fwd),
-                price=McEstimate(value=float(mean[i]),
-                                 std_error=float(se[i]), n_effective=n),
+                price=McEstimate(value=float(mean[i]), std_error=float(se[i])),
                 implied_vol=float(vols[i]) if ok else None,
                 band=(float(lower[i]), float(upper[i])) if ok else None,
                 status="ok" if ok else ("below" if below[i] else "above"),

@@ -239,6 +239,18 @@ def test_limiting_vol_at_the_money(params, caps):
     assert math.isclose(nearly, atm, rel_tol=1e-6)
 
 
+@pytest.mark.parametrize("v0", [0.1, 5.0], ids=["below_binding", "above_binding"])
+def test_limiting_vol_at_the_money_is_the_limit_of_both_sides(params, caps, v0):
+    # at the money the harmonic mean tends to the capped diffusion at v0;
+    # the default caps bind from 2.336 on, between the two v0
+    p = SabrParams(params.beta, params.rho, params.omega, v0)
+    assert 0.1 < caps.binding_level < 5.0
+    atm = limiting_implied_vol(v0, p, caps)
+    for side in (1.0 - 1e-7, 1.0 + 1e-7):
+        assert math.isclose(limiting_implied_vol(v0 * side, p, caps), atm,
+                            rel_tol=0.0, abs_tol=1e-6)
+
+
 def test_limiting_vol_rejects_nonpositive_strike(params, caps):
     with pytest.raises(ValueError):
         limiting_implied_vol(0.0, params, caps)

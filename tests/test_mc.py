@@ -23,7 +23,17 @@ from vixsabr import (
     simulate_capped_paths,
     simulate_sabr_2d,
 )
-from vixsabr.mc import _BLOCK_PATHS, _DOMAIN_2D, _DOMAIN_CAPPED, _block_rng
+from vixsabr.mc import _BLOCK_PATHS
+
+# The stream contract, written out here so that the oracles below share
+# no code with the engines: block b of a domain's paths draws from the
+# Philox stream keyed (domain << 96) | (b << 64) | seed.
+_DOMAIN_CAPPED, _DOMAIN_INNER, _DOMAIN_2D = 1, 2, 3
+
+
+def _block_stream(domain, block, seed):
+    key = (domain << 96) | (block << 64) | seed
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +59,7 @@ from vixsabr.mc import _BLOCK_PATHS, _DOMAIN_2D, _DOMAIN_CAPPED, _block_rng
         dict(seed=1.0),
         dict(horizon=math.inf),
         dict(vix_window=math.inf),
+        dict(vix_window=0.0),
     ],
 )
 def test_mc_config_validation(kwargs):
@@ -78,8 +89,8 @@ def test_simulation_blocks_independent_of_total_size(params, caps):
 
 @pytest.mark.parametrize("width", [_BLOCK_PATHS, 17])
 def test_row_draws_equal_one_block_draw(width):
-    whole = _block_rng(_DOMAIN_CAPPED, 3, 12345).standard_normal((7, width))
-    rng = _block_rng(_DOMAIN_CAPPED, 3, 12345)
+    whole = _block_stream(_DOMAIN_CAPPED, 3, 12345).standard_normal((7, width))
+    rng = _block_stream(_DOMAIN_CAPPED, 3, 12345)
     row = np.empty(width)
     for k in range(7):
         rng.standard_normal(out=row)
@@ -94,7 +105,7 @@ def _reference_paths(params, caps, mc):
     blocks = []
     for b, lo in enumerate(range(0, mc.n_paths, _BLOCK_PATHS)):
         m = min(mc.n_paths, lo + _BLOCK_PATHS) - lo
-        z = _block_rng(_DOMAIN_CAPPED, b, mc.seed).standard_normal((mc.n_steps, m))
+        z = _block_stream(_DOMAIN_CAPPED, b, mc.seed).standard_normal((mc.n_steps, m))
         v = np.full(m, params.v0)
         rows = [v]
         for k in range(mc.n_steps):
@@ -192,9 +203,11 @@ def test_single_stack_draws_into_its_scratch(params, caps, n_lanes):
 
 
 def test_lanes_validate_inputs(params, caps):
-    mc = McConfig(n_paths=100, n_steps=2)
-    with pytest.raises(ValueError):
-        simulate_capped_lanes([(params, caps, 0.0)], mc)
+    # each lane's horizon is checked as McConfig checks its own
+    mc = McConfig(n_paths=10, n_steps=3)
+    for horizon in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^horizon must be finite and > 0"):
+            simulate_capped_lanes([(params, caps, 0.1), (params, caps, horizon)], mc)
     assert simulate_capped_lanes([], mc) == []
 
 
@@ -219,7 +232,6 @@ def test_forward_estimate_pinned(params, caps, mc_default):
     est = estimate_forward(simulate_capped_paths(params, caps, mc_default))
     assert math.isclose(est.value, 0.10056382439833442, rel_tol=1e-12)
     assert 0.0 < est.std_error < 2e-4
-    assert est.n_effective == 100_000
 
 
 def test_forward_nearly_initial_for_tiny_horizon(params, caps):
@@ -342,9 +354,38 @@ def test_nested_vix_deterministic(params, caps):
 def test_nested_vix_validation(params, caps, mc_default):
     with pytest.raises(ValueError):
         estimate_vix_nested(params, caps, mc_default)  # inner_paths defaults to 0
-    mc = replace(mc_default, inner_paths=10)
-    with pytest.raises(ValueError):
-        estimate_vix_nested(params, caps, replace(mc, vix_window=0.0))
+
+
+def _reference_nested_vix(params, caps, mc):
+    """The nested VIX of each outer path from its own inner stream, block
+    i of the inner domain, and the plain step expressions."""
+    v_t = _reference_paths(params, caps, mc)[-1]
+    dt = mc.vix_window / mc.inner_steps
+    vix = []
+    for i, level in enumerate(v_t):
+        z = _block_stream(_DOMAIN_INNER, i, mc.seed).standard_normal(
+            (mc.inner_steps, mc.inner_paths))
+        v = np.full(mc.inner_paths, level)
+        # the trapezoid rule over the window, summed in time order
+        acc = 0.5 * v * v
+        for k, row in enumerate(z):
+            sig = capped_vol_diffusion(v, params, caps)
+            mu = capped_vol_drift(v, params, caps)
+            v = v * np.exp((mu - 0.5 * sig * sig) * dt + sig * math.sqrt(dt) * row)
+            acc = acc + (v * v if k < mc.inner_steps - 1 else 0.5 * v * v)
+        vix.append(math.sqrt(float((acc * dt / mc.vix_window).mean())))
+    return np.array(vix)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_nested_vix_draws_one_stream_per_outer_path(n_threads):
+    # the caps bind on this model, so both clamps run
+    params = SabrParams(beta=0.5, rho=-0.7, omega=1.5, v0=0.5)
+    caps = CapSpec.from_params(params, vol_cap=1.8, drift_cap=0.3)
+    mc = McConfig(n_paths=12, n_steps=5, horizon=0.1, seed=9,
+                  inner_paths=16, inner_steps=6)
+    result = estimate_vix_nested(params, caps, mc, n_threads=n_threads)
+    assert np.array_equal(result.vix, _reference_nested_vix(params, caps, mc))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +433,7 @@ def _reference_sabr_2d(params, s0, mc):
     spot, vol = [], []
     for b, lo in enumerate(range(0, mc.n_paths, _BLOCK_PATHS)):
         m = min(mc.n_paths, lo + _BLOCK_PATHS) - lo
-        z = _block_rng(_DOMAIN_2D, b, mc.seed).standard_normal((mc.n_steps, 2, m))
+        z = _block_stream(_DOMAIN_2D, b, mc.seed).standard_normal((mc.n_steps, 2, m))
         s = np.full(m, float(s0))
         sig = np.full(m, params.v0 * s0 ** (1.0 - params.beta))
         alive = np.ones(m, dtype=bool)
@@ -486,6 +527,19 @@ def test_weak_convergence_of_time_stepping(params, caps):
         errs.append(abs(v.mean() - ref.mean()))
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert -1.5 <= slope <= -0.55
+
+
+def test_evolve_capped_overflows_without_a_warning():
+    # paths that overflow hold inf or NaN, which the estimators refuse
+    p = SabrParams(beta=0.5, rho=0.0, omega=1.0, v0=1e200)
+    caps = CapSpec.from_params(p, 2.0, 500.0)
+    z = np.random.Generator(np.random.Philox(key=5)).standard_normal((3, 300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = evolve_capped(1e200, z, 4.0, p, caps)
+        with pytest.raises(NumericalError):
+            estimate_forward(PathSet(terminal_values=v))
+    assert not np.all(np.isfinite(v))
 
 
 def test_evolve_capped_broadcasts_initial_level(params, caps):
