@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from .asymptotics import _ATM_LOG_THRESHOLD, _log_ratio, limiting_implied_vol
-from .mc import McConfig, estimate_forward, simulate_capped_lanes, \
+from .mc import McConfig, estimate_capped_lanes, estimate_forward, \
     simulate_capped_paths
 from .model import CapSpec, FieldError, SabrParams
 from .pricing import rate_convergence_study, smile_from_paths
@@ -261,10 +261,9 @@ def cmd_forwards(config: RunConfig, n_threads: int = 1) -> None:
     header = ["rho", "binding_level", "forward", "forward_se"]
     lanes = [replace(config, model=replace(config.model, rho=rho))
              for rho in _FORWARD_RHOS]
-    lane_paths = simulate_capped_lanes(
+    forwards = estimate_capped_lanes(
         [(lane.model, lane.caps, maturity) for lane in lanes],
-        config.mc, n_threads=n_threads)
-    forwards = map(estimate_forward, lane_paths)
+        estimate_forward, config.mc, n_threads=n_threads)
     rows = [[lane.model.rho, lane.caps.binding_level, f.value, f.std_error]
             for lane, f in zip(lanes, forwards)]
     print(_write_table(config, "forward_table", header, rows))

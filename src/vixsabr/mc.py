@@ -10,7 +10,11 @@ only the buffers a step reads.  Several capped lanes (models that share
 the seed and sizes) step from each drawn row, stacked as the rows of
 one array; a block that steps a single stack draws each row into the
 stack's scratch once the step has freed it, and several stacks share
-one drawn row.
+one drawn row.  Where only an estimate per lane is wanted, each block
+steps in an array of its own instead and writes its paths' estimates
+into one row of a per-block table, which is pooled in block order
+(:func:`estimate_capped_lanes`), so memory does not grow with the path
+count.
 
 Every path steps by log-space Euler, exact in distribution given the
 bounded capped coefficients frozen over the step; it keeps paths
@@ -38,6 +42,7 @@ __all__ = [
     "evolve_capped",
     "simulate_capped_lanes",
     "simulate_capped_paths",
+    "estimate_capped_lanes",
     "estimate_forward",
     "price_vix_option",
     "estimate_vix_nested",
@@ -233,30 +238,28 @@ def _column(values):
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathSet]:
-    """Simulate several capped processes on common random numbers.
-
-    Each lane is a ``(params, caps, horizon)`` triple, its horizon
-    checked as :class:`McConfig` checks its own; all lanes share
-    ``mc.seed``, ``mc.n_paths`` and ``mc.n_steps`` (``mc.horizon`` is
-    not used).  Every block draws each row of normals once and steps the
-    lanes from it as rows of one stacked array, so lane i of the result
-    equals, bit for bit, ``simulate_capped_paths(params_i, caps_i,
-    replace(mc, horizon=horizon_i))``, for any thread count.  The lanes'
-    ``terminal_values`` are the rows of one (L, n_paths) array.
-    """
+def _checked_lanes(lanes, mc: McConfig) -> list:
+    """The lanes as a list, each horizon checked as McConfig checks its own."""
     lanes = list(lanes)
     for _, _, horizon in lanes:
-        replace(mc, horizon=horizon)  # McConfig's own check of a horizon
-    if not lanes:
-        return []
-    n, n_steps = mc.n_paths, mc.n_steps
-    # numpy refuses an array past the address space with a ValueError;
-    # report it as the shortage of memory it is
-    if len(lanes) * n * np.dtype(float).itemsize > np.iinfo(np.intp).max:
-        raise MemoryError(
-            f"{len(lanes)} x {n} float64 outputs exceed the address space")
-    terminal = np.empty((len(lanes), n))
+        replace(mc, horizon=horizon)
+    return lanes
+
+
+def _empty(shape, what: str) -> np.ndarray:
+    """``np.empty(shape)`` of floats.  numpy refuses an array past the
+    address space with a ValueError; it is refused here, before anything
+    is allocated, as the shortage of memory it is."""
+    if math.prod(shape) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"{' x '.join(map(str, shape))} float64 {what} "
+                          "exceed the address space")
+    return np.empty(shape)
+
+
+def _lane_stepper(lanes, n_steps: int):
+    """The block body of the capped lanes: ``step(v, rng)`` sets row i of
+    the (L, m) array ``v`` to lane i's v0 and steps it in place to the
+    lane's horizon, drawing each row of normals from ``rng`` once."""
     # Split the lanes into the fewest stacks of at most _STACK_LANES,
     # as even as possible, and fix each stack's constants once.
     n_stacks = -(-len(lanes) // _STACK_LANES)
@@ -275,18 +278,18 @@ def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathS
         ))
     widest = max(rows.stop - rows.start for rows, *_ in stacks)
 
-    def run_block(lo: int, hi: int, rng) -> None:
-        work = np.empty((3, widest, hi - lo))
-        # Each stack's state is its lanes' slice of the output rows.
+    def step(state, rng) -> None:
+        work = np.empty((3, widest, state.shape[1]))
+        # Each stack's state is its lanes' rows of ``state``.
         steps = []
         for rows, v0, *constants in stacks:
-            v = terminal[rows, lo:hi]
+            v = state[rows]
             v[...] = v0
             steps.append((v, constants, work[:, :v.shape[0]]))
         # A single stack draws each row into its own freed scratch;
         # several stacks overwrite one shared scratch array, so they
         # share one drawn row beside it.
-        shared = np.empty(hi - lo) if len(steps) > 1 else None
+        shared = np.empty(state.shape[1]) if len(steps) > 1 else None
         # A path may overflow to inf, and its coefficients then form
         # 0 * inf and inf - inf; the estimators report that.  numpy's
         # error state is per thread, so it is set here, in the worker.
@@ -296,8 +299,87 @@ def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathS
                 for v, (dt, sqrt_dt, params, caps), scratch in steps:
                     _step_capped(v, z, dt, sqrt_dt, params, caps, scratch)
 
-    _run_blocks(_DOMAIN_CAPPED, mc.seed, n, _BLOCK_PATHS, run_block, n_threads)
+    return step
+
+
+def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathSet]:
+    """Simulate several capped processes on common random numbers.
+
+    Each lane is a ``(params, caps, horizon)`` triple, its horizon
+    checked as :class:`McConfig` checks its own; all lanes share
+    ``mc.seed``, ``mc.n_paths`` and ``mc.n_steps`` (``mc.horizon`` is
+    not used).  Every block draws each row of normals once and steps the
+    lanes from it as rows of one stacked array, so lane i of the result
+    equals, bit for bit, ``simulate_capped_paths(params_i, caps_i,
+    replace(mc, horizon=horizon_i))``, for any thread count.  The lanes'
+    ``terminal_values`` are the rows of one (L, n_paths) array, which the
+    blocks step in place.
+    """
+    lanes = _checked_lanes(lanes, mc)
+    if not lanes:
+        return []
+    terminal = _empty((len(lanes), mc.n_paths), "outputs")
+    step = _lane_stepper(lanes, mc.n_steps)
+    _run_blocks(_DOMAIN_CAPPED, mc.seed, mc.n_paths, _BLOCK_PATHS,
+                lambda lo, hi, rng: step(terminal[:, lo:hi], rng), n_threads)
     return [PathSet(terminal[i]) for i in range(len(lanes))]
+
+
+def estimate_capped_lanes(lanes, statistic, mc: McConfig,
+                          n_threads: int = 1) -> list[McEstimate]:
+    """Estimate ``statistic`` on each lane of :func:`simulate_capped_lanes`
+    without holding its paths.
+
+    ``statistic`` maps a :class:`PathSet` to an :class:`McEstimate`, as
+    :func:`estimate_forward` does.  Each block steps the lanes, from the
+    same stream and kernel, in a state array of its own, and applies
+    ``statistic`` to each lane's block of terminal values; the blocks'
+    (count, mean, SE) rows are then pooled in block order by the update
+    of Chan, Golub & LeVeque (Am. Stat. 37, 1983), reading each block's
+    sum of squared deviations as SE^2 * count * (count - 1).  So the
+    result is identical for every thread count; it agrees with
+    ``statistic`` on the whole lane up to summation order, and a lane of
+    one block gets that block's estimate exactly.  Memory does not grow
+    with ``mc.n_paths`` beyond 24 bytes per lane and block.
+
+    Raises :class:`NumericalError` when a pooled mean or SE is not finite.
+    """
+    lanes = _checked_lanes(lanes, mc)
+    if not lanes:
+        return []
+    n = mc.n_paths
+    table = _empty((len(lanes), -(-n // _BLOCK_PATHS), 3), "block estimates")
+    step = _lane_stepper(lanes, mc.n_steps)
+
+    def run_block(lo: int, hi: int, rng) -> None:
+        state = np.empty((len(lanes), hi - lo))
+        step(state, rng)
+        for row, values in zip(table[:, lo // _BLOCK_PATHS], state):
+            estimate = statistic(PathSet(values))
+            row[:] = hi - lo, estimate.value, estimate.std_error
+
+    _run_blocks(_DOMAIN_CAPPED, mc.seed, n, _BLOCK_PATHS, run_block, n_threads)
+    return [_pooled(blocks.tolist()) for blocks in table]
+
+
+def _pooled(blocks) -> McEstimate:
+    """Pool (count, mean, SE) rows, in order, into one estimate.
+
+    Python floats overflow to inf without a warning; a pooled value that
+    is not finite is refused below.
+    """
+    (n, mean, se), *rest = blocks
+    m2 = se * se * n * (n - 1)
+    for count, block_mean, block_se in rest:
+        total = n + count
+        delta = block_mean - mean
+        mean += delta * count / total
+        m2 += (block_se * block_se * count * (count - 1)
+               + delta * delta * n * count / total)
+        n = total
+        se = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    _check_finite(mean, se)
+    return McEstimate(value=mean, std_error=se)
 
 
 def simulate_capped_paths(
@@ -324,10 +406,14 @@ def _sample_mean(values) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         mean = float(values.mean())
+    _check_finite(mean, se)
+    return mean, se
+
+
+def _check_finite(mean: float, se: float) -> None:
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise NumericalError(
             f"the sample mean {mean} or its standard error {se} is not finite")
-    return mean, se
 
 
 def estimate_forward(paths: PathSet) -> McEstimate:
@@ -378,7 +464,9 @@ def estimate_vix_nested(
         v_T * exp(-drift_cap * window)
             <= VIX <= v_T * exp(drift_cap * window + vol_cap^2 * window / 2)
 
-    with a 3-standard-error allowance for inner noise.
+    with a 3-standard-error allowance for inner noise.  Raises
+    :class:`NumericalError` when a VIX estimate or its standard error is
+    not finite, as when paths or their squares overflow.
     """
     window = mc.vix_window
     if mc.inner_paths < 2:
@@ -400,18 +488,28 @@ def estimate_vix_nested(
         z = rng.standard_normal((mc.inner_steps, mc.inner_paths))
         work = np.empty((3, mc.inner_paths))
         v = np.full(mc.inner_paths, v_t[i])
-        # Trapezoid accumulation of v^2 over the window, per sub-path.
-        acc = 0.5 * v * v
-        for k in range(mc.inner_steps):
-            _step_capped(v, z[k], dt, sqrt_dt, coefficients, caps, work)
-            acc += v * v if k < mc.inner_steps - 1 else 0.5 * v * v
-        vix_sq_samples = acc * dt / window
-        mean_sq = float(vix_sq_samples.mean())
-        se_sq = float(vix_sq_samples.std(ddof=1) / math.sqrt(mc.inner_paths))
+        # Paths and their squares may overflow; a VIX or SE that is not
+        # finite is refused below.  numpy's error state is per thread, so
+        # it is set here, in the worker.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Trapezoid accumulation of v^2 over the window, per sub-path.
+            acc = 0.5 * v * v
+            for k in range(mc.inner_steps):
+                _step_capped(v, z[k], dt, sqrt_dt, coefficients, caps, work)
+                acc += v * v if k < mc.inner_steps - 1 else 0.5 * v * v
+            vix_sq_samples = acc * dt / window
+            mean_sq = float(vix_sq_samples.mean())
+            se_sq = float(vix_sq_samples.std(ddof=1) / math.sqrt(mc.inner_paths))
         vix[i] = math.sqrt(mean_sq)
         inner_se[i] = se_sq / (2.0 * vix[i]) if vix[i] > 0.0 else 0.0
 
     _run_blocks(_DOMAIN_INNER, mc.seed, n_outer, 1, run_outer, n_threads)
+    # NaN would fail both sandwich comparisons below and pass as no
+    # violation, so a VIX or SE that is not finite is refused here
+    bad = ~(np.isfinite(vix) & np.isfinite(inner_se))
+    if bad.any():
+        raise NumericalError(f"the nested VIX or its standard error is not finite "
+                             f"on {np.count_nonzero(bad)} of {n_outer} outer paths")
 
     lower = v_t * math.exp(-caps.drift_cap * window)
     upper = v_t * math.exp(caps.drift_cap * window + 0.5 * caps.vol_cap**2 * window)

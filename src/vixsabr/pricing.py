@@ -21,8 +21,8 @@ from scipy.special import ndtr
 from .asymptotics import _ATM_LOG_THRESHOLD, _log_ratio, rate_function
 # simulate_capped_paths and estimate_forward are unused here but stay
 # bound, because bench/spans.py wraps this module's bindings of them.
-from .mc import McConfig, McEstimate, PathSet, estimate_forward, price_vix_option, \
-    simulate_capped_lanes, simulate_capped_paths  # noqa: F401
+from .mc import McConfig, McEstimate, PathSet, estimate_capped_lanes, \
+    estimate_forward, price_vix_option, simulate_capped_paths  # noqa: F401
 from .model import CapSpec, SabrParams
 from .scale import NumericalError
 
@@ -328,8 +328,10 @@ def rate_convergence_study(
     """Track -T * log(price) against the rate function as T shrinks.
 
     Simulates every maturity from the same normals (common random
-    numbers keep the trend smooth), prices the out-of-the-money option
-    at the given strike and compares minus maturity times the log price
+    numbers keep the trend smooth) and prices the out-of-the-money
+    option at the given strike by :func:`estimate_capped_lanes`, which
+    pools per-block prices, so no path array is held however many paths
+    ``mc`` asks for.  It compares minus maturity times the log price
     with the closed-form rate function.  A row is flagged
     ``statistically_zero`` when the price is not distinguishable from 0
     at the configured path budget (within 2 standard errors), in which
@@ -349,9 +351,10 @@ def rate_convergence_study(
     target = rate_function(strike, params, caps)
     lanes = [(params, caps, maturity) for maturity in maturities]
     rows = []
-    lane_paths = simulate_capped_lanes(lanes, mc, n_threads=n_threads)
-    for maturity, paths in zip(maturities, lane_paths):
-        estimate = price_vix_option(paths, strike, kind)
+    estimates = estimate_capped_lanes(
+        lanes, lambda paths: price_vix_option(paths, strike, kind), mc,
+        n_threads=n_threads)
+    for maturity, estimate in zip(maturities, estimates):
         zero = estimate.value <= 2.0 * estimate.std_error or estimate.value <= 0.0
         if estimate.value > 0.0:
             minus_t_log = -maturity * math.log(estimate.value)

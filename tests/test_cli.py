@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vixsabr import CapSpec, McConfig, RunConfig, estimate_forward, main, \
-    rate_function, simulate_capped_lanes
+from vixsabr import CapSpec, McConfig, RunConfig, estimate_capped_lanes, \
+    estimate_forward, main, rate_function, simulate_capped_lanes
 from vixsabr import scale
 from vixsabr.cli import ConfigError, _load_config
 
@@ -1006,9 +1006,14 @@ def test_forwards_takes_its_maturity_from_maturities(tmp_path):
     config = RunConfig.from_dict({"mc": mc})
     models = [replace(config.model, rho=rho) for rho in (-0.7, 0.0, 0.7)]
     lanes = [(model, CapSpec.from_params(model, 2.0, 1.0), 0.05) for model in models]
-    for row, paths in zip(rows, simulate_capped_lanes(lanes, config.mc)):
-        forward = estimate_forward(paths)
+    pooled = estimate_capped_lanes(lanes, estimate_forward, config.mc)
+    whole = map(estimate_forward, simulate_capped_lanes(lanes, config.mc))
+    for row, forward, reference in zip(rows, pooled, whole, strict=True):
         assert (float(row[2]), float(row[3])) == (forward.value, forward.std_error)
+        # pooled per block, they agree with the whole lanes' estimates up
+        # to summation order
+        assert float(row[2]) == pytest.approx(reference.value, rel=1e-15, abs=0.0)
+        assert float(row[3]) == pytest.approx(reference.std_error, rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1157,9 +1162,12 @@ def test_out_override_creates_directory(tmp_path):
 # smile.csv was recorded again when the inversion started every strike on
 # the fixed bracket [0, 1e6]: implied_vol moved by at most 1.9e-15
 # relative, iv_lo by 2.6e-15 and iv_hi by 2.3e-15, and no status changed.
+# forward_table.csv was recorded again when forwards started pooling
+# per-block estimates: forward moved by at most 1.4e-16 relative and
+# forward_se by 2.4e-16.  converge.csv kept its bytes at this config.
 PINNED_DIGESTS = {
     "forward_table.csv":
-        "87cda6f1b8e251f7a7fcc5e5e9efaa5911145155b05ef8b56caacc7111f61aae",
+        "a893a796fbd8adf2cf88be182f4b4c6c6bb80af013b03805f138c30836d2cf85",
     "smile.csv":
         "142cd749c3b050fd3f15750b7fa7d90d8f97b8cc656fa1f3c7f08e01dfbf4b26",
     "converge.csv":

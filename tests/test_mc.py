@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ import pytest
 from vixsabr import (
     CapSpec,
     McConfig,
+    McEstimate,
     NumericalError,
     PathSet,
     SabrParams,
     capped_vol_diffusion,
     capped_vol_drift,
+    estimate_capped_lanes,
     estimate_forward,
     estimate_vix_nested,
     evolve_capped,
@@ -211,6 +214,87 @@ def test_lanes_validate_inputs(params, caps):
     assert simulate_capped_lanes([], mc) == []
 
 
+# ---------------------------------------------------------------------------
+# per-block estimates pooled across blocks
+# ---------------------------------------------------------------------------
+
+# The statistics the CLI pools: the forward, and an OTM call and put
+# (the put pays on no path of some lanes, so its blocks are all 0).
+_STATISTICS = {"forward": estimate_forward,
+               "call": partial(price_vix_option, strike=0.12, kind="call"),
+               "put": partial(price_vix_option, strike=0.06, kind="put")}
+
+
+@pytest.mark.parametrize("name", sorted(_STATISTICS))
+def test_pooled_estimates_match_whole_lanes(params, caps, name):
+    # two blocks, the second of 17 paths; lane 2's caps bind
+    statistic = _STATISTICS[name]
+    mc = McConfig(n_paths=16_384 + 17, n_steps=6, seed=31)
+    lanes = _stacked_lanes(params, caps)
+    one = estimate_capped_lanes(lanes, statistic, mc, n_threads=1)
+    two = estimate_capped_lanes(lanes, statistic, mc, n_threads=2)
+    assert one == two
+    for got, paths in zip(one, simulate_capped_lanes(lanes, mc)):
+        whole = statistic(paths)
+        assert got.value == pytest.approx(whole.value, rel=1e-15, abs=0.0)
+        assert got.std_error == pytest.approx(whole.std_error, rel=1e-15, abs=0.0)
+
+
+def test_pooled_estimates_at_one_path_and_a_one_path_block(params, caps):
+    lanes = [(params, caps, 0.1), (params, caps, 0.05)]
+    single = McConfig(n_paths=1, n_steps=4, seed=2)
+    for got, paths in zip(estimate_capped_lanes(lanes, estimate_forward, single),
+                          simulate_capped_lanes(lanes, single)):
+        assert got == McEstimate(float(paths.terminal_values[0]), 0.0)
+    # 16385 paths: a full block and a block of one path, whose SE is 0
+    mc = McConfig(n_paths=_BLOCK_PATHS + 1, n_steps=4, seed=2)
+    for got, paths in zip(estimate_capped_lanes(lanes, estimate_forward, mc),
+                          simulate_capped_lanes(lanes, mc)):
+        whole = estimate_forward(paths)
+        assert got.value == pytest.approx(whole.value, rel=1e-15, abs=0.0)
+        assert got.std_error == pytest.approx(whole.std_error, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_pooled_estimates_refuse_overflow_without_a_warning(n_threads):
+    p = SabrParams(beta=0.5, rho=0.0, omega=1.0, v0=1e200)
+    lanes = [(p, CapSpec.from_params(p, 2.0, 500.0), 4.0)]
+    mc = McConfig(n_paths=_BLOCK_PATHS + 300, n_steps=3, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for statistic in _STATISTICS.values():
+            with pytest.raises(NumericalError, match="is not finite"):
+                estimate_capped_lanes(lanes, statistic, mc, n_threads=n_threads)
+        # finite blocks whose pooled sum of squares overflows
+        with pytest.raises(NumericalError, match="is not finite"):
+            estimate_capped_lanes(lanes, lambda paths: McEstimate(1.0, 1e300), mc,
+                                  n_threads=n_threads)
+
+
+def test_pooled_estimates_validate_inputs(params, caps):
+    mc = McConfig(n_paths=10, n_steps=3)
+    with pytest.raises(ValueError, match="^horizon must be finite and > 0"):
+        estimate_capped_lanes([(params, caps, math.inf)], estimate_forward, mc)
+    assert estimate_capped_lanes([], estimate_forward, mc) == []
+    with pytest.raises(MemoryError, match="exceed the address space"):
+        estimate_capped_lanes([(params, caps, 0.1)], estimate_forward,
+                              replace(mc, n_paths=10**30))
+
+
+def test_pooled_estimates_hold_no_path_arrays(params, caps):
+    # one worker holds its lanes' state rows, 3 scratch rows per lane of
+    # its widest stack (2 of 2 + 2) and a drawn row, whatever n_paths is
+    lanes = [(params, caps, t) for t in (0.2, 0.1, 0.05, 0.025)]
+    call = partial(price_vix_option, strike=0.15)
+    row = _BLOCK_PATHS * 8
+    peaks = [_traced_peak(lambda: estimate_capped_lanes(
+                 lanes, call, McConfig(n_paths=blocks * _BLOCK_PATHS, n_steps=4,
+                                       seed=3)))
+             for blocks in (2, 8)]
+    assert abs(peaks[1] - peaks[0]) <= row
+    assert max(peaks) <= 2 * (1 + 3 + len(lanes)) * row
+
+
 def test_log_scheme_paths_positive_and_finite(params, caps):
     mc = McConfig(n_paths=20_000, n_steps=50, horizon=0.2, seed=3)
     out = simulate_capped_paths(params, caps, mc)
@@ -386,6 +470,23 @@ def test_nested_vix_draws_one_stream_per_outer_path(n_threads):
                   inner_paths=16, inner_steps=6)
     result = estimate_vix_nested(params, caps, mc, n_threads=n_threads)
     assert np.array_equal(result.vix, _reference_nested_vix(params, caps, mc))
+
+
+@pytest.mark.parametrize("v0, caps, horizon", [
+    (1e200, (2.0, 500.0), 4.0),  # outer paths overflow: the VIX was NaN
+    (1e150, (2.0, 1.0), 0.1),    # the inner std of v^2 overflows: SE was inf
+], ids=["outer_overflow", "inner_square_overflow"])
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_nested_vix_refuses_overflow_without_a_warning(v0, caps, horizon, n_threads):
+    p = SabrParams(beta=0.5, rho=0.0, omega=1.0, v0=v0)
+    mc = McConfig(n_paths=5, n_steps=3, horizon=horizon, inner_paths=4,
+                  inner_steps=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="is not finite"):
+            estimate_vix_nested(p, CapSpec.from_params(p, *caps), mc,
+                                n_threads=n_threads)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------------------
