@@ -464,7 +464,8 @@ def estimate_vix_nested(
         v_T * exp(-drift_cap * window)
             <= VIX <= v_T * exp(drift_cap * window + vol_cap^2 * window / 2)
 
-    with a 3-standard-error allowance for inner noise.  Raises
+    with a 3-standard-error allowance for inner noise; where the upper
+    bound's exponential overflows, the bound is its limit, ``inf``.  Raises
     :class:`NumericalError` when a VIX estimate or its standard error is
     not finite, as when paths or their squares overflow.
     """
@@ -511,8 +512,10 @@ def estimate_vix_nested(
         raise NumericalError(f"the nested VIX or its standard error is not finite "
                              f"on {np.count_nonzero(bad)} of {n_outer} outer paths")
 
-    lower = v_t * math.exp(-caps.drift_cap * window)
-    upper = v_t * math.exp(caps.drift_cap * window + 0.5 * caps.vol_cap**2 * window)
+    # the upper bound's exponent may pass about 709; its limit is then inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = v_t * np.exp(-caps.drift_cap * window)
+        upper = v_t * np.exp(caps.drift_cap * window + 0.5 * caps.vol_cap**2 * window)
     violations = (vix < lower - 3.0 * inner_se) | (vix > upper + 3.0 * inner_se)
     return NestedVixResult(
         vix=vix,

@@ -213,20 +213,15 @@ def _variance(v, params, out, scratch=None):
     """vol_variance(v) as an array, written into ``out`` when given.
 
     ``scratch``, an array of ``v``'s shape, receives the square term, so
-    that no temporary is allocated.
+    that no temporary is allocated; without it numpy allocates one.
     """
     c = _coefficients(params)
     v = np.asarray(v, dtype=float)
     out = np.empty(v.shape) if out is None else out
-    # omega^2 + 2*rho*(beta-1)*omega*v + ((beta-1)*v)^2, summed left to
-    # right.  ``**`` squares arrays exactly but takes pow() on a 0-d
-    # input, so np.square would change the scalar results' last bit.
+    # omega^2 + 2*rho*(beta-1)*omega*v + ((beta-1)*v)^2, summed left to right
     np.multiply(c.var_linear, v, out=out)
     out += c.omega_sq
-    if scratch is None:
-        out += (c.beta_m1 * v) ** 2
-    else:
-        out += np.square(np.multiply(c.beta_m1, v, out=scratch), out=scratch)
+    out += np.square(np.multiply(c.beta_m1, v, out=scratch), out=scratch)
     return out
 
 
@@ -237,7 +232,7 @@ def _drift(v, params, out, scratch=None):
     out = np.empty(v.shape) if out is None else out
     np.multiply(c.drift_linear, v, out=out)
     out += c.rho_omega
-    out *= v * c.beta_m1 if scratch is None else np.multiply(v, c.beta_m1, out=scratch)
+    out *= np.multiply(v, c.beta_m1, out=scratch)
     return out
 
 

@@ -769,8 +769,10 @@ def test_main_rejects_json_booleans(tmp_path, capsys, config, where):
 
 @pytest.mark.parametrize("command", ["forwards", "smile", "converge"])
 def test_main_maps_a_refused_allocation_to_exit_two(tmp_path, capsys, command):
-    # 8e15 bytes per lane exceed any 64-bit address space, so the first
-    # output array is refused at once, before anything is simulated
+    # the first array is refused at once, before anything is simulated:
+    # for smile its 8e15 bytes of terminal values, for forwards and
+    # converge their table of per-block estimates, 24 bytes per lane and
+    # block of 16384 paths (about 1.5e12 bytes per lane)
     config = {"mc": {"n_paths": 10**15, "n_steps": 1},
               "maturities": [0.2, 0.1] if command == "converge" else [0.1]}
     code = run_cli(tmp_path, config, "--out", str(tmp_path), command)

@@ -489,6 +489,23 @@ def test_nested_vix_refuses_overflow_without_a_warning(v0, caps, horizon, n_thre
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("vol_cap, drift_cap", [(2.0, 1e5), (200.0, 1.0)],
+                         ids=["drift_cap", "vol_cap"])
+def test_nested_vix_upper_bound_overflows_to_inf(params, vol_cap, drift_cap):
+    # drift_cap*window + vol_cap^2*window/2 passes 709 over the 30-day
+    # window, so the upper bound's exponential overflows: its limit is inf
+    caps = CapSpec.from_params(params, vol_cap=vol_cap, drift_cap=drift_cap)
+    mc = McConfig(n_paths=5, n_steps=3, inner_paths=4, inner_steps=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = estimate_vix_nested(params, caps, mc)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert np.all(result.upper == np.inf)
+    assert np.all(np.isfinite(result.lower) & (result.lower <= result.vix))
+    assert np.all(np.isfinite(result.vix))
+    assert result.violation_fraction == 0.0
+
+
 # ---------------------------------------------------------------------------
 # two-dimensional cross-check simulation
 # ---------------------------------------------------------------------------

@@ -197,14 +197,37 @@ def test_capped_diffusion_continuous_at_binding_level(params, caps):
     assert abs(above - caps.vol_cap) < 1e-9
 
 
-def test_vectorized_coefficients_match_scalar(params, caps):
-    v = np.array([0.0, 0.05, 0.1, 1.0, 2.336308338453881, 10.0])
-    sig = capped_vol_diffusion(v, params, caps)
-    mu = capped_vol_drift(v, params, caps)
-    assert sig.shape == v.shape and mu.shape == v.shape
-    for i, x in enumerate(v):
-        assert sig[i] == capped_vol_diffusion(float(x), params, caps)
-        assert mu[i] == capped_vol_drift(float(x), params, caps)
+# subnormal levels up to 1e100, where every term stays finite
+levels = st.lists(st.one_of(st.floats(0.0, 1e100),
+                            st.floats(0.0, np.finfo(float).smallest_normal)),
+                  min_size=1, max_size=16)
+
+
+@given(any_params, st.floats(1.01, 10.0), st.floats(0.01, 100.0), levels)
+@settings(max_examples=200, deadline=None)
+@example(SabrParams(beta=0.5, rho=-0.7, omega=1.0, v0=0.1), 2.0, 1.0,
+         [0.0, 0.05, 0.1, 1.0, 2.336308338453881, 10.0])
+# pow(y, 2), which Python's ** takes on a float, rounds ((beta-1)*v)^2
+# here 1 ulp away from y*y, the square the array evaluation takes
+@example(SabrParams(beta=0.20488194229648374, rho=0.12560648378266404,
+                    omega=0.6676661714765696, v0=0.1), 2.0, 1.0,
+         [4.267479747276852])
+def test_vectorized_coefficients_match_scalar(p, cap_ratio, drift_cap, v):
+    caps = CapSpec.from_params(p, vol_cap=cap_ratio * p.omega, drift_cap=drift_cap)
+    v = np.array(v)
+    for f, args in [(vol_variance, ()), (vol_diffusion, ()), (vol_drift, ()),
+                    (capped_vol_diffusion, (caps,)), (capped_vol_drift, (caps,))]:
+        scalars = [f(float(x), p, *args) for x in v]
+        assert all(type(s) is float for s in scalars)
+        vectorized = [f(v, p, *args)]
+        if args:
+            out, scratch = np.empty_like(v), np.empty_like(v)
+            assert f(v, p, caps, out=out, scratch=scratch) is out
+            vectorized.append(out)
+        # bit for bit, so a signed zero counts too
+        for array in vectorized:
+            assert array.shape == v.shape
+            assert array.tobytes() == np.array(scalars).tobytes()
 
 
 # ---------------------------------------------------------------------------
