@@ -114,26 +114,26 @@ def rate_integral(lo: float, hi: float, params: SabrParams, caps: CapSpec) -> fl
     * above it the diffusion is pinned at the cap and the integral is a
       plain logarithm divided by the cap.
 
-    Every 0 < lo <= hi, subnormal or huge, gives a finite value >= 0, to
-    a few ulps, while omega**2 is a normal float (omega above about
-    1e-154).
+    Every finite 0 < lo <= hi, subnormal or huge, gives a finite value
+    >= 0, to a few ulps, while omega**2 is a normal float (omega above
+    about 1e-154); hi = inf gives the limit inf.
 
     Parameters
     ----------
     lo, hi : float
-        Integration bounds, 0 < lo <= hi.
+        Integration bounds, 0 < lo <= hi, lo finite.
 
     Raises
     ------
     ValueError
-        If lo <= 0 or lo > hi.
+        If lo is not finite and > 0, or hi is not >= lo (or NaN).
     NumericalError
         If the antiderivative's terms underflow to 0 at a smaller omega.
     """
-    if lo <= 0.0:
-        raise ValueError(f"lower bound must be > 0, got {lo}")
-    if lo > hi:
-        raise ValueError(f"bounds are reversed: [{lo}, {hi}]")
+    if not 0.0 < lo < math.inf:
+        raise ValueError(f"lower bound must be finite and > 0, got {lo}")
+    if not lo <= hi:
+        raise ValueError(f"bounds are reversed or NaN: [{lo}, {hi}]")
     if lo == hi:
         return 0.0
     split = caps.binding_level
@@ -154,9 +154,10 @@ def rate_function(strike: float, params: SabrParams, caps: CapSpec) -> float:
     cap binding level because the underlying integral is split there
     additively.  Covers all relative positions of the strike, the spot
     volatility and the binding level (six branches in total) through the
-    single split rule in :func:`rate_integral`.
+    single split rule in :func:`rate_integral`.  ``strike = inf`` gives
+    the limit inf.
     """
-    if strike <= 0.0:
+    if not strike > 0.0:
         raise ValueError(f"strike must be > 0, got {strike}")
     lo, hi = min(strike, params.v0), max(strike, params.v0)
     integral = rate_integral(lo, hi, params, caps)
@@ -174,8 +175,8 @@ def limiting_implied_vol(strike: float, params: SabrParams, caps: CapSpec) -> fl
 
         limiting_implied_vol(K)**2 == log(K/v0)**2 / (2 * rate_function(K)).
     """
-    if strike <= 0.0:
-        raise ValueError(f"strike must be > 0, got {strike}")
+    if not 0.0 < strike < math.inf:
+        raise ValueError(f"strike must be finite and > 0, got {strike}")
     x = _log_ratio(strike, params.v0)
     if abs(x) < _ATM_LOG_THRESHOLD:
         return capped_vol_diffusion(params.v0, params, caps)

@@ -217,6 +217,8 @@ def evolve_capped(v_init, normals, horizon, params, caps):
     stay positive until they overflow to inf or NaN, which is silent here
     and a :class:`NumericalError` in the estimators.
     """
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     normals = np.asarray(normals, dtype=float)
     dt = horizon / normals.shape[0]
     sqrt_dt = math.sqrt(dt)
@@ -431,8 +433,8 @@ def price_vix_option(paths: PathSet, strike: float, kind: str = "call") -> McEst
     the terminal volatility level (the vanishing-window convention); see
     :func:`estimate_vix_nested` for the finite-window estimator.
     """
-    if strike <= 0.0:
-        raise ValueError(f"strike must be > 0, got {strike}")
+    if not 0.0 < strike < math.inf:
+        raise ValueError(f"strike must be finite and > 0, got {strike}")
     values = paths.terminal_values
     if kind == "call":
         payoff = np.maximum(values - strike, 0.0)
@@ -545,8 +547,8 @@ def simulate_sabr_2d(
     time into a reused buffer, the numbers of one (n_steps, 2, block)
     draw, so its memory does not grow with ``mc.n_steps``.
     """
-    if s0 <= 0.0:
-        raise ValueError(f"s0 must be > 0, got {s0}")
+    if not 0.0 < s0 < math.inf:
+        raise ValueError(f"s0 must be finite and > 0, got {s0}")
     n = mc.n_paths
     dt = mc.horizon / mc.n_steps
     sqrt_dt = math.sqrt(dt)

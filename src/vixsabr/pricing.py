@@ -2,11 +2,11 @@
 
 Prices from the Monte Carlo engine are converted to implied
 volatilities with an undiscounted forward Black formula, inverted by a
-safeguarded Newton--bisection that runs on all strikes of a smile at
-once.  A smile prices every strike from one sorted copy of the terminal
-values.  Error bands come from re-inverting the price shifted by one
-standard error; prices outside the arbitrage bounds are reported per
-strike instead of failing the whole smile.
+fixed number of bisections that run on all strikes of a smile at once.
+A smile prices every strike from one sorted copy of the terminal values.
+Error bands come from re-inverting the price shifted by one standard
+error; prices outside the arbitrage bounds are reported per strike
+instead of failing the whole smile.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ __all__ = [
 ]
 
 # Upper end of every inversion bracket, [0, 1e6]: a price that no vol up
-# to it reaches counts as out of bounds.  The iteration budget is far
-# above the ~67 halvings that take that bracket down to 1e-14.
+# to it reaches counts as out of bounds.  70 halvings take the bracket
+# down to 1e6 * 2**-70 = 8.5e-16.
 _VOL_CEILING = 1e6
-_MAX_ITERATIONS = 200
+_BISECTIONS = 70
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,10 @@ class SmilePoint:
     band, not a confidence interval: its nominal coverage is
     about 68% per strike, it leaves out the error of the forward, and
     its errors are shared across the strikes of one smile, which all
-    reuse the same paths.  ``status`` is "ok", or "below"/"above" when
-    the central price itself could not be inverted, in which case
-    ``implied_vol`` and ``band`` are None.
+    reuse the same paths.  The inversion is non-decreasing in price, so
+    ``band[0] <= implied_vol <= band[1]``.  ``status`` is "ok", or
+    "below"/"above" when the central price itself could not be inverted,
+    in which case ``implied_vol`` and ``band`` are None.
     """
 
     strike: float
@@ -81,7 +82,7 @@ class ConvergenceRow:
 
 
 def _black(strikes, maturity: float, forward: float, vols, calls):
-    """Undiscounted Black prices and d1, elementwise, for vols > 0.
+    """Undiscounted Black prices, elementwise, for vols > 0.
 
     A put is the call formula with the signs of d1 and d2 flipped and
     the whole price negated, which reproduces ``K N(-d2) - F N(-d1)``
@@ -90,8 +91,7 @@ def _black(strikes, maturity: float, forward: float, vols, calls):
     total = vols * math.sqrt(maturity)
     d1 = np.log(forward / strikes) / total + 0.5 * total
     sign = np.where(calls, 1.0, -1.0)
-    price = sign * (forward * ndtr(sign * d1) - strikes * ndtr(sign * (d1 - total)))
-    return price, d1
+    return sign * (forward * ndtr(sign * d1) - strikes * ndtr(sign * (d1 - total)))
 
 
 def _is_call(kind):
@@ -104,11 +104,12 @@ def _is_call(kind):
 
 
 def _check_market(strike, maturity: float, forward: float) -> None:
-    """Reject non-positive strikes, forward or maturity."""
-    if np.any(np.asarray(strike) <= 0.0) or forward <= 0.0:
-        raise ValueError("strike and forward must be > 0")
-    if maturity <= 0.0:
-        raise ValueError(f"maturity must be > 0, got {maturity}")
+    """Reject strikes, forward or maturity that are not finite and > 0."""
+    strike = np.asarray(strike, dtype=float)
+    if not (np.all((strike > 0.0) & (strike < math.inf)) and 0.0 < forward < math.inf):
+        raise ValueError("strike and forward must be finite and > 0")
+    if not 0.0 < maturity < math.inf:
+        raise ValueError(f"maturity must be finite and > 0, got {maturity}")
 
 
 def bs_price(strike, maturity: float, forward: float, vol, kind="call"):
@@ -121,10 +122,10 @@ def bs_price(strike, maturity: float, forward: float, vol, kind="call"):
     calls = _is_call(kind)
     _check_market(strike, maturity, forward)
     strike, vol = np.asarray(strike, dtype=float), np.asarray(vol, dtype=float)
-    if np.any(vol < 0.0):
-        raise ValueError(f"vol must be >= 0, got {vol}")
+    if not np.all((vol >= 0.0) & (vol < math.inf)):
+        raise ValueError(f"vol must be finite and >= 0, got {vol}")
     flat = vol == 0.0
-    price = _black(strike, maturity, forward, np.where(flat, 1.0, vol), calls)[0]
+    price = _black(strike, maturity, forward, np.where(flat, 1.0, vol), calls)
     intrinsic = np.maximum(np.where(calls, forward - strike, strike - forward), 0.0)
     price = np.where(flat, intrinsic, price)
     return float(price) if price.ndim == 0 else price
@@ -133,17 +134,13 @@ def bs_price(strike, maturity: float, forward: float, vol, kind="call"):
 def _invert_black(prices, strikes, maturity: float, forward: float, kind):
     """Implied vols of undiscounted Black prices, for every strike at once.
 
-    Safeguarded Newton--bisection on each element, on the bracket [0, 1e6].
-    Newton starts at the inflection point sqrt(2 |log(F/K)| / T) of the price
-    in vol, from where it converges monotonically (Manaster & Koehler 1982); at
-    the money it starts at price * sqrt(2 pi / T) / F (Brenner & Subrahmanyam
-    1988), below the root because the price is concave in vol there; either
-    start is capped at 1e6.  Every evaluation replaces one end of the bracket,
-    and an iterate that leaves the bracket or fails to halve the previous step
-    is replaced by the bracket's midpoint (Jaeckel, "Let's Be Rational",
-    Wilmott 2015, discusses why plain Newton is not enough).  An element stops
-    when its step falls below 1e-14 + 8.9e-16 * vol, which keeps the price
-    residual under 1e-12 * forward.
+    Each of 70 halvings of the bracket [0, 1e6] moves its upper end to
+    the midpoint where Black's price there is above the quote, and its
+    lower end otherwise; the result is the last midpoint, within 4.3e-16
+    of where the computed price crosses the quote, which keeps the price
+    residual under 1e-12 * forward.  Two prices share every midpoint
+    until the higher one first keeps the upper half, so the result is
+    non-decreasing in price.
 
     A price at or under the intrinsic value gets 0.0.  Black's price
     increases with vol, so one :func:`bs_price` at 1e6 finds the prices
@@ -163,49 +160,25 @@ def _invert_black(prices, strikes, maturity: float, forward: float, kind):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Black's price at the ceiling is at most the upper bound
         above = ~below & (prices >= bs_price(strikes, maturity, forward, hi, kind))
-        done = below | above
-        inflection = np.sqrt(2.0 * np.abs(np.log(forward / strikes)) / maturity)
-        start = np.where(inflection > 0.0, inflection,
-                         prices * math.sqrt(2.0 * math.pi / maturity) / forward)
-        vols = np.where(start < hi, start, hi)
-        last_step = hi - lo
-        vega_scale = forward * math.sqrt(maturity) / math.sqrt(2.0 * math.pi)
-        for _ in range(_MAX_ITERATIONS):
-            if done.all():
-                break
-            price, d1 = _black(strikes, maturity, forward, vols, calls)
-            gap = price - prices
-            lo = np.where(gap < 0.0, vols, lo)
-            hi = np.where(gap > 0.0, vols, hi)
-            vega = vega_scale * np.exp(-0.5 * d1 * d1)
-            newton = vols - gap / vega
-            # a Newton step below one ulp leaves the iterate on the
-            # bracket's end; that is convergence, not a reason to bisect
-            settled = (gap == 0.0) | (newton == vols)
-            bisect = ~((newton > lo) & (newton < hi)) | (
-                np.abs(2.0 * gap) > np.abs(last_step * vega))
-            stepped = np.where(settled, vols,
-                               np.where(bisect, 0.5 * (lo + hi), newton))
-            last_step = np.abs(stepped - vols)
-            vols = np.where(done, vols, stepped)
-            done |= last_step <= 1e-14 + 8.9e-16 * stepped
-        else:
-            raise NumericalError("implied-vol iteration did not converge")
-    vols[below] = 0.0
-    vols[above] = math.inf
-    return vols
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            high = _black(strikes, maturity, forward, mid, calls) > prices
+            hi = np.where(high, mid, hi)
+            lo = np.where(high, lo, mid)
+    return np.where(below, 0.0, np.where(above, math.inf, 0.5 * (lo + hi)))
 
 
 def implied_vol(price, strike, maturity: float, forward: float, kind="call"):
     """Invert the undiscounted Black formula.
 
     ``price``, ``strike`` and ``kind`` broadcast as arrays, and all
-    elements are inverted at once; the result is a float when all three
+    elements are bisected at once; the result is a float when all three
     are scalars.  The residual |bs_price(result) - price| is at most
-    ~1e-12 * forward.  A price outside the arbitrage bounds saturates
-    instead of raising: at or below intrinsic value it gives 0.0, and at
-    or above Black's price at vol 1e6, which is below the upper bound
-    (forward for calls, strike for puts), it gives inf.
+    ~1e-12 * forward, and the result is non-decreasing in ``price``.  A
+    price outside the arbitrage bounds saturates instead of raising: at
+    or below intrinsic value it gives 0.0, and at or above Black's price
+    at vol 1e6, which is below the upper bound (forward for calls, strike
+    for puts), it gives inf.
     """
     _is_call(kind)
     _check_market(strike, maturity, forward)
@@ -259,8 +232,8 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
         raise NumericalError(f"the estimated forward at maturity {maturity} is "
                              f"{fwd}, not finite and > 0")
     strikes = np.array(sorted(float(k) for k in strikes))
-    if not np.all(strikes > 0.0):
-        raise ValueError("strikes must be > 0")
+    if not np.all((strikes > 0.0) & (strikes < math.inf)):
+        raise ValueError("strikes must be finite and > 0")
     calls = strikes > fwd
     n_puts = strikes.size - np.count_nonzero(calls)
     ascending = np.sort(paths.terminal_values)
@@ -294,7 +267,7 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
                              f"strikes {strikes[bad].tolist()}")
     kinds = np.where(calls, "call", "put")
     # The central price and both band edges are inverted as one array;
-    # each element iterates on its own, so the stack changes no value.
+    # each element is bisected on its own, so the stack changes no value.
     vols, lower, upper = implied_vol(np.stack((mean, mean - se, mean + se)),
                                      strikes, maturity, fwd, kinds)
     # With one paying path, price - SE is exactly 0; rounding would

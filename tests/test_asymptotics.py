@@ -68,6 +68,11 @@ def test_rate_integral_rejects_bad_interval(params, caps):
         rate_integral(-0.5, 1.0, params, caps)
     with pytest.raises(ValueError):
         rate_integral(2.0, 1.0, params, caps)
+    for lo, hi in ((0.1, math.nan), (math.nan, 1.0), (math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            rate_integral(lo, hi, params, caps)
+    # an infinite upper bound is the limit, not an error
+    assert rate_integral(0.1, math.inf, params, caps) == math.inf
 
 
 def test_rate_integral_capped_branch_exact(params, caps):
@@ -221,6 +226,13 @@ def test_rate_function_tight_cap_exact(params):
         assert math.isclose(rate_function(strike, params, tight), expected, rel_tol=1e-12)
 
 
+def test_rate_function_rejects_a_nan_strike(params, caps):
+    with pytest.raises(ValueError):
+        rate_function(math.nan, params, caps)
+    # an infinite strike is the limit, not an error
+    assert rate_function(math.inf, params, caps) == math.inf
+
+
 def test_rate_function_consistent_with_limiting_vol(params, caps):
     for strike in (0.05, 0.08, 0.15, 0.3):
         x = math.log(strike / params.v0)
@@ -256,6 +268,9 @@ def test_limiting_vol_rejects_nonpositive_strike(params, caps):
         limiting_implied_vol(0.0, params, caps)
     with pytest.raises(ValueError):
         limiting_implied_vol(-0.1, params, caps)
+    for strike in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            limiting_implied_vol(strike, params, caps)
 
 
 def test_limiting_vol_smile_shape(params, caps):

@@ -1167,11 +1167,15 @@ def test_out_override_creates_directory(tmp_path):
 # forward_table.csv was recorded again when forwards started pooling
 # per-block estimates: forward moved by at most 1.4e-16 relative and
 # forward_se by 2.4e-16.  converge.csv kept its bytes at this config.
+# smile.csv was recorded again when the inversion became 70 bisections
+# of [0, 1e6]: implied_vol moved by at most 1.7e-15 relative, iv_lo by
+# 1.7e-15 and iv_hi by 1.5e-15; price, price_se, asymptotic_iv and
+# status kept their bytes.
 PINNED_DIGESTS = {
     "forward_table.csv":
         "a893a796fbd8adf2cf88be182f4b4c6c6bb80af013b03805f138c30836d2cf85",
     "smile.csv":
-        "142cd749c3b050fd3f15750b7fa7d90d8f97b8cc656fa1f3c7f08e01dfbf4b26",
+        "fc724876993feecc6b251f281b1cc8fe00abfbc0a2cacf6651ee5b3aa3d2842d",
     "converge.csv":
         "f4ff28902bb6bdfa1e0eb3853d66ebc4f5a71a01ac469f44fd9a30a14a492aa9",
     "diagnose.json":

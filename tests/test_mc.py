@@ -395,6 +395,9 @@ def test_option_price_validation(params, caps):
         price_vix_option(out, 0.0)
     with pytest.raises(ValueError):
         price_vix_option(out, 0.1, kind="straddle")
+    for strike in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            price_vix_option(out, strike)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +521,9 @@ def test_sabr_2d_shapes_and_initialization(params):
     assert 0.0 <= sample.absorbed_fraction <= 1.0
     assert sample.effective_vol.size == int(round((1.0 - sample.absorbed_fraction) * 10_000))
     assert np.all(sample.effective_vol > 0.0)
-    with pytest.raises(ValueError):
-        simulate_sabr_2d(params, 0.0, mc)
+    for s0 in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="s0 must be finite and > 0"):
+            simulate_sabr_2d(params, s0, mc)
 
 
 def test_sabr_2d_spot_martingale(params):
@@ -658,6 +662,14 @@ def test_evolve_capped_overflows_without_a_warning():
         with pytest.raises(NumericalError):
             estimate_forward(PathSet(terminal_values=v))
     assert not np.all(np.isfinite(v))
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0])
+def test_evolve_capped_rejects_a_horizon_that_is_not_finite_and_positive(
+        params, caps, horizon):
+    z = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+        evolve_capped(params.v0, z, horizon, params, caps)
 
 
 def test_evolve_capped_broadcasts_initial_level(params, caps):

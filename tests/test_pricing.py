@@ -64,6 +64,16 @@ def test_bs_increasing_in_vol():
         dict(strike=0.1, maturity=0.0, forward=0.1, vol=1.0),
         dict(strike=0.1, maturity=0.1, forward=0.1, vol=-0.5),
         dict(strike=0.1, maturity=0.1, forward=0.1, vol=1.0, kind="digital"),
+        dict(strike=math.nan, maturity=0.1, forward=0.1, vol=1.0),
+        dict(strike=math.inf, maturity=0.1, forward=0.1, vol=1.0),
+        dict(strike=[0.1, math.nan], maturity=0.1, forward=0.1, vol=1.0),
+        dict(strike=0.1, maturity=math.nan, forward=0.1, vol=1.0),
+        dict(strike=0.1, maturity=math.inf, forward=0.1, vol=1.0),
+        dict(strike=0.1, maturity=0.1, forward=math.nan, vol=1.0),
+        dict(strike=0.1, maturity=0.1, forward=math.inf, vol=1.0),
+        dict(strike=0.1, maturity=0.1, forward=0.1, vol=math.nan),
+        dict(strike=0.1, maturity=0.1, forward=0.1, vol=math.inf),
+        dict(strike=0.1, maturity=0.1, forward=0.1, vol=[0.2, math.inf]),
     ],
 )
 def test_bs_validation(kwargs):
@@ -74,6 +84,23 @@ def test_bs_validation(kwargs):
 # ---------------------------------------------------------------------------
 # implied volatility inversion
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(strike=math.nan, maturity=0.1, forward=0.1),
+        dict(strike=math.inf, maturity=0.1, forward=0.1),
+        dict(strike=[0.1, math.nan], maturity=0.1, forward=0.1),
+        dict(strike=0.1, maturity=math.nan, forward=0.1),
+        dict(strike=0.1, maturity=math.inf, forward=0.1),
+        dict(strike=0.1, maturity=0.1, forward=math.nan),
+        dict(strike=0.1, maturity=0.1, forward=math.inf),
+    ],
+)
+def test_implied_vol_validation(kwargs):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        implied_vol(0.01, **kwargs)
+
 
 def test_implied_vol_round_trip():
     checked = 0
@@ -136,6 +163,12 @@ def test_vector_inversion_round_trip(maturity, quotes):
         assert abs(residual) <= 1e-12 * forward
         if prices[i] - intrinsic > 1e-6 * forward:
             assert math.isclose(found[i], vols[i], rel_tol=1e-8)
+    # a price raised by 1 to 40 ulps never inverts to a lower vol
+    raised = [prices]
+    for _ in range(40):
+        raised.append(np.nextafter(raised[-1], math.inf))
+    assert np.all(implied_vol(np.stack(raised[1:]), strikes, maturity, forward,
+                              kinds) >= found)
 
 
 def test_black_functions_on_arrays_match_their_scalar_calls():
@@ -213,6 +246,15 @@ def test_smile_strike_whose_square_overflows_reports_below():
     near, far = smile_from_paths(paths, [0.15, 1e200], maturity=0.1)
     assert (far.status, far.price.value, far.price.std_error) == ("below", 0.0, 0.0)
     assert near == smile_from_paths(paths, [0.15], maturity=0.1)[0]
+
+
+@pytest.mark.parametrize("strikes, maturity", [([0.05, 0.2], math.nan),
+                                               ([0.05, 0.2], math.inf),
+                                               ([0.1, math.inf], 0.1)])
+def test_smile_rejects_a_strike_or_maturity_that_is_not_finite(strikes, maturity):
+    paths = PathSet(terminal_values=np.array([0.05, 0.1, 0.2]))
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        smile_from_paths(paths, strikes, maturity)
 
 
 @pytest.mark.parametrize("values", [[0.0, 0.0], [0.1, math.nan]],
