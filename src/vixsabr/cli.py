@@ -27,10 +27,9 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from .asymptotics import _ATM_LOG_THRESHOLD, _log_ratio, limiting_implied_vol
-from .mc import McConfig, estimate_capped_lanes, estimate_forward, \
-    simulate_capped_paths
+from .mc import McConfig, estimate_capped_lanes, simulate_capped_paths
 from .model import CapSpec, FieldError, SabrParams
-from .pricing import rate_convergence_study, smile_from_paths
+from .pricing import estimate_forward, rate_convergence_study, smile_from_paths
 from .scale import NumericalError, explosion_verdict, martingale_diagnostic
 
 __all__ = ["RunConfig", "ConfigError", "main"]

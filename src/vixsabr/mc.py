@@ -18,7 +18,7 @@ count.
 
 Every path steps by log-space Euler, exact in distribution given the
 bounded capped coefficients frozen over the step; it keeps paths
-positive until they overflow.
+positive until they overflow.  Payoff means are in :mod:`vixsabr.pricing`.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ __all__ = [
     "simulate_capped_lanes",
     "simulate_capped_paths",
     "estimate_capped_lanes",
-    "estimate_forward",
-    "price_vix_option",
     "estimate_vix_nested",
     "simulate_sabr_2d",
 ]
@@ -215,15 +213,20 @@ def evolve_capped(v_init, normals, horizon, params, caps):
     studies can couple coarse and fine grids through common Brownian
     increments (aggregate fine rows into coarse ones and rescale).  Paths
     stay positive until they overflow to inf or NaN, which is silent here
-    and a :class:`NumericalError` in the estimators.
+    and a :class:`NumericalError` in the estimators.  Every ``v_init``
+    must be finite and > 0, as :class:`SabrParams` requires of v0.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+    v_init = np.asarray(v_init, dtype=float)
+    bad = ~((v_init > 0.0) & (v_init < math.inf))
+    if bad.any():
+        raise ValueError(f"v_init must be finite and > 0, got {v_init[bad][0]}")
     normals = np.asarray(normals, dtype=float)
     dt = horizon / normals.shape[0]
     sqrt_dt = math.sqrt(dt)
     coefficients = Coefficients.of(params)
-    v = np.broadcast_to(np.asarray(v_init, dtype=float), normals.shape[1:]).copy()
+    v = np.broadcast_to(v_init, normals.shape[1:]).copy()
     work = np.empty((3, *v.shape))
     with np.errstate(over="ignore", invalid="ignore"):
         for z in normals:
@@ -333,8 +336,8 @@ def estimate_capped_lanes(lanes, statistic, mc: McConfig,
     without holding its paths.
 
     ``statistic`` maps a :class:`PathSet` to an :class:`McEstimate`, as
-    :func:`estimate_forward` does.  Each block steps the lanes, from the
-    same stream and kernel, in a state array of its own, and applies
+    ``pricing.estimate_forward`` does.  Each block steps the lanes, from
+    the same stream and kernel, in a state array of its own, and applies
     ``statistic`` to each lane's block of terminal values; the blocks'
     (count, mean, SE) rows are then pooled in block order by the update
     of Chan, Golub & LeVeque (Am. Stat. 37, 1983), reading each block's
@@ -396,54 +399,10 @@ def simulate_capped_paths(
     return simulate_capped_lanes([(params, caps, mc.horizon)], mc, n_threads)[0]
 
 
-def _sample_mean(values) -> tuple[float, float]:
-    """Mean of a non-empty sample and its standard error (0 for one value).
-
-    Raises :class:`NumericalError` when either is not finite, as when
-    paths overflow or their squares do.
-    """
-    n = values.size
-    if n == 0:
-        raise ValueError("empty path set")
-    with np.errstate(over="ignore", invalid="ignore"):
-        se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        mean = float(values.mean())
-    _check_finite(mean, se)
-    return mean, se
-
-
 def _check_finite(mean: float, se: float) -> None:
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise NumericalError(
             f"the sample mean {mean} or its standard error {se} is not finite")
-
-
-def estimate_forward(paths: PathSet) -> McEstimate:
-    """Sample mean of the terminal values with its standard error."""
-    values = paths.terminal_values
-    mean, se = _sample_mean(values)
-    return McEstimate(value=mean, std_error=se)
-
-
-def price_vix_option(paths: PathSet, strike: float, kind: str = "call") -> McEstimate:
-    """Undiscounted Monte Carlo price of a VIX option on the terminal values.
-
-    Prices are taken at zero rate, as the undiscounted Black formula of
-    :mod:`vixsabr.pricing` inverts them.  The payoff is taken against
-    the terminal volatility level (the vanishing-window convention); see
-    :func:`estimate_vix_nested` for the finite-window estimator.
-    """
-    if not 0.0 < strike < math.inf:
-        raise ValueError(f"strike must be finite and > 0, got {strike}")
-    values = paths.terminal_values
-    if kind == "call":
-        payoff = np.maximum(values - strike, 0.0)
-    elif kind == "put":
-        payoff = np.maximum(strike - values, 0.0)
-    else:
-        raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
-    mean, se = _sample_mean(payoff)
-    return McEstimate(value=mean, std_error=se)
 
 
 def estimate_vix_nested(

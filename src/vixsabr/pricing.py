@@ -1,12 +1,13 @@
-"""Black-formula utilities and the MC-to-smile bridge.
+"""Payoff means, Black-formula utilities and the MC-to-smile bridge.
 
-Prices from the Monte Carlo engine are converted to implied
-volatilities with an undiscounted forward Black formula, inverted by a
-fixed number of bisections that run on all strikes of a smile at once.
-A smile prices every strike from one sorted copy of the terminal values.
-Error bands come from re-inverting the price shifted by one standard
-error; prices outside the arbitrage bounds are reported per strike
-instead of failing the whole smile.
+VIX futures and options are priced as sample means of payoffs of the
+simulated terminal values, and converted to implied volatilities with
+an undiscounted forward Black formula, inverted by a fixed number of
+bisections that run on all strikes of a smile at once.  A smile prices
+every strike from one sorted copy of the terminal values.  Error bands
+come from re-inverting the price shifted by one standard error; prices
+outside the arbitrage bounds are reported per strike instead of failing
+the whole smile.
 """
 
 from __future__ import annotations
@@ -19,16 +20,18 @@ import numpy as np
 from scipy.special import ndtr
 
 from .asymptotics import _ATM_LOG_THRESHOLD, _log_ratio, rate_function
-# simulate_capped_paths and estimate_forward are unused here but stay
-# bound, because bench/spans.py wraps this module's bindings of them.
-from .mc import McConfig, McEstimate, PathSet, estimate_capped_lanes, \
-    estimate_forward, price_vix_option, simulate_capped_paths  # noqa: F401
+# simulate_capped_paths is unused here but stays bound, because
+# bench/spans.py wraps this module's binding of it.
+from .mc import McConfig, McEstimate, PathSet, _check_finite, \
+    estimate_capped_lanes, simulate_capped_paths  # noqa: F401
 from .model import CapSpec, SabrParams
 from .scale import NumericalError
 
 __all__ = [
     "SmilePoint",
     "ConvergenceRow",
+    "estimate_forward",
+    "price_vix_option",
     "bs_price",
     "implied_vol",
     "smile_from_paths",
@@ -81,6 +84,42 @@ class ConvergenceRow:
     statistically_zero: bool
 
 
+def _sample_mean(values) -> McEstimate:
+    """Mean of a non-empty sample and its standard error (0 for one value).
+
+    Raises :class:`NumericalError` when either is not finite, as when
+    paths overflow or their squares do.
+    """
+    n = values.size
+    if n == 0:
+        raise ValueError("empty path set")
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        mean = float(values.mean())
+    _check_finite(mean, se)
+    return McEstimate(value=mean, std_error=se)
+
+
+def estimate_forward(paths: PathSet) -> McEstimate:
+    """Sample mean of the terminal values with its standard error."""
+    return _sample_mean(paths.terminal_values)
+
+
+def price_vix_option(paths: PathSet, strike: float, kind: str = "call") -> McEstimate:
+    """Undiscounted Monte Carlo price of a VIX option on the terminal values.
+
+    Prices are taken at zero rate, as the undiscounted Black formula
+    here inverts them.  The payoff is taken against the terminal
+    volatility level (the vanishing-window convention); see
+    ``mc.estimate_vix_nested`` for the finite-window estimator.
+    """
+    if not 0.0 < strike < math.inf:
+        raise ValueError(f"strike must be finite and > 0, got {strike}")
+    values = paths.terminal_values
+    payoff = values - strike if _is_call(kind) else strike - values
+    return _sample_mean(np.maximum(payoff, 0.0))
+
+
 def _black(strikes, maturity: float, forward: float, vols, calls):
     """Undiscounted Black prices, elementwise, for vols > 0.
 
@@ -98,8 +137,9 @@ def _is_call(kind):
     """``kind == "call"`` elementwise, once every kind is checked."""
     kind = np.asarray(kind)
     calls = kind == "call"
-    if not np.all(calls | (kind == "put")):
-        raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
+    bad = ~(calls | (kind == "put"))
+    if bad.any():
+        raise ValueError(f"kind must be 'call' or 'put', got {kind[bad][0].item()!r}")
     return calls
 
 
@@ -310,9 +350,12 @@ def rate_convergence_study(
     at the configured path budget (within 2 standard errors), in which
     case the log price is unreliable.
 
-    The strike must differ from v0: at the money the price does not
-    decay exponentially and the comparison is meaningless.
+    The strike must be finite and > 0, and differ from v0: at the money
+    the price does not decay exponentially and the comparison is
+    meaningless.
     """
+    if not 0.0 < strike < math.inf:
+        raise ValueError(f"strike must be finite and > 0, got {strike}")
     maturities = [float(t) for t in maturities]
     if len(maturities) < 2:
         raise ValueError("need at least two maturities")

@@ -117,6 +117,17 @@ class ScaleReport:
         return {**asdict(self), "boundary_class": self.boundary_class.value}
 
 
+def _points(x, rule: str, base: float = 0.0) -> np.ndarray:
+    """``x`` as a 1-d float array.  Unless every point is finite and
+    >= 0, or > ``base`` when that is positive, it is refused, before any
+    quadrature, with a message that x must be ``rule``."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    bad = ~(((xs > base) if base else (xs >= 0.0)) & (xs < math.inf))
+    if bad.any():
+        raise ValueError(f"x must be {rule}, got {xs[bad][0]}")
+    return xs
+
+
 def _log_arctan(x, coefficients, params: SabrParams):
     """A*log(vol_variance(x)/omega^2) + B*(arctan((b1*x - rho*omega) /
     (omega*rho_perp)) + arcsin(rho)) for (A, B) = ``coefficients`` and
@@ -212,11 +223,12 @@ def check_scale_density_envelope(x_grid, params: SabrParams) -> EnvelopeReport:
     Raises
     ------
     ValueError
-        If rho >= 0 (the envelope is derived for negative correlation).
+        If rho >= 0 (the envelope is derived for negative correlation),
+        or some x is not finite and >= 0.
     """
     if params.rho >= 0.0:
         raise ValueError("envelope check requires rho < 0")
-    x = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    x = _points(x_grid, "finite and >= 0")
     c2 = (2.0 - params.beta) / (2.0 * (1.0 - params.beta))
     gap = -2.0 * scale_exponent(x, params) + c2 * np.log(
         vol_variance(x, params) / params.omega**2
@@ -286,12 +298,10 @@ def scale_function(x, params: SabrParams):
     Integrates exp(-2 * scale_exponent) from 0 to x by adaptive
     quadrature on decade segments.  Monotone increasing with
     scale_function(0) = 0; for rho < 0 it stays bounded as x grows (see
-    :func:`scale_function_limit`).
+    :func:`scale_function_limit`).  Every x must be finite and >= 0.
     """
     integrand = lambda y: math.exp(-2.0 * scale_exponent(y, params))
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < 0.0):
-        raise ValueError(f"x must be >= 0, got {xs.min()}")
+    xs = _points(x, "finite and >= 0 (its limit at inf is scale_function_limit)")
     order = np.argsort(xs)
     out = np.empty_like(xs)
     total, prev = 0.0, 0.0
@@ -426,11 +436,9 @@ def feller_test_function(x, params: SabrParams):
         If the bisections exceed 1_000_000, or if an integrand is not
         finite.
     ValueError
-        If some x does not exceed the base point.
+        If some x is not finite or does not exceed the base point.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= _FELLER_BASE):
-        raise ValueError(f"x must exceed the base point {_FELLER_BASE}")
+    xs = _points(x, f"finite and exceed the base point {_FELLER_BASE}", _FELLER_BASE)
     edges = np.union1d(_decade_edges(_FELLER_BASE, float(xs.max())), xs)
     us = np.log(edges)
     nseg = len(edges) - 1

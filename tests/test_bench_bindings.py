@@ -2,6 +2,7 @@
 every binding it names must still exist, or only a traced benchmark run
 would find out."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -15,6 +16,7 @@ import numpy as np
 from vixsabr import CapSpec, McConfig, SabrParams, cli, mc, scale
 
 SPANS_FILE = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "vixsabr"
 ORACLE_FILE = SPANS_FILE.with_name("oracle.json")
 
 
@@ -32,6 +34,27 @@ def test_bench_span_bindings_resolve():
     missing = [f"{module}.{attr}" for module, attr, _ in entries
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_package_modules_use_every_name_they_import():
+    # The package's only unused-import check.  A module may bind a name
+    # it never uses only where the benchmark's tracer wraps that binding.
+    spans = _load_spans()
+    wrapped = {(module, attr)
+               for module, attr, _ in spans.SPANS + spans.COUNTED + spans.CAP_REPLAY}
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names if alias.name != "*"}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = f"vixsabr.{path.stem}"
+        unused += [f"{module}.{name}" for name in sorted(imported - used)
+                   if (module, name) not in wrapped]
+    assert unused == []
 
 
 def test_bench_calls_bind_to_the_mc_signatures():

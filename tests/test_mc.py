@@ -393,8 +393,9 @@ def test_option_price_validation(params, caps):
     out = simulate_capped_paths(params, caps, mc)
     with pytest.raises(ValueError):
         price_vix_option(out, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as error:
         price_vix_option(out, 0.1, kind="straddle")
+    assert str(error.value) == "kind must be 'call' or 'put', got 'straddle'"
     for strike in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and > 0"):
             price_vix_option(out, strike)
@@ -664,12 +665,18 @@ def test_evolve_capped_overflows_without_a_warning():
     assert not np.all(np.isfinite(v))
 
 
-@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("name, value", [
+    *(pytest.param("horizon", h, id=str(h)) for h in (math.nan, math.inf, 0.0)),
+    *(pytest.param("v_init", v, id=f"v_init-{v}") for v in (math.nan, math.inf, 0.0, -1.0)),
+    pytest.param("v_init", [0.1, -1.0, 0.1], id="v_init-elementwise"),
+])
 def test_evolve_capped_rejects_a_horizon_that_is_not_finite_and_positive(
-        params, caps, horizon):
+        params, caps, name, value):
+    # v_init is checked as SabrParams checks v0, elementwise
+    args = {"v_init": params.v0, "horizon": 0.1, name: value}
     z = np.zeros((2, 3))
-    with pytest.raises(ValueError, match="horizon must be finite and > 0"):
-        evolve_capped(params.v0, z, horizon, params, caps)
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        evolve_capped(args["v_init"], z, args["horizon"], params, caps)
 
 
 def test_evolve_capped_broadcasts_initial_level(params, caps):

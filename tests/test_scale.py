@@ -181,6 +181,12 @@ def test_envelope_equality_for_beta_zero():
     assert report.max_violation <= 1e-12
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -1.0])
+def test_envelope_rejects_points_that_are_not_finite_and_nonnegative(params, x):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        check_scale_density_envelope([0.0, x], params)
+
+
 def test_envelope_requires_negative_correlation():
     p = SabrParams(beta=0.5, rho=0.2, omega=1.0, v0=0.1)
     with pytest.raises(ValueError):
@@ -219,9 +225,11 @@ def test_scale_function_vector_matches_scalar(params):
         assert math.isclose(vec[i], scale_function(float(x), params), rel_tol=1e-12)
 
 
-def test_scale_function_rejects_negative(params):
-    with pytest.raises(ValueError):
-        scale_function(-1.0, params)
+@pytest.mark.parametrize("x", [-1.0, math.nan, math.inf])
+def test_scale_function_rejects_negative(params, x):
+    # the value at inf is a limit, which scale_function_limit computes
+    with pytest.raises(ValueError, match="finite and >= 0 .*scale_function_limit"):
+        scale_function(x, params)
 
 
 def test_scale_function_between_envelope_bounds(params):
@@ -334,9 +342,10 @@ def test_feller_function_with_origin_cutoff(p):
     assert math.isclose(feller_test_function(0.005, p), got[0], rel_tol=1e-12)
 
 
-def test_feller_function_rejects_points_at_the_cutoff(params):
-    with pytest.raises(ValueError):
-        feller_test_function(0.001, params)
+@pytest.mark.parametrize("x", [0.001, math.nan, math.inf])
+def test_feller_function_rejects_points_at_the_cutoff(params, x):
+    with pytest.raises(ValueError, match="finite and exceed the base point"):
+        feller_test_function(x, params)
 
 
 @pytest.mark.parametrize("v0", [5e-324, 1e-300, 1e8, float(2**1000)])
