@@ -202,16 +202,28 @@ def smile_expansion(params: SabrParams) -> SmileExpansion:
     with sigma0 = vol_diffusion(v0).  Both are positive for beta < 1 and
     rho < 0.  The expansion is validated against central differences of
     :func:`limiting_implied_vol` in the test suite.
+
+    Raises
+    ------
+    NumericalError
+        If a term of these formulas overflows, as the convexity's
+        numerator does from v0 = 2.3e77 at the default model, although
+        skew and convexity grow only like v0.
     """
     v0, rho, omega = params.v0, params.rho, params.omega
     b1 = params.beta - 1.0
     sigma0 = vol_diffusion(v0, params)
-    skew = v0 * b1 * (rho * omega + b1 * v0) / (2.0 * sigma0)
-    bracket = (
-        2.0 * omega**3 * rho
-        + b1 * omega**2 * (4.0 + rho**2) * v0
-        + 4.0 * b1**2 * omega * rho * v0**2
-        + b1**3 * v0**3
-    )
-    convexity = v0 * b1 * bracket / (6.0 * sigma0**3)
+    try:
+        skew = v0 * b1 * (rho * omega + b1 * v0) / (2.0 * sigma0)
+        bracket = (
+            2.0 * omega**3 * rho
+            + b1 * omega**2 * (4.0 + rho**2) * v0
+            + 4.0 * b1**2 * omega * rho * v0**2
+            + b1**3 * v0**3
+        )
+        convexity = v0 * b1 * bracket / (6.0 * sigma0**3)
+    except OverflowError:
+        convexity = math.inf
+    if not math.isfinite(skew + convexity):
+        raise NumericalError(f"the smile expansion overflows at v0 = {v0}")
     return SmileExpansion(atm_level=sigma0, skew=skew, convexity=convexity)

@@ -208,10 +208,11 @@ def _step_capped(v, z, dt, sqrt_dt, params, caps, work) -> None:
 def evolve_capped(v_init, normals, horizon, params, caps):
     """Advance paths of the capped process with supplied increments.
 
-    ``normals`` has shape (n_steps, n_paths) and holds standard normal
-    draws; the step size is horizon / n_steps.  Exposed so convergence
-    studies can couple coarse and fine grids through common Brownian
-    increments (aggregate fine rows into coarse ones and rescale).  Paths
+    ``normals`` has shape (n_steps, n_paths), n_steps >= 1, and holds
+    standard normal draws; the step size is horizon / n_steps.  Exposed
+    so convergence studies can couple coarse and fine grids through
+    common Brownian increments (aggregate fine rows into coarse ones and
+    rescale).  Paths
     stay positive until they overflow to inf or NaN, which is silent here
     and a :class:`NumericalError` in the estimators.  Every ``v_init``
     must be finite and > 0, as :class:`SabrParams` requires of v0.
@@ -223,6 +224,9 @@ def evolve_capped(v_init, normals, horizon, params, caps):
     if bad.any():
         raise ValueError(f"v_init must be finite and > 0, got {v_init[bad][0]}")
     normals = np.asarray(normals, dtype=float)
+    if normals.ndim != 2 or normals.shape[0] < 1:
+        raise ValueError(f"normals must have shape (n_steps >= 1, n_paths), "
+                         f"got {normals.shape}")
     dt = horizon / normals.shape[0]
     sqrt_dt = math.sqrt(dt)
     coefficients = Coefficients.of(params)

@@ -240,10 +240,34 @@ def _scalar_or_array(val: np.ndarray):
     return val if val.ndim else float(val)
 
 
+def _quiet_variance(v, params, root: bool = False):
+    """vol_variance(v), or its root vol_diffusion(v) when ``root``, as an
+    array, without a warning: an overflow gives inf.  Where the quadratic
+    overflows at a finite v, the root is taken with v**2 factored out,
+
+        |v| * sqrt((beta-1)**2 + 2*rho*(beta-1)*omega / v + omega**2 / v / v),
+
+    which is finite wherever the root is, and squared for the variance.
+    Every value the quadratic gives finitely keeps its bits."""
+    c = _coefficients(params)
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        val = _variance(v, c, None)
+        if root:
+            np.sqrt(val, out=val)
+        if not np.isfinite(val).all():
+            factored = np.abs(v) * np.sqrt(
+                c.beta_m1 * c.beta_m1 + c.var_linear / v + c.omega_sq / v / v)
+            val = np.where(np.isfinite(v) & ~np.isfinite(val),
+                           factored if root else factored * factored, val)
+    return val
+
+
 def vol_variance(v, params: SabrParams):
     """Squared :func:`vol_diffusion`, a quadratic in v that is strictly
-    positive for every real v when |rho| < 1."""
-    return _scalar_or_array(_variance(v, params, None))
+    positive for every real v when |rho| < 1.  It is inf, without a
+    warning, where it overflows."""
+    return _scalar_or_array(_quiet_variance(v, params))
 
 
 def vol_diffusion(v, params: SabrParams):
@@ -258,19 +282,20 @@ def vol_diffusion(v, params: SabrParams):
     Returns
     -------
     float or ndarray
-        sqrt(omega^2 + 2*rho*(beta-1)*omega*v + (beta-1)^2 * v^2).
+        sqrt(omega^2 + 2*rho*(beta-1)*omega*v + (beta-1)^2 * v^2), finite
+        also where its square overflows.
     """
-    val = _variance(v, params, None)
-    return _scalar_or_array(np.sqrt(val, out=val))
+    return _scalar_or_array(_quiet_variance(v, params, root=True))
 
 
 def vol_drift(v, params: SabrParams):
     """Lognormal drift coefficient of the volatility process.
 
     Returns v * (beta - 1) * (0.5 * (beta - 2) * v + rho * omega),
-    vectorized over ``v``.
+    vectorized over ``v``; +-inf, without a warning, where it overflows.
     """
-    return _scalar_or_array(_drift(v, params, None))
+    with np.errstate(over="ignore"):
+        return _scalar_or_array(_drift(v, params, None))
 
 
 def capped_vol_diffusion(v, params, caps, out=None, scratch=None):
@@ -281,20 +306,29 @@ def capped_vol_diffusion(v, params, caps, out=None, scratch=None):
     result; it must not share memory with ``v``.  ``scratch``, if given,
     is a third such array that the evaluation may overwrite; with both,
     nothing is allocated.  For an (L, n) stack of levels the constants
-    and ``caps.vol_cap`` may be (L, 1) columns.
+    and ``caps.vol_cap`` may be (L, 1) columns.  Without ``out`` the
+    result is that of :func:`vol_diffusion`, clamped, without a warning;
+    with it, as in the step kernel, the caller's ``np.errstate`` applies.
     """
-    val = _variance(v, params, out, scratch)
-    np.sqrt(val, out=val)
+    if out is None:
+        val = _quiet_variance(v, params, root=True)
+    else:
+        val = _variance(v, params, out, scratch)
+        np.sqrt(val, out=val)
     return _scalar_or_array(np.minimum(val, caps.vol_cap, out=val))
 
 
 def capped_vol_drift(v, params, caps, out=None, scratch=None):
     """Drift coefficient clamped to ``[-caps.drift_cap, caps.drift_cap]``.
 
-    The arguments are as in :func:`capped_vol_diffusion`;
-    ``caps.drift_cap`` may be a column.
+    The arguments, and the warnings without ``out``, are as in
+    :func:`capped_vol_diffusion`; ``caps.drift_cap`` may be a column.
     """
-    val = _drift(v, params, out, scratch)
+    if out is None:
+        with np.errstate(over="ignore"):
+            val = _drift(v, params, None, scratch)
+    else:
+        val = _drift(v, params, out, scratch)
     return _scalar_or_array(np.clip(val, -caps.drift_cap, caps.drift_cap, out=val))
 
 

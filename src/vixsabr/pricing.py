@@ -24,7 +24,7 @@ from .asymptotics import _ATM_LOG_THRESHOLD, _log_ratio, rate_function
 # bench/spans.py wraps this module's binding of it.
 from .mc import McConfig, McEstimate, PathSet, _check_finite, \
     estimate_capped_lanes, simulate_capped_paths  # noqa: F401
-from .model import CapSpec, SabrParams
+from .model import CapSpec, SabrParams, _scalar_or_array
 from .scale import NumericalError
 
 __all__ = [
@@ -125,12 +125,19 @@ def _black(strikes, maturity: float, forward: float, vols, calls):
 
     A put is the call formula with the signs of d1 and d2 flipped and
     the whole price negated, which reproduces ``K N(-d2) - F N(-d1)``
-    exactly.
+    exactly.  A quotient forward / strike that overflows or underflows
+    gives d1 = +-inf, and the price its limit, without a warning.
     """
     total = vols * math.sqrt(maturity)
-    d1 = np.log(forward / strikes) / total + 0.5 * total
+    with np.errstate(divide="ignore", over="ignore"):
+        d1 = np.log(forward / strikes) / total + 0.5 * total
     sign = np.where(calls, 1.0, -1.0)
     return sign * (forward * ndtr(sign * d1) - strikes * ndtr(sign * (d1 - total)))
+
+
+def _intrinsic(strikes, forward: float, calls):
+    """Intrinsic values, elementwise: (F - K)+ for calls, (K - F)+ for puts."""
+    return np.maximum(np.where(calls, forward - strikes, strikes - forward), 0.0)
 
 
 def _is_call(kind):
@@ -166,46 +173,7 @@ def bs_price(strike, maturity: float, forward: float, vol, kind="call"):
         raise ValueError(f"vol must be finite and >= 0, got {vol}")
     flat = vol == 0.0
     price = _black(strike, maturity, forward, np.where(flat, 1.0, vol), calls)
-    intrinsic = np.maximum(np.where(calls, forward - strike, strike - forward), 0.0)
-    price = np.where(flat, intrinsic, price)
-    return float(price) if price.ndim == 0 else price
-
-
-def _invert_black(prices, strikes, maturity: float, forward: float, kind):
-    """Implied vols of undiscounted Black prices, for every strike at once.
-
-    Each of 70 halvings of the bracket [0, 1e6] moves its upper end to
-    the midpoint where Black's price there is above the quote, and its
-    lower end otherwise; the result is the last midpoint, within 4.3e-16
-    of where the computed price crosses the quote, which keeps the price
-    residual under 1e-12 * forward.  Two prices share every midpoint
-    until the higher one first keeps the upper half, so the result is
-    non-decreasing in price.
-
-    A price at or under the intrinsic value gets 0.0.  Black's price
-    increases with vol, so one :func:`bs_price` at 1e6 finds the prices
-    that get inf: those at or over the upper bound (the forward for calls,
-    the strike for puts), and those beyond every vol up to 1e6.
-    """
-    prices, strikes, kind = np.broadcast_arrays(
-        np.asarray(prices, dtype=float), np.asarray(strikes, dtype=float),
-        np.asarray(kind))
-    calls = kind == "call"
-    if np.isnan(prices).any():
-        raise ValueError("prices must not be NaN")
-    intrinsic = np.maximum(np.where(calls, forward - strikes, strikes - forward), 0.0)
-    below = prices <= intrinsic
-    lo = np.zeros(prices.shape)
-    hi = np.full(prices.shape, _VOL_CEILING)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # Black's price at the ceiling is at most the upper bound
-        above = ~below & (prices >= bs_price(strikes, maturity, forward, hi, kind))
-        for _ in range(_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            high = _black(strikes, maturity, forward, mid, calls) > prices
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-    return np.where(below, 0.0, np.where(above, math.inf, 0.5 * (lo + hi)))
+    return _scalar_or_array(np.where(flat, _intrinsic(strike, forward, calls), price))
 
 
 def implied_vol(price, strike, maturity: float, forward: float, kind="call"):
@@ -213,17 +181,39 @@ def implied_vol(price, strike, maturity: float, forward: float, kind="call"):
 
     ``price``, ``strike`` and ``kind`` broadcast as arrays, and all
     elements are bisected at once; the result is a float when all three
-    are scalars.  The residual |bs_price(result) - price| is at most
-    ~1e-12 * forward, and the result is non-decreasing in ``price``.  A
-    price outside the arbitrage bounds saturates instead of raising: at
-    or below intrinsic value it gives 0.0, and at or above Black's price
-    at vol 1e6, which is below the upper bound (forward for calls, strike
-    for puts), it gives inf.
+    are scalars.  Each of 70 halvings of the bracket [0, 1e6] moves its
+    upper end to the midpoint where Black's price there is above the
+    quote, and its lower end otherwise; the result is the last midpoint,
+    within 4.3e-16 of where the computed price crosses the quote, which
+    keeps the residual |bs_price(result) - price| under 1e-12 * forward.
+    Two prices share every midpoint until the higher one first keeps the
+    upper half, so the result is non-decreasing in ``price``.
+
+    A price outside the arbitrage bounds saturates instead of raising: at
+    or below intrinsic value it gives 0.0.  Black's price increases with
+    vol, so one :func:`bs_price` at 1e6 finds the prices that get inf:
+    those at or over the upper bound (the forward for calls, the strike
+    for puts), and those beyond every vol up to 1e6.  That call is also
+    the inversion's only check of the kind, strikes, forward and
+    maturity, so they are refused before a NaN price is.
     """
-    _is_call(kind)
-    _check_market(strike, maturity, forward)
-    vols = _invert_black(price, strike, maturity, forward, kind)
-    return float(vols) if vols.ndim == 0 else vols
+    ceiling = bs_price(strike, maturity, forward, _VOL_CEILING, kind)
+    prices, strikes, calls = np.broadcast_arrays(
+        np.asarray(price, dtype=float), np.asarray(strike, dtype=float),
+        np.asarray(kind) == "call")
+    if np.isnan(prices).any():
+        raise ValueError("prices must not be NaN")
+    below = prices <= _intrinsic(strikes, forward, calls)
+    above = ~below & (prices >= ceiling)
+    lo = np.zeros(prices.shape)
+    hi = np.full(prices.shape, _VOL_CEILING)
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        high = _black(strikes, maturity, forward, mid, calls) > prices
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    return _scalar_or_array(
+        np.where(below, 0.0, np.where(above, math.inf, 0.5 * (lo + hi))))
 
 
 def _tail_sums(ascending, cuts, calls):
@@ -263,6 +253,8 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
     freed before the inversion, so the smile holds at most one n-path
     array beside ``paths``.
     """
+    if paths.terminal_values.size == 0:
+        raise ValueError("empty path set")
     # the forward is the mean of the paths; its error is not needed.
     # Every path can underflow to 0 (or overflow) over a long maturity,
     # and no price is then quoted against the forward

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 from scipy import integrate
 
-from .model import NumericalError, SabrParams, vol_variance
+from .model import NumericalError, SabrParams, _variance, vol_diffusion
 
 __all__ = [
     "ScaleReport",
@@ -128,6 +128,22 @@ def _points(x, rule: str, base: float = 0.0) -> np.ndarray:
     return xs
 
 
+def _log_variance_ratio(x, params: SabrParams):
+    """log(vol_variance(x)/omega^2), evaluated under the caller's
+    np.errstate.  Where the variance overflows, as from
+    x = 1.3e154/(1-beta) on, it is taken as 2*(log(vol_diffusion(x)) -
+    log(omega)), which cannot overflow.  It is inf where a tiny omega
+    makes the quotient overflow: omega^2 is then too small for the
+    closed forms."""
+    variance = _variance(x, params, None)
+    ratio = np.log(np.divide(variance, params.omega**2))
+    overflowed = np.isinf(variance)
+    if overflowed.any():
+        ratio = np.where(overflowed, 2.0 * (np.log(vol_diffusion(x, params))
+                                            - math.log(params.omega)), ratio)
+    return ratio
+
+
 def _log_arctan(x, coefficients, params: SabrParams):
     """A*log(vol_variance(x)/omega^2) + B*(arctan((b1*x - rho*omega) /
     (omega*rho_perp)) + arcsin(rho)) for (A, B) = ``coefficients`` and
@@ -139,7 +155,7 @@ def _log_arctan(x, coefficients, params: SabrParams):
     rho, omega, rp = params.rho, params.omega, params.rho_perp
     b1 = 1.0 - params.beta
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_term = log_coef * np.log(np.divide(vol_variance(x, params), omega**2))
+        log_term = log_coef * _log_variance_ratio(x, params)
         arctan_term = arctan_coef * (np.arctan((b1 * x - rho * omega) / (omega * rp))
                                      + math.atan(rho / rp))
         val = log_term + arctan_term
@@ -230,9 +246,9 @@ def check_scale_density_envelope(x_grid, params: SabrParams) -> EnvelopeReport:
         raise ValueError("envelope check requires rho < 0")
     x = _points(x_grid, "finite and >= 0")
     c2 = (2.0 - params.beta) / (2.0 * (1.0 - params.beta))
-    gap = -2.0 * scale_exponent(x, params) + c2 * np.log(
-        vol_variance(x, params) / params.omega**2
-    )
+    # scale_exponent refuses the points where the log ratio is not finite
+    with np.errstate(over="ignore"):
+        gap = -2.0 * scale_exponent(x, params) + c2 * _log_variance_ratio(x, params)
     log_kappa = math.log(envelope_constant(params))
     violation = np.maximum(-gap, gap - log_kappa)
     worst = int(np.argmax(violation))
@@ -359,12 +375,15 @@ def _scaled_inner_integrand(z, phi_z, phi_ref, params: SabrParams):
     """Inner integrand of the Feller test function, 2 / (scale_density(z)
     * z^2 * vol_variance(z)), times scale_density(y) = exp(-2*phi_ref) for
     phi = scale_exponent: phi increases for rho < 0, so with z <= y the
-    exponential cannot overflow.  It blows up like 2/(omega^2 z^2) at 0."""
-    return (
-        2.0
-        * np.exp(2.0 * (phi_z - phi_ref))
-        / (z * z * vol_variance(z, params))
-    )
+    exponential cannot overflow.  It blows up like 2/(omega^2 z^2) at 0.
+    Far out the denominator overflows to inf, and the integrand is its
+    limit 0."""
+    with np.errstate(over="ignore"):
+        return (
+            2.0
+            * np.exp(2.0 * (phi_z - phi_ref))
+            / (z * z * _variance(z, params, None))
+        )
 
 
 # Gauss-Legendre rules on [0, 1] used by the Feller test function.  Each

@@ -10,6 +10,7 @@ from scipy.integrate import quad as scipy_quad
 
 from vixsabr import (
     CapSpec,
+    NumericalError,
     SabrParams,
     limiting_implied_vol,
     rate_function,
@@ -261,6 +262,19 @@ def test_limiting_vol_at_the_money_is_the_limit_of_both_sides(params, caps, v0):
     for side in (1.0 - 1e-7, 1.0 + 1e-7):
         assert math.isclose(limiting_implied_vol(v0 * side, p, caps), atm,
                             rel_tol=0.0, abs_tol=1e-6)
+
+
+@pytest.mark.parametrize("v0", [1e155, 1e300, sys.float_info.max])
+def test_huge_v0_gives_the_cap_at_the_money_and_refuses_the_expansion(params, v0):
+    # the variance at v0 overflows: the at-the-money limit is the cap,
+    # quietly, and the expansion's terms overflow although skew and
+    # convexity are finite, which raises NumericalError
+    p = SabrParams(params.beta, params.rho, params.omega, v0)
+    caps = CapSpec.from_params(p, vol_cap=2.0, drift_cap=1.0)
+    assert limiting_implied_vol(v0, p, caps) == caps.vol_cap
+    assert 0.0 < limiting_implied_vol(0.1, p, caps) < caps.vol_cap
+    with pytest.raises(NumericalError, match="smile expansion overflows"):
+        smile_expansion(p)
 
 
 def test_limiting_vol_rejects_nonpositive_strike(params, caps):

@@ -57,6 +57,38 @@ def test_package_modules_use_every_name_they_import():
     assert unused == []
 
 
+def test_package_modules_use_every_private_name_they_define():
+    # The package's only dead-code check.  A module-level private function,
+    # class or assignment must be read somewhere in src/, tests/ or bench/:
+    # by name, as an attribute, or as a string such as monkeypatch and
+    # bench/spans.py pass.
+    files = [*PACKAGE_DIR.glob("*.py"), *Path(__file__).parent.glob("*.py"),
+             *SPANS_FILE.parent.glob("*.py")]
+    read = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"vixsabr.{path.stem}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    assert unread == []
+
+
 def test_bench_calls_bind_to_the_mc_signatures():
     # bench/probes.py and bench/workloads.py call these shapes, and the
     # path-step counters read the McConfig at argument index 2

@@ -358,6 +358,11 @@ def _extreme_config_texts(draw):
 # a rate function past the float range
 @example(text=json.dumps({"model": {"omega": 1e-152}, "maturities": [0.2, 0.1],
                           "mc": {"n_paths": 2000, "n_steps": 5}}), strike=1e-300)
+# an at-the-money overlay whose variance at v0 overflows
+@example(text=json.dumps({"model": {"beta": 0.0, "rho": -0.5, "omega": 1.0, "v0": 1e155},
+                          "caps": {"vol_cap": 10.0, "drift_cap": 1.0},
+                          "mc": {"n_paths": 300, "n_steps": 3},
+                          "strikes": [1e155], "maturities": [1.0]}), strike=None)
 @settings(max_examples=60, deadline=None)
 def test_main_fuzz_exits_with_a_contract_code(tmp_path_factory, text, strike):
     """Every command on every generated config exits 0, 2 or 3: a

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -25,6 +26,7 @@ from vixsabr import (
     simulate_capped_lanes,
     simulate_capped_paths,
     simulate_sabr_2d,
+    smile_from_paths,
 )
 from vixsabr.mc import _BLOCK_PATHS
 
@@ -355,12 +357,15 @@ def test_estimates_that_are_not_finite_are_refused_by_both_estimators(values):
             price_vix_option(paths, 0.05)
 
 
-def test_empty_path_set_is_rejected_by_both_estimators():
-    empty = PathSet(terminal_values=np.empty(0))
+@pytest.mark.parametrize("estimator", [
+    pytest.param(estimate_forward, id="estimate_forward"),
+    pytest.param(lambda paths: price_vix_option(paths, 0.1), id="price_vix_option"),
+    pytest.param(lambda paths: smile_from_paths(paths, [0.1], 0.1),
+                 id="smile_from_paths"),
+])
+def test_empty_path_set_is_rejected_by_both_estimators(estimator):
     with pytest.raises(ValueError, match="empty path set"):
-        estimate_forward(empty)
-    with pytest.raises(ValueError, match="empty path set"):
-        price_vix_option(empty, 0.1)
+        estimator(PathSet(terminal_values=np.empty(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -669,14 +674,18 @@ def test_evolve_capped_overflows_without_a_warning():
     *(pytest.param("horizon", h, id=str(h)) for h in (math.nan, math.inf, 0.0)),
     *(pytest.param("v_init", v, id=f"v_init-{v}") for v in (math.nan, math.inf, 0.0, -1.0)),
     pytest.param("v_init", [0.1, -1.0, 0.1], id="v_init-elementwise"),
+    pytest.param("normals", np.zeros((0, 3)), id="normals-no-steps"),
+    pytest.param("normals", np.zeros(3), id="normals-1d"),
 ])
 def test_evolve_capped_rejects_a_horizon_that_is_not_finite_and_positive(
         params, caps, name, value):
     # v_init is checked as SabrParams checks v0, elementwise
-    args = {"v_init": params.v0, "horizon": 0.1, name: value}
-    z = np.zeros((2, 3))
-    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
-        evolve_capped(args["v_init"], z, args["horizon"], params, caps)
+    args = {"v_init": params.v0, "horizon": 0.1, "normals": np.zeros((2, 3)),
+            name: value}
+    rule = ("have shape (n_steps >= 1, n_paths)" if name == "normals"
+            else "be finite and > 0")
+    with pytest.raises(ValueError, match=re.escape(f"{name} must {rule}")):
+        evolve_capped(args["v_init"], args["normals"], args["horizon"], params, caps)
 
 
 def test_evolve_capped_broadcasts_initial_level(params, caps):
@@ -685,3 +694,4 @@ def test_evolve_capped_broadcasts_initial_level(params, caps):
     scalar_init = evolve_capped(0.1, z, 0.1, params, caps)
     array_init = evolve_capped(np.full(40, 0.1), z, 0.1, params, caps)
     assert np.array_equal(scalar_init, array_init)
+    assert evolve_capped(0.1, np.zeros((2, 0)), 0.1, params, caps).shape == (0,)

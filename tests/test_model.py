@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -195,6 +196,22 @@ def test_capped_diffusion_continuous_at_binding_level(params, caps):
     above = capped_vol_diffusion(v * (1.0 + 1e-12), params, caps)
     assert abs(below - caps.vol_cap) < 1e-9
     assert abs(above - caps.vol_cap) < 1e-9
+
+
+@pytest.mark.parametrize("v", [1e155, 1e300, sys.float_info.max])
+def test_coefficients_reach_their_limits_where_the_quadratic_overflows(params, caps, v):
+    # an overflow is quiet (tier-1 turns warnings into errors): the
+    # variance and the drift overflow for real, while the diffusion,
+    # about (1 - beta) * v, is finite and both capped values are the caps
+    assert vol_variance(v, params) == math.inf
+    assert vol_drift(v, params) == math.inf
+    assert math.isclose(vol_diffusion(v, params), 0.5 * v, rel_tol=1e-15)
+    assert capped_vol_diffusion(v, params, caps) == caps.vol_cap
+    assert capped_vol_drift(v, params, caps) == caps.drift_cap
+    # a level that does not overflow keeps its bits beside one that does
+    levels = np.array([0.1, v])
+    assert vol_diffusion(levels, params)[0] == vol_diffusion(0.1, params)
+    assert vol_variance(levels, params)[0] == vol_variance(0.1, params)
 
 
 # subnormal levels up to 1e100, where every term stays finite

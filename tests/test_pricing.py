@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from vixsabr import pricing
 from vixsabr import (
     CapSpec,
     McConfig,
@@ -48,6 +50,12 @@ def test_bs_at_the_money_small_vol_approximation():
     price = bs_price(forward, maturity, forward, vol, "call")
     approx = forward * vol * math.sqrt(maturity) / math.sqrt(2.0 * math.pi)
     assert math.isclose(price, approx, rel_tol=1e-3)
+
+
+def test_bs_price_at_a_subnormal_strike_is_its_limit():
+    # forward / strike overflows; d1 is inf and the price the forward,
+    # without a warning (tier-1 turns warnings into errors)
+    assert bs_price(5e-324, 0.1, 0.1, 0.2) == 0.1
 
 
 def test_bs_increasing_in_vol():
@@ -100,6 +108,36 @@ def test_bs_validation(kwargs):
 def test_implied_vol_validation(kwargs):
     with pytest.raises(ValueError, match="finite and > 0"):
         implied_vol(0.01, **kwargs)
+
+
+def test_each_inversion_checks_its_inputs_once(monkeypatch):
+    # the one bs_price at the vol ceiling checks the kind and the market
+    # for the whole inversion, and a smile inverts all its prices at once
+    counts = Counter()
+
+    def counted(name):
+        fn = getattr(pricing, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_is_call", "_check_market", "bs_price"):
+        monkeypatch.setattr(pricing, name, counted(name))
+    implied_vol([0.01, 0.03], [0.1, 0.12], 0.1, 0.1, ["call", "put"])
+    assert counts == {"_is_call": 1, "_check_market": 1, "bs_price": 1}
+    counts.clear()
+    values = np.random.default_rng(3).lognormal(math.log(0.1), 0.3, 2000)
+    smile_from_paths(PathSet(terminal_values=values), np.linspace(0.05, 0.2, 16), 0.1)
+    assert counts == {"_is_call": 1, "_check_market": 1, "bs_price": 1}
+    # the kind and the market are refused before a NaN price is
+    with pytest.raises(ValueError, match="kind must be"):
+        implied_vol(math.nan, 0.1, 0.1, 0.1, "straddle")
+    with pytest.raises(ValueError, match="strike and forward"):
+        implied_vol(math.nan, 0.0, 0.1, 0.1)
+    with pytest.raises(ValueError, match="prices must not be NaN"):
+        implied_vol(math.nan, 0.1, 0.1, 0.1)
 
 
 def test_implied_vol_round_trip():

@@ -145,11 +145,14 @@ def test_scale_exponent_beta_zero_reduces_to_log_variance():
 
 
 def test_scale_exponent_vectorized(params):
-    x = np.array([0.0, 0.5, 1.0, 10.0])
+    # from 1.3e154/(1 - beta) on vol_variance overflows, the exponents not
+    x = np.array([0.0, 0.5, 1.0, 10.0, 1e80, 1e160, 1e300])
     vals = scale_exponent(x, params)
     assert vals.shape == x.shape
     for i, xi in enumerate(x):
         assert vals[i] == scale_exponent(float(xi), params)
+    assert np.all(np.diff(vals) > 0.0)
+    assert np.all(np.isfinite(auxiliary_scale_exponent(x, params)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +168,7 @@ def test_envelope_constant_is_one_for_beta_zero():
     assert envelope_constant(p) == 1.0
 
 def test_envelope_holds_on_grid(params):
-    grid = np.arange(0.0, 100.0 + 1e-9, 0.1)
+    grid = np.append(np.arange(0.0, 100.0 + 1e-9, 0.1), [1e80, 1e160, 1e300])
     report = check_scale_density_envelope(grid, params)
     assert report.holds
     assert bool(report)
@@ -273,6 +276,10 @@ def test_scale_function_limit_pinned(params):
 def test_scale_function_nearly_flat_in_far_tail(params):
     gap = scale_function(1e6, params) - scale_function(1e5, params)
     assert 0.0 < gap < 1e-7
+    # where vol_variance overflows the scale function has reached its limit
+    far = scale_function(np.array([1e50, 1e80, 1e160, 1e300]), params)
+    assert math.isclose(far[0], 1.5614038047110843, rel_tol=1e-12)
+    assert np.allclose(far, far[0], rtol=1e-12, atol=0.0)
 
 
 def test_scale_function_tail_decay_exponent(params):
@@ -313,6 +320,11 @@ def test_feller_function_tail_stabilizes(params):
     inc2 = vals[2] - vals[1]
     assert abs(inc1) < 1e-4 * vals[1]
     assert abs(inc2) < 1e-4 * vals[2]
+    # far out the inner integrand's denominator overflows to inf, quietly,
+    # and the integrand is its limit 0
+    far = feller_test_function(np.array([1e50, 1e80, 1e160, 1e300]), params)
+    assert math.isclose(far[0], 3107.9327831718424, rel_tol=1e-12)
+    assert np.allclose(far, far[0], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.9])
