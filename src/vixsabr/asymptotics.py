@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .model import CapSpec, NumericalError, SabrParams, capped_vol_diffusion, \
-    vol_diffusion
+    positive_float, vol_diffusion
 
 __all__ = [
     "SmileExpansion",
@@ -126,14 +126,15 @@ def rate_integral(lo: float, hi: float, params: SabrParams, caps: CapSpec) -> fl
     Raises
     ------
     ValueError
-        If lo is not finite and > 0, or hi is not >= lo (or NaN).
+        If lo is not finite and > 0, or hi is not inf or a float >= lo.
     NumericalError
         If the antiderivative's terms underflow to 0 at a smaller omega.
     """
-    if not 0.0 < lo < math.inf:
-        raise ValueError(f"lower bound must be finite and > 0, got {lo}")
+    lo = positive_float(lo, "lower bound")
+    if hi != math.inf:
+        hi = positive_float(hi, "upper bound")
     if not lo <= hi:
-        raise ValueError(f"bounds are reversed or NaN: [{lo}, {hi}]")
+        raise ValueError(f"bounds are reversed: [{lo}, {hi}]")
     if lo == hi:
         return 0.0
     split = caps.binding_level
@@ -157,8 +158,8 @@ def rate_function(strike: float, params: SabrParams, caps: CapSpec) -> float:
     single split rule in :func:`rate_integral`.  ``strike = inf`` gives
     the limit inf.
     """
-    if not strike > 0.0:
-        raise ValueError(f"strike must be > 0, got {strike}")
+    if strike != math.inf:
+        strike = positive_float(strike, "strike")
     lo, hi = min(strike, params.v0), max(strike, params.v0)
     integral = rate_integral(lo, hi, params, caps)
     # float ** raises OverflowError exactly above sqrt(float max)
@@ -175,8 +176,7 @@ def limiting_implied_vol(strike: float, params: SabrParams, caps: CapSpec) -> fl
 
         limiting_implied_vol(K)**2 == log(K/v0)**2 / (2 * rate_function(K)).
     """
-    if not 0.0 < strike < math.inf:
-        raise ValueError(f"strike must be finite and > 0, got {strike}")
+    strike = positive_float(strike, "strike")
     x = _log_ratio(strike, params.v0)
     if abs(x) < _ATM_LOG_THRESHOLD:
         return capped_vol_diffusion(params.v0, params, caps)

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .model import CapSpec, Coefficients, SabrParams, capped_vol_diffusion, \
-    capped_vol_drift, check_float_fields, check_integer_fields, shown
+    capped_vol_drift, check_float_fields, check_integer_fields, positive_float, \
+    positive_floats, shown
 from .scale import NumericalError
 
 __all__ = [
@@ -90,12 +91,8 @@ class McConfig:
             raise ValueError(f"n_paths must be >= 1, got {shown(self.n_paths)}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {shown(self.n_steps)}")
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError(
-                f"horizon must be finite and > 0, got {shown(self.horizon)}")
-        if not 0.0 < self.vix_window < math.inf:
-            raise ValueError(
-                f"vix_window must be finite and > 0, got {shown(self.vix_window)}")
+        positive_float(self.horizon, "horizon")
+        positive_float(self.vix_window, "vix_window")
         if self.inner_paths < 0:
             raise ValueError(f"inner_paths must be >= 0, got {shown(self.inner_paths)}")
         if self.inner_steps < 1:
@@ -217,12 +214,8 @@ def evolve_capped(v_init, normals, horizon, params, caps):
     and a :class:`NumericalError` in the estimators.  Every ``v_init``
     must be finite and > 0, as :class:`SabrParams` requires of v0.
     """
-    if not 0.0 < horizon < math.inf:
-        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
-    v_init = np.asarray(v_init, dtype=float)
-    bad = ~((v_init > 0.0) & (v_init < math.inf))
-    if bad.any():
-        raise ValueError(f"v_init must be finite and > 0, got {v_init[bad][0]}")
+    horizon = positive_float(horizon, "horizon")
+    v_init = positive_floats(v_init, "v_init")
     normals = np.asarray(normals, dtype=float)
     if normals.ndim != 2 or normals.shape[0] < 1:
         raise ValueError(f"normals must have shape (n_steps >= 1, n_paths), "
@@ -247,14 +240,6 @@ def _column(values):
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def _checked_lanes(lanes, mc: McConfig) -> list:
-    """The lanes as a list, each horizon checked as McConfig checks its own."""
-    lanes = list(lanes)
-    for _, _, horizon in lanes:
-        replace(mc, horizon=horizon)
-    return lanes
-
-
 def _empty(shape, what: str) -> np.ndarray:
     """``np.empty(shape)`` of floats.  numpy refuses an array past the
     address space with a ValueError; it is refused here, before anything
@@ -268,7 +253,8 @@ def _empty(shape, what: str) -> np.ndarray:
 def _lane_stepper(lanes, n_steps: int):
     """The block body of the capped lanes: ``step(v, rng)`` sets row i of
     the (L, m) array ``v`` to lane i's v0 and steps it in place to the
-    lane's horizon, drawing each row of normals from ``rng`` once."""
+    lane's horizon, drawing each row of normals from ``rng`` once.  Each
+    horizon is checked as :class:`McConfig` checks its own."""
     # Split the lanes into the fewest stacks of at most _STACK_LANES,
     # as even as possible, and fix each stack's constants once.
     n_stacks = -(-len(lanes) // _STACK_LANES)
@@ -276,7 +262,7 @@ def _lane_stepper(lanes, n_steps: int):
     stacks = []
     for rows in map(slice, bounds[:-1], bounds[1:]):
         models, caps, horizons = zip(*lanes[rows])
-        dts = [horizon / n_steps for horizon in horizons]
+        dts = [positive_float(horizon, "horizon") / n_steps for horizon in horizons]
         stacks.append((
             rows,
             _column([params.v0 for params in models]),
@@ -324,11 +310,11 @@ def simulate_capped_lanes(lanes, mc: McConfig, n_threads: int = 1) -> list[PathS
     ``terminal_values`` are the rows of one (L, n_paths) array, which the
     blocks step in place.
     """
-    lanes = _checked_lanes(lanes, mc)
+    lanes = list(lanes)
     if not lanes:
         return []
-    terminal = _empty((len(lanes), mc.n_paths), "outputs")
     step = _lane_stepper(lanes, mc.n_steps)
+    terminal = _empty((len(lanes), mc.n_paths), "outputs")
     _run_blocks(_DOMAIN_CAPPED, mc.seed, mc.n_paths, _BLOCK_PATHS,
                 lambda lo, hi, rng: step(terminal[:, lo:hi], rng), n_threads)
     return [PathSet(terminal[i]) for i in range(len(lanes))]
@@ -353,12 +339,12 @@ def estimate_capped_lanes(lanes, statistic, mc: McConfig,
 
     Raises :class:`NumericalError` when a pooled mean or SE is not finite.
     """
-    lanes = _checked_lanes(lanes, mc)
+    lanes = list(lanes)
     if not lanes:
         return []
     n = mc.n_paths
-    table = _empty((len(lanes), -(-n // _BLOCK_PATHS), 3), "block estimates")
     step = _lane_stepper(lanes, mc.n_steps)
+    table = _empty((len(lanes), -(-n // _BLOCK_PATHS), 3), "block estimates")
 
     def run_block(lo: int, hi: int, rng) -> None:
         state = np.empty((len(lanes), hi - lo))
@@ -510,8 +496,7 @@ def simulate_sabr_2d(
     time into a reused buffer, the numbers of one (n_steps, 2, block)
     draw, so its memory does not grow with ``mc.n_steps``.
     """
-    if not 0.0 < s0 < math.inf:
-        raise ValueError(f"s0 must be finite and > 0, got {s0}")
+    s0 = positive_float(s0, "s0")
     n = mc.n_paths
     dt = mc.horizon / mc.n_steps
     sqrt_dt = math.sqrt(dt)
@@ -525,7 +510,7 @@ def simulate_sabr_2d(
     def run_block(lo: int, hi: int, rng) -> None:
         m = hi - lo
         z1, z2 = z = np.empty((2, m))
-        s = np.full(m, float(s0))
+        s = np.full(m, s0)
         sig = np.full(m, sigma0)
         alive = np.ones(m, dtype=bool)
         for _ in range(mc.n_steps):

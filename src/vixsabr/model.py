@@ -70,18 +70,44 @@ class NumericalError(RuntimeError):
     a closed form is evaluated outside its domain or overflows."""
 
 
+def as_floats(value) -> np.ndarray:
+    """``value`` as a float array, all inf if it holds an integer too large for a float."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        return np.asarray(math.inf)
+
+
+def positive_float(value, name: str) -> float:
+    """``value`` as a float, converted as by :func:`as_floats`; ValueError
+    naming ``name`` unless it is finite and > 0."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {shown(value)}")
+    return x
+
+
+def positive_floats(value, name: str) -> np.ndarray:
+    """:func:`as_floats` of ``value``, checked elementwise by
+    :func:`positive_float`, whose error names the first bad element."""
+    values = as_floats(value)
+    bad = ~((values > 0.0) & (values < math.inf))
+    if bad.any():
+        positive_float(values[bad][0], name)
+    return values
+
+
 def check_float_fields(config) -> None:
     """Raise :class:`FieldError` unless every field of the dataclass
-    ``config`` annotated ``float`` holds finite floats, or arrays of them:
-    an integer too large for a float compares below infinity."""
+    ``config`` annotated ``float`` holds finite floats, or arrays of them,
+    as :func:`as_floats` converts them."""
     for f in fields(config):
-        if f.type in (float, "float"):
-            try:
-                value = np.asarray(getattr(config, f.name), dtype=float)
-            except OverflowError:
-                value = np.inf
-            if not np.all(np.isfinite(value)):
-                raise FieldError(f"{f.name}: out of range; values must be finite")
+        if f.type in (float, "float") and not np.all(
+                np.isfinite(as_floats(getattr(config, f.name)))):
+            raise FieldError(f"{f.name}: out of range; values must be finite")
 
 
 @dataclass(frozen=True)
@@ -172,9 +198,7 @@ class CapSpec:
                 f"{_VOL_CAP_LIMIT:.6g}, where its square overflows; "
                 f"got {shown(vol_cap)}"
             )
-        if not 0.0 < drift_cap < math.inf:
-            raise ValueError(
-                f"drift_cap must be finite and > 0, got {shown(drift_cap)}")
+        positive_float(drift_cap, "drift_cap")
         root = math.sqrt(vol_cap**2 + (params.rho**2 - 1.0) * params.omega**2)
         binding = (params.rho * params.omega + root) / (1.0 - params.beta)
         return cls(vol_cap=vol_cap, drift_cap=drift_cap, binding_level=binding)

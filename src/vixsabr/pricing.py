@@ -24,7 +24,8 @@ from .asymptotics import _ATM_LOG_THRESHOLD, _log_ratio, rate_function
 # bench/spans.py wraps this module's binding of it.
 from .mc import McConfig, McEstimate, PathSet, _check_finite, \
     estimate_capped_lanes, simulate_capped_paths  # noqa: F401
-from .model import CapSpec, SabrParams, _scalar_or_array
+from .model import CapSpec, SabrParams, _scalar_or_array, as_floats, positive_float, \
+    positive_floats
 from .scale import NumericalError
 
 __all__ = [
@@ -113,8 +114,7 @@ def price_vix_option(paths: PathSet, strike: float, kind: str = "call") -> McEst
     volatility level (the vanishing-window convention); see
     ``mc.estimate_vix_nested`` for the finite-window estimator.
     """
-    if not 0.0 < strike < math.inf:
-        raise ValueError(f"strike must be finite and > 0, got {strike}")
+    strike = positive_float(strike, "strike")
     values = paths.terminal_values
     payoff = values - strike if _is_call(kind) else strike - values
     return _sample_mean(np.maximum(payoff, 0.0))
@@ -152,11 +152,8 @@ def _is_call(kind):
 
 def _check_market(strike, maturity: float, forward: float) -> None:
     """Reject strikes, forward or maturity that are not finite and > 0."""
-    strike = np.asarray(strike, dtype=float)
-    if not (np.all((strike > 0.0) & (strike < math.inf)) and 0.0 < forward < math.inf):
-        raise ValueError("strike and forward must be finite and > 0")
-    if not 0.0 < maturity < math.inf:
-        raise ValueError(f"maturity must be finite and > 0, got {maturity}")
+    positive_floats(np.append(strike, forward), "strike and forward")
+    positive_float(maturity, "maturity")
 
 
 def bs_price(strike, maturity: float, forward: float, vol, kind="call"):
@@ -168,7 +165,7 @@ def bs_price(strike, maturity: float, forward: float, vol, kind="call"):
     """
     calls = _is_call(kind)
     _check_market(strike, maturity, forward)
-    strike, vol = np.asarray(strike, dtype=float), np.asarray(vol, dtype=float)
+    strike, vol = np.asarray(strike, dtype=float), as_floats(vol)
     if not np.all((vol >= 0.0) & (vol < math.inf)):
         raise ValueError(f"vol must be finite and >= 0, got {vol}")
     flat = vol == 0.0
@@ -263,9 +260,7 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
     if not 0.0 < fwd < math.inf:
         raise NumericalError(f"the estimated forward at maturity {maturity} is "
                              f"{fwd}, not finite and > 0")
-    strikes = np.array(sorted(float(k) for k in strikes))
-    if not np.all((strikes > 0.0) & (strikes < math.inf)):
-        raise ValueError("strikes must be finite and > 0")
+    strikes = np.sort(positive_floats(strikes, "strikes"), axis=None)
     calls = strikes > fwd
     n_puts = strikes.size - np.count_nonzero(calls)
     ascending = np.sort(paths.terminal_values)
@@ -346,9 +341,8 @@ def rate_convergence_study(
     the price does not decay exponentially and the comparison is
     meaningless.
     """
-    if not 0.0 < strike < math.inf:
-        raise ValueError(f"strike must be finite and > 0, got {strike}")
-    maturities = [float(t) for t in maturities]
+    strike = positive_float(strike, "strike")
+    maturities = [positive_float(t, "maturities") for t in maturities]
     if len(maturities) < 2:
         raise ValueError("need at least two maturities")
     if any(b >= a for a, b in zip(maturities[:-1], maturities[1:])):

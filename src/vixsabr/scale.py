@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 from scipy import integrate
 
-from .model import NumericalError, SabrParams, _variance, vol_diffusion
+from .model import NumericalError, SabrParams, _variance, as_floats, vol_diffusion
 
 __all__ = [
     "ScaleReport",
@@ -118,10 +118,10 @@ class ScaleReport:
 
 
 def _points(x, rule: str, base: float = 0.0) -> np.ndarray:
-    """``x`` as a 1-d float array.  Unless every point is finite and
-    >= 0, or > ``base`` when that is positive, it is refused, before any
-    quadrature, with a message that x must be ``rule``."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    """:func:`as_floats` of ``x``, as a 1-d array.  Unless every point is
+    finite and >= 0, or > ``base`` when that is positive, it is refused,
+    before any quadrature, with a message that x must be ``rule``."""
+    xs = np.atleast_1d(as_floats(x))
     bad = ~(((xs > base) if base else (xs >= 0.0)) & (xs < math.inf))
     if bad.any():
         raise ValueError(f"x must be {rule}, got {xs[bad][0]}")
