@@ -31,9 +31,9 @@ __all__ = [
     "smile_expansion",
 ]
 
-# Below this threshold on |log(K / v0)| the strike counts as at the money
-# and the limiting implied vol is continued by its ATM value, avoiding a
-# 0/0 evaluation of the harmonic-mean formula.
+# Below this threshold on |log(K / v0)| the strike counts as at the money:
+# the limiting implied vol is continued by its ATM value, avoiding a 0/0
+# evaluation of the harmonic-mean formula, and no OTM price decays there.
 _ATM_LOG_THRESHOLD = 1e-8
 
 
@@ -63,6 +63,10 @@ def _log_ratio(a: float, b: float) -> float:
     if sys.float_info.min <= q < math.inf:
         return math.log(q)
     return math.log(a) - math.log(b)
+
+
+def _at_the_money(strike: float, v0: float) -> bool:
+    return abs(_log_ratio(strike, v0)) < _ATM_LOG_THRESHOLD
 
 
 def _uncapped_rate_integral(lo: float, hi: float, params: SabrParams) -> float:
@@ -177,11 +181,10 @@ def limiting_implied_vol(strike: float, params: SabrParams, caps: CapSpec) -> fl
         limiting_implied_vol(K)**2 == log(K/v0)**2 / (2 * rate_function(K)).
     """
     strike = positive_float(strike, "strike")
-    x = _log_ratio(strike, params.v0)
-    if abs(x) < _ATM_LOG_THRESHOLD:
+    if _at_the_money(strike, params.v0):
         return capped_vol_diffusion(params.v0, params, caps)
     lo, hi = min(strike, params.v0), max(strike, params.v0)
-    return abs(x) / rate_integral(lo, hi, params, caps)
+    return abs(_log_ratio(strike, params.v0)) / rate_integral(lo, hi, params, caps)
 
 
 def smile_expansion(params: SabrParams) -> SmileExpansion:

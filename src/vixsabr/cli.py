@@ -26,9 +26,9 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .asymptotics import _ATM_LOG_THRESHOLD, _log_ratio, limiting_implied_vol
+from .asymptotics import _at_the_money, limiting_implied_vol
 from .mc import McConfig, estimate_capped_lanes, simulate_capped_paths
-from .model import CapSpec, FieldError, SabrParams
+from .model import CapSpec, FieldError, SabrParams, positive_float, positive_floats
 from .pricing import estimate_forward, rate_convergence_study, smile_from_paths
 from .scale import NumericalError, explosion_verdict, martingale_diagnostic
 
@@ -176,8 +176,9 @@ def _positive_floats(values) -> tuple[float, ...]:
         values = tuple(float(x) for x in values)
     except (TypeError, ValueError, OverflowError):
         raise ValueError("expected a list of numbers") from None
-    if not values or not all(0.0 < x < math.inf for x in values):
-        raise ValueError("entries must be finite and > 0")
+    if not values:
+        raise ValueError("expected at least one number")
+    positive_floats(values, "entries")
     return values
 
 
@@ -292,7 +293,7 @@ def cmd_converge(config: RunConfig, strike: float, n_threads: int = 1) -> None:
     if distinct < 2 or distinct < len(config.maturities):
         raise ConfigError([f"maturities: converge needs at least two maturities, "
                            f"all distinct, got {list(config.maturities)}"])
-    if abs(_log_ratio(strike, config.model.v0)) < _ATM_LOG_THRESHOLD:
+    if _at_the_money(strike, config.model.v0):
         raise ConfigError([f"--strike: {strike} equals v0; the at-the-money price "
                            "does not decay exponentially, pick an OTM strike"])
     maturities = sorted(config.maturities, reverse=True)
@@ -380,8 +381,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be >= 1")
-    if args.command == "converge" and not 0.0 < args.strike < math.inf:
-        parser.error("--strike must be finite and > 0")
+    if args.command == "converge":
+        try:
+            positive_float(args.strike, "--strike")
+        except ValueError as err:
+            parser.error(str(err))
 
     try:
         config = _load_config(args)

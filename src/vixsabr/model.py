@@ -56,8 +56,8 @@ def shown(value) -> str:
         return f"a number of more than {sys.get_int_max_str_digits()} digits"
 
 
-# vol_cap must stay below this, so that its square in the binding level
-# is a finite float.
+# omega and vol_cap must stay below this, so that their squares, in the
+# coefficients and the binding level, are finite floats.
 _VOL_CAP_LIMIT = math.sqrt(sys.float_info.max)
 
 
@@ -121,7 +121,8 @@ class SabrParams:
     rho : float
         Correlation between the asset and volatility drivers, in (-1, 1).
     omega : float
-        Lognormal volatility of volatility, > 0.
+        Lognormal volatility of volatility, > 0 and below the square root
+        of the largest float, so that its square is finite.
     v0 : float
         Initial level of the effective volatility v = sigma * S^(beta-1), > 0.
     """
@@ -136,8 +137,9 @@ class SabrParams:
             raise ValueError(f"beta must be in [0, 1), got {shown(self.beta)}")
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (-1, 1), got {shown(self.rho)}")
-        if not 0.0 < self.omega < math.inf:
-            raise ValueError(f"omega must be finite and > 0, got {shown(self.omega)}")
+        if not 0.0 < self.omega < _VOL_CAP_LIMIT:
+            raise ValueError(f"omega must be > 0 and below {_VOL_CAP_LIMIT:.6g}, where "
+                             f"its square overflows; got {shown(self.omega)}")
         if not 0.0 < self.v0 < math.inf:
             raise ValueError(f"v0 must be finite and > 0, got {shown(self.v0)}")
         check_float_fields(self)

@@ -13,13 +13,14 @@ the whole smile.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr
 
-from .asymptotics import _ATM_LOG_THRESHOLD, _log_ratio, rate_function
+from .asymptotics import _at_the_money, _log_ratio, rate_function
 # simulate_capped_paths is unused here but stays bound, because
 # bench/spans.py wraps this module's binding of it.
 from .mc import McConfig, McEstimate, PathSet, _check_finite, \
@@ -126,10 +127,11 @@ def _black(strikes, maturity: float, forward: float, vols, calls):
     A put is the call formula with the signs of d1 and d2 flipped and
     the whole price negated, which reproduces ``K N(-d2) - F N(-d1)``
     exactly.  A quotient forward / strike that overflows or underflows
-    gives d1 = +-inf, and the price its limit, without a warning.
+    gives d1 = +-inf, and the price its limit, without a warning; so does
+    a total vol that overflows, taken as the largest float.
     """
-    total = vols * math.sqrt(maturity)
     with np.errstate(divide="ignore", over="ignore"):
+        total = np.minimum(vols * math.sqrt(maturity), sys.float_info.max)
         d1 = np.log(forward / strikes) / total + 0.5 * total
     sign = np.where(calls, 1.0, -1.0)
     return sign * (forward * ndtr(sign * d1) - strikes * ndtr(sign * (d1 - total)))
@@ -181,8 +183,10 @@ def implied_vol(price, strike, maturity: float, forward: float, kind="call"):
     are scalars.  Each of 70 halvings of the bracket [0, 1e6] moves its
     upper end to the midpoint where Black's price there is above the
     quote, and its lower end otherwise; the result is the last midpoint,
-    within 4.3e-16 of where the computed price crosses the quote, which
-    keeps the residual |bs_price(result) - price| under 1e-12 * forward.
+    within 4.3e-16 of where the computed price crosses the quote.  Black's
+    vega is at most forward * sqrt(maturity / (2 pi)), so the residual
+    |bs_price(result) - price| is under forward * (1e-12 + 2e-16 *
+    sqrt(maturity)), which grows like sqrt(maturity) from maturity 2.5e7.
     Two prices share every midpoint until the higher one first keeps the
     upper half, so the result is non-decreasing in ``price``.
 
@@ -347,7 +351,7 @@ def rate_convergence_study(
         raise ValueError("need at least two maturities")
     if any(b >= a for a, b in zip(maturities[:-1], maturities[1:])):
         raise ValueError("maturities must be strictly decreasing")
-    if abs(_log_ratio(strike, params.v0)) < _ATM_LOG_THRESHOLD:
+    if _at_the_money(strike, params.v0):
         raise ValueError("strike must differ from v0 for the rate comparison")
     kind = "call" if strike > params.v0 else "put"
     target = rate_function(strike, params, caps)

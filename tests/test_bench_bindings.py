@@ -89,6 +89,22 @@ def test_package_modules_use_every_private_name_they_define():
     assert unread == []
 
 
+def test_only_model_formats_the_finite_and_positive_message():
+    # The rule "finite and > 0" has one home, model.positive_float and
+    # positive_floats; another module may state it in a docstring, but
+    # must call them rather than format the message itself.
+    phrase = "must be finite and > 0"
+    formatted = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        formatted += [f"vixsabr.{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and phrase in node.value and id(node) not in docstrings]
+    assert formatted
+    assert [where for where in formatted if not where.startswith("vixsabr.model:")] == []
+
+
 def test_bench_calls_bind_to_the_mc_signatures():
     # bench/probes.py and bench/workloads.py call these shapes, and the
     # path-step counters read the McConfig at argument index 2

@@ -1,29 +1,42 @@
-"""One fixed sweep of the public closed forms over the float range.
+"""One fixed sweep of the public closed forms over the float range, and
+the range check of every public argument that must be finite and > 0.
 
 Every call either returns or raises ValueError or NumericalError, and
 records no RuntimeWarning.  The points are fixed, not drawn, so the
 sweep fails the same way on every run."""
 
 import itertools
+import math
+import re
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from vixsabr import (
     CapSpec,
+    McConfig,
     NumericalError,
+    PathSet,
     SabrParams,
     auxiliary_scale_exponent,
     bs_price,
     capped_vol_diffusion,
     capped_vol_drift,
+    evolve_capped,
+    feller_test_function,
     implied_vol,
     limiting_implied_vol,
+    price_vix_option,
+    rate_convergence_study,
     rate_function,
     rate_integral,
     scale_exponent,
+    scale_function,
+    simulate_sabr_2d,
     smile_expansion,
+    smile_from_paths,
     vol_diffusion,
     vol_drift,
     vol_variance,
@@ -53,11 +66,14 @@ def _calls(params):
 
 def _market_calls():
     """bs_price and implied_vol at every strike and forward, at the money
-    and on both sides of it."""
+    and on both sides of it, at a short maturity and at one where
+    vol * sqrt(maturity) overflows."""
     for strike, forward in itertools.product(POINTS, repeat=2):
-        for kind in ("call", "put"):
-            yield "bs_price", bs_price, (strike, 0.1, forward, 0.2, kind)
-            yield "implied_vol", implied_vol, (0.5 * forward, strike, 0.1, forward, kind)
+        for kind, (maturity, vol) in itertools.product(
+                ("call", "put"), ((0.1, 0.2), (1e300, 1e300))):
+            yield "bs_price", bs_price, (strike, maturity, forward, vol, kind)
+            yield "implied_vol", implied_vol, (0.5 * forward, strike, maturity,
+                                               forward, kind)
 
 
 def _problems(calls) -> list:
@@ -84,3 +100,68 @@ def test_closed_forms_over_the_float_range(params):
 
 def test_black_functions_over_the_float_range():
     assert _problems(_market_calls()) == []
+
+
+# Each public argument that must be finite and > 0, with the name its
+# message gives, a call that passes the value there, and the values of
+# the six below that the argument takes: inf is the limit of an upper
+# bound, and a vol or scale-function point may be 0.
+_PARAMS = SabrParams(beta=0.5, rho=-0.7, omega=1.0, v0=0.1)
+_CAPS = CapSpec.from_params(_PARAMS, vol_cap=2.0, drift_cap=1.0)
+_PATHS = PathSet(terminal_values=np.array([0.05, 0.1, 0.2]))
+_MC = McConfig(n_paths=10, n_steps=2)
+ARGUMENTS = {
+    "limiting_implied_vol-strike": (
+        "strike", lambda x: limiting_implied_vol(x, _PARAMS, _CAPS), ()),
+    "rate_function-strike": (
+        "strike", lambda x: rate_function(x, _PARAMS, _CAPS), (math.inf,)),
+    "rate_integral-lo": ("lower bound", lambda x: rate_integral(x, 1.0, _PARAMS, _CAPS), ()),
+    "rate_integral-hi": (
+        "upper bound", lambda x: rate_integral(0.1, x, _PARAMS, _CAPS), (math.inf,)),
+    "price_vix_option-strike": ("strike", lambda x: price_vix_option(_PATHS, x), ()),
+    "bs_price-strike": ("strike and forward", lambda x: bs_price(x, 0.1, 0.1, 0.2), ()),
+    "bs_price-forward": ("strike and forward", lambda x: bs_price(0.1, 0.1, x, 0.2), ()),
+    "bs_price-maturity": ("maturity", lambda x: bs_price(0.1, x, 0.1, 0.2), ()),
+    "bs_price-vol": ("vol", lambda x: bs_price(0.1, 0.1, 0.1, x), (0.0,)),
+    "implied_vol-strike": (
+        "strike and forward", lambda x: implied_vol(0.01, x, 0.1, 0.1), ()),
+    "implied_vol-forward": (
+        "strike and forward", lambda x: implied_vol(0.01, 0.1, 0.1, x), ()),
+    "implied_vol-maturity": ("maturity", lambda x: implied_vol(0.01, 0.1, x, 0.1), ()),
+    "smile_from_paths-strikes": (
+        "strikes", lambda x: smile_from_paths(_PATHS, [0.1, x], 0.1), ()),
+    "smile_from_paths-maturity": (
+        "maturity", lambda x: smile_from_paths(_PATHS, [0.1], x), ()),
+    "rate_convergence_study-strike": (
+        "strike", lambda x: rate_convergence_study(x, _PARAMS, _CAPS, [0.2, 0.1], _MC), ()),
+    "rate_convergence_study-maturities": (
+        "maturities", lambda x: rate_convergence_study(0.15, _PARAMS, _CAPS, [0.2, x], _MC),
+        ()),
+    "evolve_capped-horizon": (
+        "horizon", lambda x: evolve_capped(0.1, np.zeros((2, 2)), x, _PARAMS, _CAPS), ()),
+    "evolve_capped-v_init": (
+        "v_init", lambda x: evolve_capped([0.1, x], np.zeros((2, 2)), 0.1, _PARAMS, _CAPS),
+        ()),
+    "simulate_sabr_2d-s0": ("s0", lambda x: simulate_sabr_2d(_PARAMS, x, _MC), ()),
+    "McConfig-horizon": ("horizon", lambda x: McConfig(horizon=x), ()),
+    "McConfig-vix_window": ("vix_window", lambda x: McConfig(vix_window=x), ()),
+    "scale_function-x": ("x", lambda x: scale_function(x, _PARAMS), (0.0,)),
+    "feller_test_function-x": ("x", lambda x: feller_test_function(x, _PARAMS), ()),
+}
+BAD_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0.0": 0.0,
+              "-1.0": -1.0, "10**400": 10**400}
+
+
+@pytest.mark.parametrize("argument, value", [
+    pytest.param(argument, value, id=f"{argument}-{label}")
+    for argument, (_, _, takes) in ARGUMENTS.items()
+    for label, value in BAD_VALUES.items() if value not in takes])
+def test_each_positive_argument_refuses_values_out_of_range(argument, value):
+    # an integer too large for a float compares below inf; it is refused
+    # as inf is, not left to overflow in the computation
+    name, call, _ = ARGUMENTS[argument]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+            call(value)
+    assert [str(w.message) for w in caught] == []

@@ -60,6 +60,16 @@ def test_params_validation_rejects_out_of_range(kwargs):
         SabrParams(**kwargs)
 
 
+def test_params_refuse_an_omega_whose_square_overflows():
+    # omega**2 is taken by pow(), which raises OverflowError past the limit
+    limit = math.sqrt(sys.float_info.max)
+    for omega in (limit, 1e200, 10**400):
+        with pytest.raises(ValueError, match="^omega must be > 0 and below"):
+            SabrParams(0.5, -0.7, omega, 0.1)
+    below = SabrParams(0.5, -0.7, math.nextafter(limit, 0.0), 0.1)
+    assert math.isfinite(vol_variance(0.1, below))
+
+
 def test_negative_correlation_flag(params):
     assert params.negative_correlation
     flipped = SabrParams(beta=0.5, rho=0.3, omega=1.0, v0=0.1)

@@ -58,6 +58,17 @@ def test_bs_price_at_a_subnormal_strike_is_its_limit():
     assert bs_price(5e-324, 0.1, 0.1, 0.2) == 0.1
 
 
+def test_bs_price_where_the_total_vol_overflows_is_its_limit():
+    # vol * sqrt(T) overflows: the price is the forward for a call and the
+    # strike for a put, without a warning, and the inversion stays quiet
+    assert bs_price(0.2, 1e300, 0.1, 1e300, "call") == 0.1
+    assert bs_price(0.2, 1e300, 0.1, 1e300, "put") == 0.2
+    assert bs_price([0.05, 0.2], 1e300, 0.1, 1e300, ["put", "call"]).tolist() == [
+        0.05, 0.1]
+    assert 0.0 < implied_vol(0.05, 0.1, 1e300, 0.1) < 1e-15
+    assert 0.0 < implied_vol(0.15, 0.2, 1e300, 0.1, "put") < 1e-15
+
+
 def test_bs_increasing_in_vol():
     vols = np.linspace(0.05, 3.0, 30)
     prices = [bs_price(0.12, 0.1, 0.1, v, "call") for v in vols]
@@ -169,6 +180,20 @@ def test_implied_vol_out_of_bounds_sides():
     # inside the bounds, but no vol up to 1e6 reaches it at T = 1e-14
     assert bs_price(0.1, 1e-14, 0.1, 1e6) < 0.05 < 0.1
     assert implied_vol(0.05, 0.1, 1e-14, 0.1) == math.inf
+
+
+@pytest.mark.parametrize("maturity", [1e12, 1e40])
+def test_implied_vol_residual_grows_like_the_root_of_the_maturity(maturity):
+    # the bracket ends within 4.3e-16 of the crossing in vol, absolutely,
+    # so the residual is bounded by vega times that, not by 1e-12 * forward
+    forward, price = 0.1, 0.05
+    found = implied_vol(price, forward, maturity, forward)
+    # at the money, price = forward * (2 N(vol sqrt(T) / 2) - 1)
+    exact = 2.0 * optimize.brentq(
+        lambda x: bs_price(forward, 1.0, forward, 2.0 * x) - price, 0.0, 10.0)
+    assert abs(found - exact / math.sqrt(maturity)) <= 4.3e-16
+    residual = abs(bs_price(forward, maturity, forward, found) - price)
+    assert 1e-12 * forward < residual <= forward * (1e-12 + 2e-16 * math.sqrt(maturity))
 
 
 @settings(max_examples=200, deadline=None)
