@@ -65,8 +65,9 @@ def _log_ratio(a: float, b: float) -> float:
     return math.log(a) - math.log(b)
 
 
-def _at_the_money(strike: float, v0: float) -> bool:
-    return abs(_log_ratio(strike, v0)) < _ATM_LOG_THRESHOLD
+def _at_the_money(log_ratio: float) -> bool:
+    """Whether a strike at ``log_ratio = _log_ratio(strike, v0)`` is at the money."""
+    return abs(log_ratio) < _ATM_LOG_THRESHOLD
 
 
 def _uncapped_rate_integral(lo: float, hi: float, params: SabrParams) -> float:
@@ -135,8 +136,7 @@ def rate_integral(lo: float, hi: float, params: SabrParams, caps: CapSpec) -> fl
         If the antiderivative's terms underflow to 0 at a smaller omega.
     """
     lo = positive_float(lo, "lower bound")
-    if hi != math.inf:
-        hi = positive_float(hi, "upper bound")
+    hi = hi if hi == math.inf else positive_float(hi, "upper bound")
     if not lo <= hi:
         raise ValueError(f"bounds are reversed: [{lo}, {hi}]")
     if lo == hi:
@@ -162,8 +162,7 @@ def rate_function(strike: float, params: SabrParams, caps: CapSpec) -> float:
     single split rule in :func:`rate_integral`.  ``strike = inf`` gives
     the limit inf.
     """
-    if strike != math.inf:
-        strike = positive_float(strike, "strike")
+    strike = strike if strike == math.inf else positive_float(strike, "strike")
     lo, hi = min(strike, params.v0), max(strike, params.v0)
     integral = rate_integral(lo, hi, params, caps)
     # float ** raises OverflowError exactly above sqrt(float max)
@@ -181,10 +180,11 @@ def limiting_implied_vol(strike: float, params: SabrParams, caps: CapSpec) -> fl
         limiting_implied_vol(K)**2 == log(K/v0)**2 / (2 * rate_function(K)).
     """
     strike = positive_float(strike, "strike")
-    if _at_the_money(strike, params.v0):
+    x = _log_ratio(strike, params.v0)
+    if _at_the_money(x):
         return capped_vol_diffusion(params.v0, params, caps)
     lo, hi = min(strike, params.v0), max(strike, params.v0)
-    return abs(_log_ratio(strike, params.v0)) / rate_integral(lo, hi, params, caps)
+    return abs(x) / rate_integral(lo, hi, params, caps)
 
 
 def smile_expansion(params: SabrParams) -> SmileExpansion:

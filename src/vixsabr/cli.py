@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .asymptotics import _at_the_money, limiting_implied_vol
+from .asymptotics import _at_the_money, _log_ratio, limiting_implied_vol
 from .mc import McConfig, estimate_capped_lanes, simulate_capped_paths
 from .model import CapSpec, FieldError, SabrParams, positive_float, positive_floats
 from .pricing import estimate_forward, rate_convergence_study, smile_from_paths
@@ -293,7 +293,7 @@ def cmd_converge(config: RunConfig, strike: float, n_threads: int = 1) -> None:
     if distinct < 2 or distinct < len(config.maturities):
         raise ConfigError([f"maturities: converge needs at least two maturities, "
                            f"all distinct, got {list(config.maturities)}"])
-    if _at_the_money(strike, config.model.v0):
+    if _at_the_money(_log_ratio(strike, config.model.v0)):
         raise ConfigError([f"--strike: {strike} equals v0; the at-the-money price "
                            "does not decay exponentially, pick an OTM strike"])
     maturities = sorted(config.maturities, reverse=True)

@@ -154,7 +154,8 @@ def _is_call(kind):
 
 def _check_market(strike, maturity: float, forward: float) -> None:
     """Reject strikes, forward or maturity that are not finite and > 0."""
-    positive_floats(np.append(strike, forward), "strike and forward")
+    positive_floats(strike, "strike and forward")
+    positive_float(forward, "strike and forward")
     positive_float(maturity, "maturity")
 
 
@@ -264,7 +265,7 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
     if not 0.0 < fwd < math.inf:
         raise NumericalError(f"the estimated forward at maturity {maturity} is "
                              f"{fwd}, not finite and > 0")
-    strikes = np.sort(positive_floats(strikes, "strikes"), axis=None)
+    strikes = np.array(sorted(positive_float(k, "strikes") for k in strikes))
     calls = strikes > fwd
     n_puts = strikes.size - np.count_nonzero(calls)
     ascending = np.sort(paths.terminal_values)
@@ -351,7 +352,7 @@ def rate_convergence_study(
         raise ValueError("need at least two maturities")
     if any(b >= a for a, b in zip(maturities[:-1], maturities[1:])):
         raise ValueError("maturities must be strictly decreasing")
-    if _at_the_money(strike, params.v0):
+    if _at_the_money(_log_ratio(strike, params.v0)):
         raise ValueError("strike must differ from v0 for the rate comparison")
     kind = "call" if strike > params.v0 else "put"
     target = rate_function(strike, params, caps)

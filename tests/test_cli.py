@@ -363,6 +363,8 @@ def _extreme_config_texts(draw):
                           "caps": {"vol_cap": 10.0, "drift_cap": 1.0},
                           "mc": {"n_paths": 300, "n_steps": 3},
                           "strikes": [1e155], "maturities": [1.0]}), strike=None)
+# a cap given as text, which float() would read as a number
+@example(text=json.dumps({"caps": {"vol_cap": 2.0, "drift_cap": "1"}}), strike=None)
 @settings(max_examples=60, deadline=None)
 def test_main_fuzz_exits_with_a_contract_code(tmp_path_factory, text, strike):
     """Every command on every generated config exits 0, 2 or 3: a

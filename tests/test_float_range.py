@@ -165,3 +165,18 @@ def test_each_positive_argument_refuses_values_out_of_range(argument, value):
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
             call(value)
     assert [str(w.message) for w in caught] == []
+
+
+# The arguments that broadcast as arrays, which numpy converts from text
+ARRAY_ARGUMENTS = {"bs_price-strike", "bs_price-vol", "implied_vol-strike",
+                   "evolve_capped-v_init", "scale_function-x", "feller_test_function-x"}
+
+
+@pytest.mark.parametrize("argument", [a for a in ARGUMENTS if a not in ARRAY_ARGUMENTS])
+def test_each_scalar_argument_refuses_text(argument):
+    # float("1") reads text as a number, and an argument stored as it
+    # came, like CapSpec's drift_cap, would then hold a str; text is
+    # refused, as a comparison with a float refuses it
+    name, call, _ = ARGUMENTS[argument]
+    with pytest.raises(TypeError, match=f"^{re.escape(name)} must be a number, got '1'$"):
+        call("1")

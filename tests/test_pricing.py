@@ -282,6 +282,11 @@ def test_smile_sorts_strikes(params, caps):
     points = smile_from_paths(paths, [0.12, 0.08, 0.1], maturity=0.1)
     strikes = [pt.strike for pt in points]
     assert strikes == sorted(strikes)
+    # any iterable of numbers will do; a nested list is no list of numbers
+    assert smile_from_paths(paths, (k for k in [0.12, 0.08, 0.1]), 0.1) == points
+    assert smile_from_paths(paths, {0.12, 0.08, 0.1}, 0.1) == points
+    with pytest.raises(TypeError):
+        smile_from_paths(paths, [[0.12, 0.08]], 0.1)
 
 
 def test_smile_band_brackets_the_estimate(params, caps):
