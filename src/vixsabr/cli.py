@@ -28,7 +28,8 @@ import numpy as np
 
 from .asymptotics import _at_the_money, _log_ratio, limiting_implied_vol
 from .mc import McConfig, estimate_capped_lanes, simulate_capped_paths
-from .model import CapSpec, FieldError, SabrParams, positive_float, positive_floats
+from .model import CapSpec, FieldError, SabrParams, _to_float, positive_float, \
+    positive_floats
 from .pricing import estimate_forward, rate_convergence_study, smile_from_paths
 from .scale import NumericalError, explosion_verdict, martingale_diagnostic
 
@@ -173,8 +174,8 @@ def _positive_floats(values) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)):
         raise ValueError("expected a list of numbers")
     try:
-        values = tuple(float(x) for x in values)
-    except (TypeError, ValueError, OverflowError):
+        values = tuple(map(_to_float, values))
+    except (TypeError, ValueError):
         raise ValueError("expected a list of numbers") from None
     if not values:
         raise ValueError("expected at least one number")

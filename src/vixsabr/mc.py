@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .model import CapSpec, Coefficients, SabrParams, capped_vol_diffusion, \
+from .model import CapSpec, Coefficients, SabrParams, as_floats, capped_vol_diffusion, \
     capped_vol_drift, check_float_fields, check_integer_fields, positive_float, \
     positive_floats, shown
 from .scale import NumericalError
@@ -216,7 +216,7 @@ def evolve_capped(v_init, normals, horizon, params, caps):
     """
     horizon = positive_float(horizon, "horizon")
     v_init = positive_floats(v_init, "v_init")
-    normals = np.asarray(normals, dtype=float)
+    normals = as_floats(normals)
     if normals.ndim != 2 or normals.shape[0] < 1:
         raise ValueError(f"normals must have shape (n_steps >= 1, n_paths), "
                          f"got {normals.shape}")
@@ -237,7 +237,7 @@ def _column(values):
     more per numpy call even with one row."""
     if len({float(x).hex() for x in values}) == 1:
         return values[0]
-    return np.array(values, dtype=float).reshape(-1, 1)
+    return as_floats(values).reshape(-1, 1)
 
 
 def _empty(shape, what: str) -> np.ndarray:

@@ -70,16 +70,28 @@ class NumericalError(RuntimeError):
     a closed form is evaluated outside its domain or overflows."""
 
 
+def _to_float(value) -> float:
+    """``float(value)``, or the infinity of its sign for an integer
+    beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def as_floats(value) -> np.ndarray:
-    """``value`` as a float array, all inf if it holds an integer too large for a float."""
+    """``value`` as a float array of its shape, each element converted
+    as by :func:`_to_float`."""
     try:
         return np.asarray(value, dtype=float)
     except OverflowError:
-        return np.asarray(math.inf)
+        objects = np.asarray(value, dtype=object)
+        return np.fromiter(map(_to_float, objects.flat), float,
+                           objects.size).reshape(objects.shape)
 
 
 def positive_float(value, name: str) -> float:
-    """``value`` as a float, converted as by :func:`as_floats`; ValueError
+    """``value`` as a float, converted as by :func:`_to_float`; ValueError
     naming ``name`` unless it is finite and > 0."""
     # Plain Python: 0.23 us a call, against 1.9 us through as_floats, on a
     # 2-vCPU Xeon with numpy 2.4; limiting_implied_vol takes 25 us and
@@ -87,10 +99,7 @@ def positive_float(value, name: str) -> float:
     # refuses it, and so does this check.
     if isinstance(value, (str, bytes)):
         raise TypeError(f"{name} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
+    x = _to_float(value)
     if not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {shown(value)}")
     return x
@@ -241,13 +250,12 @@ def _coefficients(params) -> Coefficients:
 
 
 def _variance(v, params, out, scratch=None):
-    """vol_variance(v) as an array, written into ``out`` when given.
+    """vol_variance(v) of a float array ``v``, written into ``out`` when given.
 
     ``scratch``, an array of ``v``'s shape, receives the square term, so
     that no temporary is allocated; without it numpy allocates one.
     """
     c = _coefficients(params)
-    v = np.asarray(v, dtype=float)
     out = np.empty(v.shape) if out is None else out
     # omega^2 + 2*rho*(beta-1)*omega*v + ((beta-1)*v)^2, summed left to right
     np.multiply(c.var_linear, v, out=out)
@@ -257,9 +265,8 @@ def _variance(v, params, out, scratch=None):
 
 
 def _drift(v, params, out, scratch=None):
-    """vol_drift(v) as an array; ``out`` and ``scratch`` as in _variance."""
+    """vol_drift(v) of a float array ``v``; ``out`` and ``scratch`` as in _variance."""
     c = _coefficients(params)
-    v = np.asarray(v, dtype=float)
     out = np.empty(v.shape) if out is None else out
     np.multiply(c.drift_linear, v, out=out)
     out += c.rho_omega
@@ -281,7 +288,7 @@ def _quiet_variance(v, params, root: bool = False):
     which is finite wherever the root is, and squared for the variance.
     Every value the quadratic gives finitely keeps its bits."""
     c = _coefficients(params)
-    v = np.asarray(v, dtype=float)
+    v = as_floats(v)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         val = _variance(v, c, None)
         if root:
@@ -326,7 +333,7 @@ def vol_drift(v, params: SabrParams):
     vectorized over ``v``; +-inf, without a warning, where it overflows.
     """
     with np.errstate(over="ignore"):
-        return _scalar_or_array(_drift(v, params, None))
+        return _scalar_or_array(_drift(as_floats(v), params, None))
 
 
 def capped_vol_diffusion(v, params, caps, out=None, scratch=None):
@@ -357,7 +364,7 @@ def capped_vol_drift(v, params, caps, out=None, scratch=None):
     """
     if out is None:
         with np.errstate(over="ignore"):
-            val = _drift(v, params, None, scratch)
+            val = _drift(as_floats(v), params, None, scratch)
     else:
         val = _drift(v, params, out, scratch)
     return _scalar_or_array(np.clip(val, -caps.drift_cap, caps.drift_cap, out=val))

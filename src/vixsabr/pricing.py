@@ -168,7 +168,7 @@ def bs_price(strike, maturity: float, forward: float, vol, kind="call"):
     """
     calls = _is_call(kind)
     _check_market(strike, maturity, forward)
-    strike, vol = np.asarray(strike, dtype=float), as_floats(vol)
+    strike, vol = as_floats(strike), as_floats(vol)
     if not np.all((vol >= 0.0) & (vol < math.inf)):
         raise ValueError(f"vol must be finite and >= 0, got {vol}")
     flat = vol == 0.0
@@ -201,8 +201,7 @@ def implied_vol(price, strike, maturity: float, forward: float, kind="call"):
     """
     ceiling = bs_price(strike, maturity, forward, _VOL_CEILING, kind)
     prices, strikes, calls = np.broadcast_arrays(
-        np.asarray(price, dtype=float), np.asarray(strike, dtype=float),
-        np.asarray(kind) == "call")
+        as_floats(price), as_floats(strike), np.asarray(kind) == "call")
     if np.isnan(prices).any():
         raise ValueError("prices must not be NaN")
     below = prices <= _intrinsic(strikes, forward, calls)

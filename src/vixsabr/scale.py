@@ -32,7 +32,8 @@ from enum import Enum
 import numpy as np
 from scipy import integrate
 
-from .model import NumericalError, SabrParams, _variance, as_floats, vol_diffusion
+from .model import NumericalError, SabrParams, _scalar_or_array, _variance, as_floats, \
+    vol_diffusion
 
 __all__ = [
     "ScaleReport",
@@ -118,10 +119,10 @@ class ScaleReport:
 
 
 def _points(x, rule: str, base: float = 0.0) -> np.ndarray:
-    """:func:`as_floats` of ``x``, as a 1-d array.  Unless every point is
-    finite and >= 0, or > ``base`` when that is positive, it is refused,
-    before any quadrature, with a message that x must be ``rule``."""
-    xs = np.atleast_1d(as_floats(x))
+    """:func:`as_floats` of ``x``.  Unless every point is finite and >= 0,
+    or > ``base`` when that is positive, it is refused, before any
+    quadrature, with a message that x must be ``rule``."""
+    xs = as_floats(x)
     bad = ~(((xs > base) if base else (xs >= 0.0)) & (xs < math.inf))
     if bad.any():
         raise ValueError(f"x must be {rule}, got {xs[bad][0]}")
@@ -150,7 +151,7 @@ def _log_arctan(x, coefficients, params: SabrParams):
     b1 = 1 - beta: the shape of both closed-form exponents.  Raises
     :class:`NumericalError` where it is not finite, as when a tiny omega
     makes vol_variance(x)/omega^2 overflow."""
-    x = np.asarray(x, dtype=float)
+    x = as_floats(x)
     log_coef, arctan_coef = coefficients
     rho, omega, rp = params.rho, params.omega, params.rho_perp
     b1 = 1.0 - params.beta
@@ -161,7 +162,7 @@ def _log_arctan(x, coefficients, params: SabrParams):
         val = log_term + arctan_term
     if not np.all(np.isfinite(val)):
         raise NumericalError(f"closed-form exponent is not finite at omega = {omega}")
-    return val if val.ndim else float(val)
+    return _scalar_or_array(val)
 
 
 def _tail(coefficients, sign: float, params: SabrParams) -> tuple[float, float]:
@@ -235,16 +236,19 @@ def check_scale_density_envelope(x_grid, params: SabrParams) -> EnvelopeReport:
 
     pointwise.  Returns an :class:`EnvelopeReport`; ``holds`` is true
     when no grid point violates either inequality by more than 1e-12.
+    The grid is read flat, whatever its shape.
 
     Raises
     ------
     ValueError
         If rho >= 0 (the envelope is derived for negative correlation),
-        or some x is not finite and >= 0.
+        the grid is empty, or some x is not finite and >= 0.
     """
     if params.rho >= 0.0:
         raise ValueError("envelope check requires rho < 0")
-    x = _points(x_grid, "finite and >= 0")
+    x = _points(x_grid, "finite and >= 0").ravel()
+    if not x.size:
+        raise ValueError("x_grid is empty")
     c2 = (2.0 - params.beta) / (2.0 * (1.0 - params.beta))
     # scale_exponent refuses the points where the log ratio is not finite
     with np.errstate(over="ignore"):
@@ -318,14 +322,14 @@ def scale_function(x, params: SabrParams):
     """
     integrand = lambda y: math.exp(-2.0 * scale_exponent(y, params))
     xs = _points(x, "finite and >= 0 (its limit at inf is scale_function_limit)")
-    order = np.argsort(xs)
-    out = np.empty_like(xs)
+    flat = xs.ravel()
+    out = np.empty_like(flat)
     total, prev = 0.0, 0.0
-    for i in order:
-        total += _segmented_quad(integrand, prev, float(xs[i]))
-        prev = float(xs[i])
+    for i in np.argsort(flat):
+        total += _segmented_quad(integrand, prev, float(flat[i]))
+        prev = float(flat[i])
         out[i] = total
-    return out if np.ndim(x) else float(out[0])
+    return _scalar_or_array(out.reshape(xs.shape))
 
 
 # Geometric grid used for the tail extrapolation of the scale function:
@@ -458,7 +462,8 @@ def feller_test_function(x, params: SabrParams):
         If some x is not finite or does not exceed the base point.
     """
     xs = _points(x, f"finite and exceed the base point {_FELLER_BASE}", _FELLER_BASE)
-    edges = np.union1d(_decade_edges(_FELLER_BASE, float(xs.max())), xs)
+    top = float(xs.max(initial=_FELLER_BASE))
+    edges = np.union1d(_decade_edges(_FELLER_BASE, top), xs)
     us = np.log(edges)
     nseg = len(edges) - 1
     totals = np.zeros(len(edges))
@@ -500,8 +505,7 @@ def feller_test_function(x, params: SabrParams):
             mid = 0.5 * (ua + ub)
             pending += [(mid, ub, 0.5 * abs_tol), (ua, mid, 0.5 * abs_tol)]
         totals[k + 1] = outer_total
-    out = totals[np.searchsorted(edges, xs)]
-    return out if np.ndim(x) else float(out[0])
+    return _scalar_or_array(totals[np.searchsorted(edges, xs)])
 
 
 # Power of the inner Feller integrand at the origin, where it is

@@ -105,6 +105,27 @@ def test_only_model_formats_the_finite_and_positive_message():
     assert [where for where in formatted if not where.startswith("vixsabr.model:")] == []
 
 
+def test_only_model_converts_to_float_arrays():
+    # Conversion has one home, model.as_floats, which reads an integer
+    # beyond the float range as an infinity where numpy overflows; another
+    # module must call it rather than np.asarray or np.array with a float
+    # dtype, by keyword or in second place.
+    def float_dtype(call):
+        dtypes = [k.value for k in call.keywords if k.arg == "dtype"] + call.args[1:2]
+        return any(isinstance(d, ast.Name) and d.id == "float" for d in dtypes)
+
+    converting = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        converting += [f"vixsabr.{path.stem}:{node.lineno}"
+                       for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr in ("asarray", "array")
+                       and isinstance(node.func.value, ast.Name)
+                       and node.func.value.id == "np" and float_dtype(node)]
+    assert converting
+    assert [where for where in converting if not where.startswith("vixsabr.model:")] == []
+
+
 def test_bench_calls_bind_to_the_mc_signatures():
     # bench/probes.py and bench/workloads.py call these shapes, and the
     # path-step counters read the McConfig at argument index 2

@@ -101,11 +101,23 @@ def test_config_rejects_bad_strikes(strikes):
 
 
 @pytest.mark.parametrize("section", ["strikes", "maturities"])
-@pytest.mark.parametrize("value", ["1", {"0.1": 0}, 0.1])
+@pytest.mark.parametrize("value", ["1", {"0.1": 0}, 0.1, [[0.1]], [0.1, None]])
 def test_config_takes_only_a_list_of_numbers(section, value):
     with pytest.raises(ConfigError) as err:
         RunConfig.from_dict({section: value})
     assert err.value.problems == [f"{section}: expected a list of numbers"]
+
+
+@pytest.mark.parametrize("section", ["strikes", "maturities"])
+@pytest.mark.parametrize("values, shown",
+                         [((10**400,), "inf"), ((0.1, -10**400), "-inf")])
+def test_config_reads_integers_beyond_float_range_as_infinities(section, values, shown):
+    # every entry is a number, so the range check refuses it; the CLI's
+    # JSON hooks stop such an integer before it gets here
+    with pytest.raises(ConfigError) as err:
+        RunConfig(**{section: values})
+    assert err.value.problems == [
+        f"{section}: entries must be finite and > 0, got {shown}"]
 
 
 @pytest.mark.parametrize("section, key", [("caps", "drift_cap"), ("model", "v0")])

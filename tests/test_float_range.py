@@ -1,5 +1,6 @@
-"""One fixed sweep of the public closed forms over the float range, and
-the range check of every public argument that must be finite and > 0.
+"""One fixed sweep of the public closed forms over the float range, the
+range check of every public argument that must be finite and > 0, and
+the conversion and shape of every vectorised public argument.
 
 Every call either returns or raises ValueError or NumericalError, and
 records no RuntimeWarning.  The points are fixed, not drawn, so the
@@ -24,6 +25,7 @@ from vixsabr import (
     bs_price,
     capped_vol_diffusion,
     capped_vol_drift,
+    check_scale_density_envelope,
     evolve_capped,
     feller_test_function,
     implied_vol,
@@ -180,3 +182,74 @@ def test_each_scalar_argument_refuses_text(argument):
     name, call, _ = ARGUMENTS[argument]
     with pytest.raises(TypeError, match=f"^{re.escape(name)} must be a number, got '1'$"):
         call("1")
+
+
+# Every vectorised public argument, as a call that passes x there.  An
+# integer beyond the float range converts as the infinity of its sign
+# does, alone or beside other elements, and a result keeps its input's
+# shape.  evolve_capped takes its normals as one row of steps.
+VECTORISED = {
+    "vol_variance-v": lambda x: vol_variance(x, _PARAMS),
+    "vol_diffusion-v": lambda x: vol_diffusion(x, _PARAMS),
+    "vol_drift-v": lambda x: vol_drift(x, _PARAMS),
+    "capped_vol_diffusion-v": lambda x: capped_vol_diffusion(x, _PARAMS, _CAPS),
+    "capped_vol_drift-v": lambda x: capped_vol_drift(x, _PARAMS, _CAPS),
+    "scale_exponent-x": lambda x: scale_exponent(x, _PARAMS),
+    "auxiliary_scale_exponent-x": lambda x: auxiliary_scale_exponent(x, _PARAMS),
+    "scale_function-x": lambda x: scale_function(x, _PARAMS),
+    "feller_test_function-x": lambda x: feller_test_function(x, _PARAMS),
+    "check_scale_density_envelope-x_grid": lambda x: check_scale_density_envelope(
+        x, _PARAMS),
+    "bs_price-strike": lambda x: bs_price(x, 0.1, 0.1, 0.2),
+    "bs_price-vol": lambda x: bs_price(0.1, 0.1, 0.1, x),
+    "implied_vol-price": lambda x: implied_vol(x, 0.1, 0.1, 0.1),
+    "implied_vol-strike": lambda x: implied_vol(0.01, x, 0.1, 0.1),
+    "evolve_capped-v_init": lambda x: evolve_capped(
+        x, np.zeros((2, 2)), 0.1, _PARAMS, _CAPS),
+    "evolve_capped-normals": lambda x: evolve_capped(
+        0.1, [x if isinstance(x, list) else [x]], 0.1, _PARAMS, _CAPS),
+}
+# the arguments whose result is not one element per input element
+NOT_ELEMENTWISE = {"check_scale_density_envelope-x_grid", "evolve_capped-v_init",
+                   "evolve_capped-normals"}
+
+
+def _outcome(call, x):
+    """``call(x)``, or the class and message of what it raises; no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call(x)
+        except Exception as err:
+            result = (type(err), str(err))
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
+def _assert_same(result, expected):
+    if isinstance(expected, tuple):
+        assert result == expected
+    else:
+        np.testing.assert_array_equal(result, expected, strict=True)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["+", "-"])
+@pytest.mark.parametrize("argument", VECTORISED)
+def test_integers_beyond_the_float_range_convert_as_infinities(argument, sign):
+    call = VECTORISED[argument]
+    _assert_same(_outcome(call, sign * 10**400), _outcome(call, sign * math.inf))
+    beside = _outcome(call, [sign * 10**400, 0.5])
+    _assert_same(beside, _outcome(call, [sign * math.inf, 0.5]))
+    if not isinstance(beside, tuple):
+        assert np.ravel(beside)[-1] == np.ravel(_outcome(call, 0.5))[-1]
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 1)], ids=str)
+@pytest.mark.parametrize("argument", [a for a in VECTORISED if a not in NOT_ELEMENTWISE])
+def test_vectorised_results_keep_the_input_shape(argument, shape):
+    call = VECTORISED[argument]
+    result = _outcome(call, np.full(shape, 0.05))
+    if shape:
+        _assert_same(result, np.full(shape, _outcome(call, 0.05)))
+    else:
+        assert type(result) is float

@@ -196,6 +196,15 @@ def test_envelope_requires_negative_correlation():
         check_scale_density_envelope(np.linspace(0.0, 10.0, 11), p)
 
 
+def test_envelope_reads_the_grid_flat_and_refuses_an_empty_one(params):
+    grid = np.array([[0.0, 1.0], [10.0, 1e300]])
+    report = check_scale_density_envelope(grid, params)
+    assert report == check_scale_density_envelope(grid.ravel(), params)
+    assert type(report.worst_x) is float
+    with pytest.raises(ValueError, match="^x_grid is empty$"):
+        check_scale_density_envelope([], params)
+
+
 @given(negative_rho_params)
 @settings(max_examples=100, deadline=None)
 def test_envelope_holds_for_random_parameters(p):
