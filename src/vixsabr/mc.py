@@ -28,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .model import CapSpec, Coefficients, SabrParams, as_floats, capped_vol_diffusion, \
     capped_vol_drift, check_float_fields, check_integer_fields, positive_float, \
@@ -159,7 +160,7 @@ def _run_blocks(domain, seed, n, width, run_block, n_threads) -> None:
     def run(block: int) -> None:
         lo = block * width
         key = (domain << 96) | (block << 64) | seed
-        run_block(lo, min(n, lo + width), np.random.Generator(np.random.Philox(key=key)))
+        run_block(lo, min(n, lo + width), Generator(Philox(key=key)))
 
     blocks = range(-(-n // width))
     if n_threads > 1:
@@ -193,7 +194,7 @@ def _step_capped(v, z, dt, sqrt_dt, params, caps, work) -> None:
     np.multiply(sig, 0.5, out=tmp)
     tmp *= sig
     np.subtract(mu, tmp, out=mu)
-    if isinstance(z, np.random.Generator):
+    if isinstance(z, Generator):
         z = z.standard_normal(out=np.atleast_2d(tmp)[0])
     mu *= dt
     sig *= sqrt_dt

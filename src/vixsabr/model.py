@@ -281,12 +281,14 @@ def _scalar_or_array(val: np.ndarray):
 def _quiet_variance(v, params, root: bool = False):
     """vol_variance(v), or its root vol_diffusion(v) when ``root``, as an
     array, without a warning: an overflow gives inf.  Where the quadratic
-    overflows at a finite v, the root is taken with v**2 factored out,
+    is not finite at a v that is not NaN, as where it overflows or at
+    v = +-inf, the root is taken with v**2 factored out,
 
         |v| * sqrt((beta-1)**2 + 2*rho*(beta-1)*omega / v + omega**2 / v / v),
 
-    which is finite wherever the root is, and squared for the variance.
-    Every value the quadratic gives finitely keeps its bits."""
+    which is finite wherever the root is and inf at v = +-inf, and squared
+    for the variance.  Every value the quadratic gives finitely keeps its
+    bits."""
     c = _coefficients(params)
     v = as_floats(v)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -296,7 +298,7 @@ def _quiet_variance(v, params, root: bool = False):
         if not np.isfinite(val).all():
             factored = np.abs(v) * np.sqrt(
                 c.beta_m1 * c.beta_m1 + c.var_linear / v + c.omega_sq / v / v)
-            val = np.where(np.isfinite(v) & ~np.isfinite(val),
+            val = np.where(~np.isnan(v) & ~np.isfinite(val),
                            factored if root else factored * factored, val)
     return val
 

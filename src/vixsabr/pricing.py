@@ -7,7 +7,9 @@ bisections that run on all strikes of a smile at once.  A smile prices
 every strike from one sorted copy of the terminal values.  Error bands
 come from re-inverting the price shifted by one standard error; prices
 outside the arbitrage bounds are reported per strike instead of failing
-the whole smile.
+the whole smile.  The normal distribution function in the Black formula
+is 0.5 * erfc(-x / sqrt(2)) from the math module, as accurate as
+scipy's ndtr, so pricing needs no scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .asymptotics import _at_the_money, _log_ratio, rate_function
 # simulate_capped_paths is unused here but stays bound, because
@@ -45,6 +46,7 @@ __all__ = [
 # down to 1e6 * 2**-70 = 8.5e-16.
 _VOL_CEILING = 1e6
 _BISECTIONS = 70
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,17 @@ def _black(strikes, maturity: float, forward: float, vols, calls):
         total = np.minimum(vols * math.sqrt(maturity), sys.float_info.max)
         d1 = np.log(forward / strikes) / total + 0.5 * total
     sign = np.where(calls, 1.0, -1.0)
-    return sign * (forward * ndtr(sign * d1) - strikes * ndtr(sign * (d1 - total)))
+    return sign * (forward * _normal_cdf(sign * d1)
+                   - strikes * _normal_cdf(sign * (d1 - total)))
+
+
+def _normal_cdf(x):
+    """Standard normal distribution function, elementwise, as
+    0.5 * erfc(-x * sqrt(0.5)) with one math.erfc per element.  It is
+    exactly 0 at -inf and 1 at inf, without a warning, and NaN at NaN."""
+    x = np.asarray(x)
+    erfc = np.fromiter(map(math.erfc, (-x * _SQRT_HALF).ravel().tolist()), float, x.size)
+    return 0.5 * erfc.reshape(x.shape)
 
 
 def _intrinsic(strikes, forward: float, calls):
@@ -169,8 +181,9 @@ def bs_price(strike, maturity: float, forward: float, vol, kind="call"):
     calls = _is_call(kind)
     _check_market(strike, maturity, forward)
     strike, vol = as_floats(strike), as_floats(vol)
-    if not np.all((vol >= 0.0) & (vol < math.inf)):
-        raise ValueError(f"vol must be finite and >= 0, got {vol}")
+    bad = ~((vol >= 0.0) & (vol < math.inf))
+    if bad.any():
+        raise ValueError(f"vol must be finite and >= 0, got {vol[bad][0]}")
     flat = vol == 0.0
     price = _black(strike, maturity, forward, np.where(flat, 1.0, vol), calls)
     return _scalar_or_array(np.where(flat, _intrinsic(strike, forward, calls), price))

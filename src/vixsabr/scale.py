@@ -15,12 +15,13 @@ Both verdicts are read from the tails a*log|x| + C of the exponents.
 
 Integrals run over geometric decade segments so that integrals to very
 large truncation points converge without wasted refinement.  The scale
-function uses adaptive quadrature (scipy.integrate.quad) on each
-segment.  The Feller test function, a double integral, is one cumulative
-Gauss-Legendre pass in u = log y: every segment is evaluated as numpy
-arrays at two orders, and bisected when they disagree.  The pass carries
-the inner integral times the scale density, so none of its exponentials
-overflows.
+function runs adaptive quadrature on each segment: QUADPACK's QAGS,
+ported in ``_quadpack`` so that it matches scipy.integrate.quad bit for
+bit without importing scipy.  The Feller test function, a double
+integral, is one cumulative Gauss-Legendre pass in u = log y: every
+segment is evaluated as numpy arrays at two orders, and bisected when
+they disagree.  The pass carries the inner integral times the scale
+density, so none of its exponentials overflows.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
 
+from . import _quadpack as integrate
 from .model import NumericalError, SabrParams, _scalar_or_array, _variance, as_floats, \
     vol_diffusion
 
@@ -304,7 +305,7 @@ def _segmented_quad(integrand, lo, hi) -> float:
         except OverflowError:
             raise NumericalError(f"integrand overflows on [{a}, {b}]") from None
         if len(out) > 3:
-            # scipy explains a failure over several lines; the first
+            # QAGS explains a failure over several lines; the first
             # names it, and an error message is one line
             reason = str(out[3]).partition("\n")[0].strip()
             raise NumericalError(f"quadrature failed on [{a}, {b}]: {reason}")
@@ -463,7 +464,8 @@ def feller_test_function(x, params: SabrParams):
     """
     xs = _points(x, f"finite and exceed the base point {_FELLER_BASE}", _FELLER_BASE)
     top = float(xs.max(initial=_FELLER_BASE))
-    edges = np.union1d(_decade_edges(_FELLER_BASE, top), xs)
+    # the sorted union, as np.union1d gives it without loading numpy.ma
+    edges = np.array(sorted({*_decade_edges(_FELLER_BASE, top), *xs.ravel().tolist()}))
     us = np.log(edges)
     nseg = len(edges) - 1
     totals = np.zeros(len(edges))

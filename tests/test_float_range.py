@@ -253,3 +253,19 @@ def test_vectorised_results_keep_the_input_shape(argument, shape):
         _assert_same(result, np.full(shape, _outcome(call, 0.05)))
     else:
         assert type(result) is float
+
+
+@pytest.mark.parametrize("rho", [-0.7, 0.0, 0.7])
+@pytest.mark.parametrize("v", [-math.inf, -10**400, math.inf, 10**400],
+                         ids=["-inf", "-10**400", "inf", "10**400"])
+def test_the_variance_at_an_infinite_level_is_its_limit(v, rho):
+    # the quadratic is inf at both ends whatever the sign of rho; it
+    # evaluates there as inf - inf, so its factored form is taken, and a
+    # finite level beside it keeps its bits
+    params = SabrParams(beta=0.5, rho=rho, omega=1.0, v0=0.1)
+    caps = CapSpec.from_params(params, vol_cap=2.0, drift_cap=1.0)
+    for fn, limit in ((vol_variance, math.inf), (vol_diffusion, math.inf),
+                      (lambda x, p: capped_vol_diffusion(x, p, caps), 2.0)):
+        call = lambda x: fn(x, params)
+        assert _outcome(call, v) == limit
+        _assert_same(_outcome(call, [v, 0.5]), np.array([limit, call(0.5)]))

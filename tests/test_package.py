@@ -17,13 +17,38 @@ def test_public_names_are_the_module_lists():
             assert getattr(vixsabr, name) is getattr(module, name), name
 
 
-def run_module(module, *argv):
-    """Run ``python -m module argv`` on this checkout's package."""
+def run_python(*argv):
+    """Run a fresh ``python argv`` on this checkout's package."""
     src = os.path.dirname(os.path.dirname(vixsabr.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_module(module, *argv):
+    """Run ``python -m module argv`` on this checkout's package."""
+    return run_python("-m", module, *argv)
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle: the package runs on numpy alone
+    done = run_python("-c", "import sys, vixsabr; print(sorted(name for name in "
+                      "sys.modules if name.partition('.')[0] == 'scipy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_commands_load_no_numpy_submodule_after_import(tmp_path):
+    # numpy loads numpy.random and numpy.ma on first use; a command that
+    # did so would allocate them inside its first, traced, operation
+    done = run_python("-c", "import sys, vixsabr; before = set(sys.modules); "
+                      f"vixsabr.main(['--out', {str(tmp_path)!r}, 'diagnose']); "
+                      f"vixsabr.main(['--out', {str(tmp_path)!r}, 'smile']); "
+                      "print(sorted(name for name in set(sys.modules) - before "
+                      "if name.startswith('numpy')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_python_m_vixsabr_runs_the_cli(tmp_path):

@@ -3,11 +3,12 @@ import tracemalloc
 import warnings
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize
+from scipy import optimize, special
 
 from vixsabr import pricing
 from vixsabr import (
@@ -98,6 +99,33 @@ def test_bs_increasing_in_vol():
 def test_bs_validation(kwargs):
     with pytest.raises(ValueError):
         bs_price(**kwargs)
+
+
+@pytest.mark.parametrize("vol, bad", [([math.inf, 0.5], "inf"), ([0.5, -1.0], "-1.0"),
+                                      ([[0.2, 0.3], [math.nan, -1.0]], "nan"),
+                                      (-0.5, "-0.5")])
+def test_bs_price_names_the_first_bad_vol(vol, bad):
+    # as every range message does, not the whole array
+    with pytest.raises(ValueError, match=f"^vol must be finite and >= 0, got {bad}$"):
+        bs_price(0.1, 0.1, 0.1, vol)
+
+
+def test_normal_cdf_is_as_accurate_as_ndtr():
+    # against 40-digit values on the arguments where Phi is neither 0
+    # nor 1 in double; ndtr's errors are 2.3e-13 and 1.5e-14 here
+    xs = np.linspace(-37.5, 8.5, 2301)
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.ncdf(x)) for x in xs])
+    errors = {name: np.abs(phi(xs) - exact) / exact
+              for name, phi in (("erfc", pricing._normal_cdf), ("ndtr", special.ndtr))}
+    for part in (xs == xs, xs > -10.0):
+        assert errors["erfc"][part].max() <= errors["ndtr"][part].max()
+    assert errors["erfc"].max() < 2.3e-13
+    assert errors["erfc"][xs > -10.0].max() < 1.5e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = pricing._normal_cdf(np.array([-math.inf, -40.0, 40.0, math.inf]))
+    assert ends.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
