@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 
 # d1mach(4), d1mach(1) and d1mach(2)
 _EPMACH = sys.float_info.epsilon
@@ -80,29 +79,20 @@ _MESSAGES = {
 }
 
 
-def quad(func, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, full_output=0):
-    """Integral of ``func`` over the finite interval [a, b] by QAGS.
+def quad(func, a, b, epsabs, epsrel, limit):
+    """Integral of ``func`` over the finite interval [a, b] by QAGS, for
+    ``limit`` >= 1 and tolerances that scipy accepts.
 
-    Returns (value, abserr), and with ``full_output`` also the dict
-    {"neval": evaluations, "last": subintervals}, followed, when QAGS
-    fails, by scipy's message for its error code.  Without
-    ``full_output`` a failure is a warning, as in scipy.  An exception
+    Returns (value, abserr, {"neval": evaluations, "last": subintervals}),
+    followed, when QAGS fails, by scipy's message for its error code, as
+    ``scipy.integrate.quad`` does with ``full_output``.  An exception
     raised by ``func`` propagates.
     """
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 5e-29):
-        raise ValueError("If 'epsabs'<=0, 'epsrel' must be greater than both"
-                         " 5e-29 and 50*(machine epsilon).")
-    if limit < 1:
-        raise ValueError("Invalid 'limit' argument. There must be"
-                         " at least one subinterval")
     result, abserr, ier, last = _qagse(func, a, b, epsabs, epsrel, limit)
-    message = _MESSAGES[ier].format(limit=limit) if ier else None
-    if not full_output:
-        if message:
-            warnings.warn(message, stacklevel=2)
-        return result, abserr
     info = {"neval": 42 * last - 21, "last": last}
-    return (result, abserr, info) + ((message,) if message else ())
+    if ier:
+        return result, abserr, info, _MESSAGES[ier].format(limit=limit)
+    return result, abserr, info
 
 
 def _qk21(f, a, b):

@@ -300,7 +300,6 @@ def _segmented_quad(integrand, lo, hi) -> float:
                 epsabs=_ABS_TOL / nseg,
                 epsrel=_REL_TOL,
                 limit=_SEGMENT_SUBDIVISIONS,
-                full_output=1,
             )
         except OverflowError:
             raise NumericalError(f"integrand overflows on [{a}, {b}]") from None
