@@ -141,7 +141,7 @@ def rate_integral(lo: float, hi: float, params: SabrParams, caps: CapSpec) -> fl
         raise ValueError(f"bounds are reversed: [{lo}, {hi}]")
     if lo == hi:
         return 0.0
-    split = caps.binding_level
+    split = caps.binding_level(params)
     total = 0.0
     if lo < split:
         total += _uncapped_rate_integral(lo, min(hi, split), params)
@@ -192,41 +192,27 @@ def smile_expansion(params: SabrParams) -> SmileExpansion:
 
     Valid when the caps do not bind near v0 (binding level above v0),
     since the expansion differentiates the uncapped diffusion.  The
-    level is vol_diffusion(v0); skew and convexity are rational
-    functions of the parameters:
+    level is sigma0 = vol_diffusion(v0); skew and convexity are rational
+    functions of the parameters, written in r = (beta-1)*v0/sigma0 and
+    s = omega/sigma0:
 
-        skew = v0*(beta-1)*(rho*omega + (beta-1)*v0) / (2*sigma0)
+        skew = sigma0 * r * (rho*s + r) / 2
 
-        convexity = v0*(beta-1) * (2*omega**3*rho
-                    + (beta-1)*omega**2*(4+rho**2)*v0
-                    + 4*(beta-1)**2*omega*rho*v0**2
-                    + (beta-1)**3*v0**3) / (6*sigma0**3)
+        convexity = (beta-1)*v0 * (2*rho*s**3 + (4+rho**2)*s**2*r
+                    + 4*rho*s*r**2 + r**3) / 6
 
-    with sigma0 = vol_diffusion(v0).  Both are positive for beta < 1 and
-    rho < 0.  The expansion is validated against central differences of
-    :func:`limiting_implied_vol` in the test suite.
-
-    Raises
-    ------
-    NumericalError
-        If a term of these formulas overflows, as the convexity's
-        numerator does from v0 = 2.3e77 at the default model, although
-        skew and convexity grow only like v0.
+    Both are positive for beta < 1 and rho < 0.  |r| and s are at most
+    1 / sqrt(1 - rho**2), as sigma0 >= |beta-1| * v0 * sqrt(1 - rho**2)
+    and sigma0 >= omega * sqrt(1 - rho**2), so no term overflows, up to
+    the largest v0.  The expansion is validated against central
+    differences of :func:`limiting_implied_vol` in the test suite.
     """
-    v0, rho, omega = params.v0, params.rho, params.omega
-    b1 = params.beta - 1.0
-    sigma0 = vol_diffusion(v0, params)
-    try:
-        skew = v0 * b1 * (rho * omega + b1 * v0) / (2.0 * sigma0)
-        bracket = (
-            2.0 * omega**3 * rho
-            + b1 * omega**2 * (4.0 + rho**2) * v0
-            + 4.0 * b1**2 * omega * rho * v0**2
-            + b1**3 * v0**3
-        )
-        convexity = v0 * b1 * bracket / (6.0 * sigma0**3)
-    except OverflowError:
-        convexity = math.inf
-    if not math.isfinite(skew + convexity):
-        raise NumericalError(f"the smile expansion overflows at v0 = {v0}")
+    rho = params.rho
+    b1v0 = (params.beta - 1.0) * params.v0
+    sigma0 = vol_diffusion(params.v0, params)
+    r = b1v0 / sigma0
+    s = params.omega / sigma0
+    skew = sigma0 * r * (rho * s + r) / 2.0
+    convexity = b1v0 * (2.0 * rho * s**3 + (4.0 + rho**2) * s**2 * r
+                        + 4.0 * rho * s * r**2 + r**3) / 6.0
     return SmileExpansion(atm_level=sigma0, skew=skew, convexity=convexity)

@@ -60,12 +60,11 @@ class RunConfig:
     """Fully validated run configuration for the CLI commands.
 
     Each field is one section of the JSON config under the same name.
-    ``caps`` is always derived from ``model`` by :meth:`CapSpec.from_params`,
-    so its binding level follows the model through ``dataclasses.replace``,
-    and ``mc`` is rebuilt from its settable keys, so its library-only
-    fields keep their defaults.  Every command takes its maturities from
-    ``maturities``.  Invalid values raise :class:`ConfigError` with one
-    message per problem.
+    ``caps`` is checked against ``model`` by :meth:`CapSpec.from_params`,
+    also after ``dataclasses.replace``, and ``mc`` is rebuilt from its
+    settable keys, so its library-only fields keep their defaults.  Every
+    command takes its maturities from ``maturities``.  Invalid values
+    raise :class:`ConfigError` with one message per problem.
     """
 
     model: SabrParams = _DEFAULT_MODEL
@@ -260,13 +259,12 @@ def cmd_forwards(config: RunConfig, n_threads: int = 1) -> None:
     """Write the cap binding level and the MC forward per correlation."""
     maturity = _single_maturity(config, "forwards")
     header = ["rho", "binding_level", "forward", "forward_se"]
-    lanes = [replace(config, model=replace(config.model, rho=rho))
-             for rho in _FORWARD_RHOS]
+    models = [replace(config.model, rho=rho) for rho in _FORWARD_RHOS]
     forwards = estimate_capped_lanes(
-        [(lane.model, lane.caps, maturity) for lane in lanes],
+        [(model, config.caps, maturity) for model in models],
         estimate_forward, config.mc, n_threads=n_threads)
-    rows = [[lane.model.rho, lane.caps.binding_level, f.value, f.std_error]
-            for lane, f in zip(lanes, forwards)]
+    rows = [[model.rho, config.caps.binding_level(model), f.value, f.std_error]
+            for model, f in zip(models, forwards)]
     print(_write_table(config, "forward_table", header, rows))
 
 

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -270,7 +271,9 @@ def _lane_stepper(lanes, n_steps: int):
             _column(dts),
             _column([math.sqrt(dt) for dt in dts]),
             Coefficients(*map(_column, zip(*map(Coefficients.of, models)))),
-            CapSpec(*map(_column, zip(*map(astuple, caps)))),
+            # the caps as columns, each lane's checked by its CapSpec
+            SimpleNamespace(vol_cap=_column([c.vol_cap for c in caps]),
+                            drift_cap=_column([c.drift_cap for c in caps])),
         ))
     widest = max(rows.stop - rows.start for rows, *_ in stacks)
 

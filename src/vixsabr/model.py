@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -176,48 +176,45 @@ class CapSpec:
 
     ``vol_cap`` clamps the lognormal diffusion coefficient from above and
     ``drift_cap`` clamps the lognormal drift to ``[-drift_cap, drift_cap]``.
-    ``binding_level`` is the volatility level at which the diffusion
-    coefficient reaches ``vol_cap``; below it the diffusion cap is
-    inactive, above it the capped diffusion is identically ``vol_cap``.
-
-    Build instances with :meth:`from_params` so that ``binding_level`` is
-    consistent with the model parameters and the constraint
-    ``vol_cap > omega`` is enforced (otherwise the cap binds at v = 0 and
-    the capped model degenerates).  ``binding_level`` is marked
-    ``settable: False``: a config file sets only the two caps.
+    Both must be finite and > 0, and ``vol_cap`` below the square root
+    of the largest float, so that its square is finite.  The level at
+    which the diffusion cap binds depends on the model as well; it is
+    :meth:`binding_level`, which also enforces ``vol_cap > omega``
+    (otherwise the cap binds at v = 0 and the capped model degenerates).
     """
 
     vol_cap: float
     drift_cap: float
-    binding_level: float = field(metadata={"settable": False})
 
     def __post_init__(self):
-        check_float_fields(self)
+        if not positive_float(self.vol_cap, "vol_cap") < _VOL_CAP_LIMIT:
+            raise ValueError(f"vol_cap must be below {_VOL_CAP_LIMIT:.6g}, where its "
+                             f"square overflows; got {shown(self.vol_cap)}")
+        positive_float(self.drift_cap, "drift_cap")
 
     @classmethod
     def from_params(cls, params: SabrParams, vol_cap: float, drift_cap: float) -> "CapSpec":
-        """Construct caps for the given model, deriving the binding level.
+        """Construct caps and check them against the model, as
+        :meth:`binding_level` does; ValueError if either check fails."""
+        caps = cls(vol_cap=vol_cap, drift_cap=drift_cap)
+        caps.binding_level(params)
+        return caps
 
-        The binding level solves vol_diffusion(v) = vol_cap:
+    def binding_level(self, params: SabrParams) -> float:
+        """The volatility level at which the diffusion coefficient reaches
+        ``vol_cap``; below it the diffusion cap is inactive, above it the
+        capped diffusion is identically ``vol_cap``.  It solves
+        vol_diffusion(v) = vol_cap:
 
             v = (rho * omega + sqrt(vol_cap^2 + (rho^2 - 1) * omega^2)) / (1 - beta)
 
-        Raises
-        ------
-        ValueError
-            If ``vol_cap <= omega``, ``drift_cap <= 0``, either cap is
-            not finite, or ``vol_cap**2`` would overflow a float.
+        Raises ValueError unless ``vol_cap > omega``.
         """
-        if not params.omega < vol_cap < _VOL_CAP_LIMIT:
-            raise ValueError(
-                f"vol_cap must exceed omega ({params.omega}) and stay below "
-                f"{_VOL_CAP_LIMIT:.6g}, where its square overflows; "
-                f"got {shown(vol_cap)}"
-            )
-        positive_float(drift_cap, "drift_cap")
-        root = math.sqrt(vol_cap**2 + (params.rho**2 - 1.0) * params.omega**2)
-        binding = (params.rho * params.omega + root) / (1.0 - params.beta)
-        return cls(vol_cap=vol_cap, drift_cap=drift_cap, binding_level=binding)
+        if not params.omega < self.vol_cap:
+            raise ValueError(f"vol_cap must exceed omega ({params.omega}); "
+                             f"got {shown(self.vol_cap)}")
+        root = math.sqrt(self.vol_cap**2 + (params.rho**2 - 1.0) * params.omega**2)
+        return (params.rho * params.omega + root) / (1.0 - params.beta)
 
 
 class Coefficients(NamedTuple):

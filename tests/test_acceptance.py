@@ -60,7 +60,7 @@ def _caps(params):
 def test_criterion_01_binding_levels():
     published = {-0.7: 2.336, 0.0: 3.464, 0.7: 5.136}
     errors = {
-        rho: abs(_caps(_params(rho)).binding_level - target)
+        rho: abs(_caps(_params(rho)).binding_level(_params(rho)) - target)
         for rho, target in published.items()
     }
     ok, line = _verdict(
@@ -335,7 +335,7 @@ def test_criterion_10_closed_forms_match_quadrature():
                 return 1.0 / (z * min(caps.vol_cap, vol_diffusion(z, p)))
 
             direct = 0.0
-            edges = sorted({lo, hi, min(max(caps.binding_level, lo), hi)})
+            edges = sorted({lo, hi, min(max(caps.binding_level(p), lo), hi)})
             for a, b in zip(edges[:-1], edges[1:]):
                 if b > a:
                     val, _ = scipy_quad(integrand, a, b, epsabs=1e-14,

@@ -1,7 +1,9 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from scipy.integrate import quad as scipy_quad
 
 from vixsabr import (
     CapSpec,
-    NumericalError,
     SabrParams,
     limiting_implied_vol,
     rate_function,
@@ -35,7 +36,7 @@ def rate_oracle(lo, hi, p, caps):
         return 1.0 / (z * min(caps.vol_cap, vol_diffusion(z, p)))
 
     pieces = []
-    v_hat = caps.binding_level
+    v_hat = caps.binding_level(p)
     if lo < v_hat < hi:
         pieces = [(lo, v_hat), (v_hat, hi)]
     else:
@@ -129,8 +130,9 @@ def short_range_oracle(lo, hi, p, caps):
         return 1.0 / ((1.0 + y) * min(caps.vol_cap, vol_diffusion(lo + lo * y, p)))
 
     ends = [0.0, (hi - lo) / lo]
-    if lo < caps.binding_level < hi:
-        ends.insert(1, (caps.binding_level - lo) / lo)
+    split = caps.binding_level(p)
+    if lo < split < hi:
+        ends.insert(1, (split - lo) / lo)
     return sum(scipy_quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                for a, b in zip(ends[:-1], ends[1:]))
 
@@ -144,8 +146,9 @@ def log_range_oracle(lo, hi, p, caps):
 
     a, b = math.log(lo), math.log(hi)
     ends = list(np.linspace(a, b, max(2, math.ceil((b - a) / 0.5) + 1)))
-    if lo < caps.binding_level < hi:
-        ends = sorted([*ends, math.log(caps.binding_level)])
+    split = caps.binding_level(p)
+    if lo < split < hi:
+        ends = sorted([*ends, math.log(split)])
     return sum(scipy_quad(integrand, u, w, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                for u, w in zip(ends[:-1], ends[1:]))
 
@@ -190,7 +193,7 @@ def test_rate_integral_is_finite_and_additive_over_the_float_range(model, a, b):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value = rate_integral(lo, hi, p, caps)
-        split = caps.binding_level
+        split = caps.binding_level(p)
         if lo < split < hi:
             parts = rate_integral(lo, split, p, caps) + rate_integral(split, hi, p, caps)
             assert math.isclose(value, parts, rel_tol=1e-13)
@@ -202,12 +205,26 @@ def test_rate_integral_is_finite_and_additive_over_the_float_range(model, a, b):
 # rate function
 # ---------------------------------------------------------------------------
 
+def test_rate_function_splits_where_the_caps_bind_for_the_model_at_hand(params, caps):
+    # the binding level is derived from the caps and the model at each
+    # call, so caps replaced after construction, or used with another
+    # model, split the rate integral where their diffusion cap binds
+    lowered = CapSpec.from_params(params, vol_cap=1.5, drift_cap=1.0)
+    flipped = replace(params, rho=0.5)
+    for p, used, fresh, rate in (
+            (params, replace(caps, vol_cap=1.5), lowered, 3.80301760961501),
+            (flipped, caps, CapSpec.from_params(flipped, 2.0, 1.0), 6.539948104594769)):
+        assert rate_function(3.0, p, used) == rate_function(3.0, p, fresh)
+        assert math.isclose(rate_function(3.0, p, used), rate, rel_tol=1e-13)
+        assert limiting_implied_vol(3.0, p, used) == limiting_implied_vol(3.0, p, fresh)
+
+
 def test_rate_function_zero_at_initial_level(params, caps):
     assert rate_function(params.v0, params, caps) == 0.0
 
 
 def test_rate_function_continuous_at_binding_level(params, caps):
-    v = caps.binding_level
+    v = caps.binding_level(params)
     below = rate_function(v * (1.0 - 1e-9), params, caps)
     above = rate_function(v * (1.0 + 1e-9), params, caps)
     assert math.isclose(below, above, rel_tol=1e-7)
@@ -257,7 +274,7 @@ def test_limiting_vol_at_the_money_is_the_limit_of_both_sides(params, caps, v0):
     # at the money the harmonic mean tends to the capped diffusion at v0;
     # the default caps bind from 2.336 on, between the two v0
     p = SabrParams(params.beta, params.rho, params.omega, v0)
-    assert 0.1 < caps.binding_level < 5.0
+    assert 0.1 < caps.binding_level(p) < 5.0
     atm = limiting_implied_vol(v0, p, caps)
     for side in (1.0 - 1e-7, 1.0 + 1e-7):
         assert math.isclose(limiting_implied_vol(v0 * side, p, caps), atm,
@@ -265,16 +282,26 @@ def test_limiting_vol_at_the_money_is_the_limit_of_both_sides(params, caps, v0):
 
 
 @pytest.mark.parametrize("v0", [1e155, 1e300, sys.float_info.max])
-def test_huge_v0_gives_the_cap_at_the_money_and_refuses_the_expansion(params, v0):
+def test_huge_v0_gives_the_cap_at_the_money_and_a_finite_expansion(params, v0):
     # the variance at v0 overflows: the at-the-money limit is the cap,
-    # quietly, and the expansion's terms overflow although skew and
-    # convexity are finite, which raises NumericalError
+    # quietly, and the expansion, whose terms are ratios to sigma0, is
+    # finite and matches its formulas evaluated at 40 digits
     p = SabrParams(params.beta, params.rho, params.omega, v0)
     caps = CapSpec.from_params(p, vol_cap=2.0, drift_cap=1.0)
     assert limiting_implied_vol(v0, p, caps) == caps.vol_cap
     assert 0.0 < limiting_implied_vol(0.1, p, caps) < caps.vol_cap
-    with pytest.raises(NumericalError, match="smile expansion overflows"):
-        smile_expansion(p)
+    exp = smile_expansion(p)
+    with mpmath.workdps(40):
+        b1, rho, omega, v = map(mpmath.mpf, (p.beta - 1.0, p.rho, p.omega, v0))
+        sigma0 = mpmath.sqrt(omega**2 + 2 * rho * b1 * omega * v + (b1 * v)**2)
+        skew = v * b1 * (rho * omega + b1 * v) / (2 * sigma0)
+        convexity = v * b1 * (2 * omega**3 * rho + b1 * omega**2 * (4 + rho**2) * v
+                              + 4 * b1**2 * omega * rho * v**2
+                              + b1**3 * v**3) / (6 * sigma0**3)
+    for value, exact in ((exp.atm_level, sigma0), (exp.skew, skew),
+                         (exp.convexity, convexity)):
+        assert math.isfinite(value)
+        assert math.isclose(value, float(exact), rel_tol=1e-15)
 
 
 def test_limiting_vol_rejects_nonpositive_strike(params, caps):

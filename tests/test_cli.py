@@ -120,13 +120,17 @@ def test_config_reads_integers_beyond_float_range_as_infinities(section, values,
         f"{section}: entries must be finite and > 0, got {shown}"]
 
 
-@pytest.mark.parametrize("section, key", [("caps", "drift_cap"), ("model", "v0")])
-def test_config_rejects_integers_beyond_float_range(section, key):
-    # the section accepts a Python int above float's range (it compares
-    # below inf); the checks across sections must report it, not overflow
+@pytest.mark.parametrize("section, key, problem", [
+    ("caps", "drift_cap", f"caps: drift_cap must be finite and > 0, got {10**400}"),
+    ("model", "v0", "model.v0: out of range; values must be finite")],
+    ids=["caps-drift_cap", "model-v0"])
+def test_config_rejects_integers_beyond_float_range(section, key, problem):
+    # an int above float's range compares below inf: CapSpec's range
+    # check converts it to inf and refuses it by name, and SabrParams
+    # reports it as not finite; neither lets it overflow
     with pytest.raises(ConfigError) as err:
         RunConfig.from_dict({section: {key: 10**400}})
-    assert f"{section}.{key}: out of range; values must be finite" in err.value.problems
+    assert problem in err.value.problems
 
 
 _FLOAT_FIELDS = [(section.name, f.name)
@@ -148,7 +152,7 @@ def test_config_caps_accessor():
     config = RunConfig.from_dict({"caps": {"vol_cap": 3.0, "drift_cap": 0.5}})
     assert config.caps.vol_cap == 3.0
     assert config.caps.drift_cap == 0.5
-    assert config.caps.binding_level > 0.0
+    assert config.caps.binding_level(config.model) > 0.0
 
 
 def test_config_sections_are_the_dataclass_fields():
@@ -180,7 +184,7 @@ def test_config_caps_follow_the_model():
     config = RunConfig.from_dict({"caps": {"vol_cap": 3.0, "drift_cap": 0.5}})
     moved = replace(config, model=replace(config.model, rho=0.7))
     assert moved.caps == CapSpec.from_params(moved.model, vol_cap=3.0, drift_cap=0.5)
-    assert moved.caps.binding_level > config.caps.binding_level
+    assert moved.caps.binding_level(moved.model) > config.caps.binding_level(config.model)
     with pytest.raises(ConfigError) as err:
         replace(config, model=replace(config.model, omega=3.0))
     assert any(p.startswith("caps: vol_cap") for p in err.value.problems)

@@ -11,6 +11,7 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,6 +146,8 @@ ARGUMENTS = {
         "v_init", lambda x: evolve_capped([0.1, x], np.zeros((2, 2)), 0.1, _PARAMS, _CAPS),
         ()),
     "simulate_sabr_2d-s0": ("s0", lambda x: simulate_sabr_2d(_PARAMS, x, _MC), ()),
+    "CapSpec-vol_cap": ("vol_cap", lambda x: replace(_CAPS, vol_cap=x), ()),
+    "CapSpec-drift_cap": ("drift_cap", lambda x: replace(_CAPS, drift_cap=x), ()),
     "McConfig-horizon": ("horizon", lambda x: McConfig(horizon=x), ()),
     "McConfig-vix_window": ("vix_window", lambda x: McConfig(vix_window=x), ()),
     "scale_function-x": ("x", lambda x: scale_function(x, _PARAMS), (0.0,)),
@@ -157,7 +160,9 @@ BAD_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0.0": 0.0,
 @pytest.mark.parametrize("argument, value", [
     pytest.param(argument, value, id=f"{argument}-{label}")
     for argument, (_, _, takes) in ARGUMENTS.items()
-    for label, value in BAD_VALUES.items() if value not in takes])
+    for label, value in BAD_VALUES.items() if value not in takes] + [
+    # vol_cap's square must be finite too
+    pytest.param("CapSpec-vol_cap", 1e200, id="CapSpec-vol_cap-1e200")])
 def test_each_positive_argument_refuses_values_out_of_range(argument, value):
     # an integer too large for a float compares below inf; it is refused
     # as inf is, not left to overflow in the computation

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -169,17 +170,28 @@ def test_binding_level_pinned_values():
     for rho, level in expected.items():
         p = SabrParams(beta=0.5, rho=rho, omega=1.0, v0=0.1)
         spec = CapSpec.from_params(p, vol_cap=2.0, drift_cap=1.0)
-        assert math.isclose(spec.binding_level, level, rel_tol=1e-12)
+        assert math.isclose(spec.binding_level(p), level, rel_tol=1e-12)
+
+
+def test_caps_hold_the_two_caps_and_derive_the_binding_level(params, caps):
+    # the level depends on the model, so the caps store none; one set of
+    # caps serves every model whose omega is below vol_cap
+    assert [f.name for f in fields(CapSpec)] == ["vol_cap", "drift_cap"]
+    assert caps == CapSpec(vol_cap=2.0, drift_cap=1.0)
+    flipped = SabrParams(beta=0.5, rho=0.7, omega=1.0, v0=0.1)
+    assert math.isclose(caps.binding_level(flipped), 5.136308338453881, rel_tol=1e-12)
+    with pytest.raises(ValueError, match=r"^vol_cap must exceed omega \(3.0\)"):
+        CapSpec(2.0, 1.0).binding_level(SabrParams(0.5, -0.7, 3.0, 0.1))
 
 
 def test_diffusion_equals_cap_at_binding_level(params, caps):
-    assert abs(vol_diffusion(caps.binding_level, params) - caps.vol_cap) < 1e-12
+    assert abs(vol_diffusion(caps.binding_level(params), params) - caps.vol_cap) < 1e-12
 
 
 def test_degenerate_caps_binding_level(params):
     tight = CapSpec.from_params(params, vol_cap=1.0 + 1e-9, drift_cap=1e-12)
-    assert math.isclose(tight.binding_level, 2.8571431887058907e-9, rel_tol=1e-6)
-    assert abs(vol_diffusion(tight.binding_level, params) - tight.vol_cap) < 1e-12
+    assert math.isclose(tight.binding_level(params), 2.8571431887058907e-9, rel_tol=1e-6)
+    assert abs(vol_diffusion(tight.binding_level(params), params) - tight.vol_cap) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +206,14 @@ def test_capped_drift_saturates(params, caps):
 
 
 def test_capped_diffusion_saturates(params, caps):
-    big = caps.binding_level * 10.0
+    big = caps.binding_level(params) * 10.0
     assert capped_vol_diffusion(big, params, caps) == caps.vol_cap
-    small = caps.binding_level / 10.0
+    small = caps.binding_level(params) / 10.0
     assert capped_vol_diffusion(small, params, caps) == vol_diffusion(small, params)
 
 
 def test_capped_diffusion_continuous_at_binding_level(params, caps):
-    v = caps.binding_level
+    v = caps.binding_level(params)
     below = capped_vol_diffusion(v * (1.0 - 1e-12), params, caps)
     above = capped_vol_diffusion(v * (1.0 + 1e-12), params, caps)
     assert abs(below - caps.vol_cap) < 1e-9
@@ -311,5 +323,5 @@ def test_caps_bound_the_coefficients(p, extra, drift_cap):
     assert np.all(sig <= spec.vol_cap + 1e-15)
     assert np.all(sig <= vol_diffusion(v, p) + 1e-15)
     assert np.all(np.abs(mu) <= spec.drift_cap + 1e-15)
-    below = v < spec.binding_level
+    below = v < spec.binding_level(p)
     assert np.allclose(sig[below], vol_diffusion(v[below], p), rtol=1e-13)
