@@ -28,10 +28,10 @@ import numpy as np
 
 from .asymptotics import _at_the_money, _log_ratio, limiting_implied_vol
 from .mc import McConfig, estimate_capped_lanes, simulate_capped_paths
-from .model import CapSpec, FieldError, SabrParams, _to_float, positive_float, \
+from .model import CapSpec, NumericalError, SabrParams, _to_float, positive_float, \
     positive_floats
 from .pricing import estimate_forward, rate_convergence_study, smile_from_paths
-from .scale import NumericalError, explosion_verdict, martingale_diagnostic
+from .scale import explosion_verdict, martingale_diagnostic
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -154,8 +154,7 @@ def _problem(section: str, default, changes: dict):
     try:
         replace(default, **changes)
     except (TypeError, ValueError, OverflowError) as err:
-        # a FieldError's message starts with the field's name
-        return f"{section}{'.' if isinstance(err, FieldError) else ': '}{err}"
+        return f"{section}: {err}"
     return None
 
 

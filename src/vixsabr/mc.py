@@ -31,10 +31,9 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .model import CapSpec, Coefficients, SabrParams, as_floats, capped_vol_diffusion, \
-    capped_vol_drift, check_float_fields, check_integer_fields, positive_float, \
+from .model import CapSpec, Coefficients, NumericalError, SabrParams, as_floats, \
+    capped_vol_diffusion, capped_vol_drift, check_integer_fields, positive_float, \
     positive_floats, shown
-from .scale import NumericalError
 
 __all__ = [
     "McConfig",
@@ -101,7 +100,6 @@ class McConfig:
             raise ValueError(f"inner_steps must be >= 1, got {shown(self.inner_steps)}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        check_float_fields(self)
 
 
 @dataclass(frozen=True)

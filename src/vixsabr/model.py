@@ -61,10 +61,6 @@ def shown(value) -> str:
 _VOL_CAP_LIMIT = math.sqrt(sys.float_info.max)
 
 
-class FieldError(ValueError):
-    """A field's value is out of range; the message starts with its name."""
-
-
 class NumericalError(RuntimeError):
     """Raised when quadrature fails to converge, a tail fit is rejected, or
     a closed form is evaluated outside its domain or overflows."""
@@ -114,14 +110,12 @@ def positive_floats(value, name: str) -> np.ndarray:
     return values
 
 
-def check_float_fields(config) -> None:
-    """Raise :class:`FieldError` unless every field of the dataclass
-    ``config`` annotated ``float`` holds finite floats, or arrays of them,
-    as :func:`as_floats` converts them."""
-    for f in fields(config):
-        if f.type in (float, "float") and not np.all(
-                np.isfinite(as_floats(getattr(config, f.name)))):
-            raise FieldError(f"{f.name}: out of range; values must be finite")
+def _check_squarable(value, name: str) -> None:
+    """Check ``value`` by :func:`positive_float`, and refuse it also
+    unless it is below ``_VOL_CAP_LIMIT``, so that its square is finite."""
+    if not positive_float(value, name) < _VOL_CAP_LIMIT:
+        raise ValueError(f"{name} must be below {_VOL_CAP_LIMIT:.6g}, where its "
+                         f"square overflows; got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -151,12 +145,8 @@ class SabrParams:
             raise ValueError(f"beta must be in [0, 1), got {shown(self.beta)}")
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (-1, 1), got {shown(self.rho)}")
-        if not 0.0 < self.omega < _VOL_CAP_LIMIT:
-            raise ValueError(f"omega must be > 0 and below {_VOL_CAP_LIMIT:.6g}, where "
-                             f"its square overflows; got {shown(self.omega)}")
-        if not 0.0 < self.v0 < math.inf:
-            raise ValueError(f"v0 must be finite and > 0, got {shown(self.v0)}")
-        check_float_fields(self)
+        _check_squarable(self.omega, "omega")
+        positive_float(self.v0, "v0")
 
     @property
     def negative_correlation(self) -> bool:
@@ -187,9 +177,7 @@ class CapSpec:
     drift_cap: float
 
     def __post_init__(self):
-        if not positive_float(self.vol_cap, "vol_cap") < _VOL_CAP_LIMIT:
-            raise ValueError(f"vol_cap must be below {_VOL_CAP_LIMIT:.6g}, where its "
-                             f"square overflows; got {shown(self.vol_cap)}")
+        _check_squarable(self.vol_cap, "vol_cap")
         positive_float(self.drift_cap, "drift_cap")
 
     @classmethod
@@ -234,12 +222,15 @@ class Coefficients(NamedTuple):
     beta_m1: float       # beta - 1
     drift_linear: float  # 0.5*(beta-2)
     rho_omega: float     # rho*omega
+    omega: float         # omega and rho, for the root's fallback in _quiet_variance
+    rho: float
 
     @classmethod
     def of(cls, params: SabrParams) -> "Coefficients":
         b1 = params.beta - 1.0
         return cls(params.omega**2, 2.0 * params.rho * b1 * params.omega, b1,
-                   0.5 * (params.beta - 2.0), params.rho * params.omega)
+                   0.5 * (params.beta - 2.0), params.rho * params.omega,
+                   params.omega, params.rho)
 
 
 def _coefficients(params) -> Coefficients:
@@ -278,25 +269,26 @@ def _scalar_or_array(val: np.ndarray):
 def _quiet_variance(v, params, root: bool = False):
     """vol_variance(v), or its root vol_diffusion(v) when ``root``, as an
     array, without a warning: an overflow gives inf.  Where the quadratic
-    is not finite at a v that is not NaN, as where it overflows or at
-    v = +-inf, the root is taken with v**2 factored out,
+    is not finite and > 0 at a v that is not NaN, as where it overflows,
+    at v = +-inf, or where all its terms underflow, the root is taken from
+    the quadratic as a sum of two squares,
 
-        |v| * sqrt((beta-1)**2 + 2*rho*(beta-1)*omega / v + omega**2 / v / v),
+        hypot(omega + rho*(beta-1)*v, sqrt(1 - rho**2)*(beta-1)*v),
 
-    which is finite wherever the root is and inf at v = +-inf, and squared
-    for the variance.  Every value the quadratic gives finitely keeps its
-    bits."""
+    which under- or overflows only where the root does and is inf at
+    v = +-inf, and squared for the variance.  Every value the quadratic
+    gives finite and > 0 keeps its bits."""
     c = _coefficients(params)
     v = as_floats(v)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         val = _variance(v, c, None)
         if root:
             np.sqrt(val, out=val)
-        if not np.isfinite(val).all():
-            factored = np.abs(v) * np.sqrt(
-                c.beta_m1 * c.beta_m1 + c.var_linear / v + c.omega_sq / v / v)
-            val = np.where(~np.isnan(v) & ~np.isfinite(val),
-                           factored if root else factored * factored, val)
+        kept = (val > 0.0) & (val < math.inf)
+        if not kept.all():
+            b1v = c.beta_m1 * v
+            hypot = np.hypot(c.omega + c.rho * b1v, np.sqrt(1.0 - c.rho * c.rho) * b1v)
+            val = np.where(kept | np.isnan(v), val, hypot if root else hypot * hypot)
     return val
 
 

@@ -26,9 +26,8 @@ from .asymptotics import _at_the_money, _log_ratio, rate_function
 # bench/spans.py wraps this module's binding of it.
 from .mc import McConfig, McEstimate, PathSet, _check_finite, \
     estimate_capped_lanes, simulate_capped_paths  # noqa: F401
-from .model import CapSpec, SabrParams, _scalar_or_array, as_floats, positive_float, \
-    positive_floats
-from .scale import NumericalError
+from .model import CapSpec, NumericalError, SabrParams, _scalar_or_array, as_floats, \
+    positive_float, positive_floats
 
 __all__ = [
     "SmilePoint",

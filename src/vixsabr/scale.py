@@ -281,11 +281,9 @@ def _decade_edges(lo: float, hi: float) -> list[float]:
 
 
 def _segmented_quad(integrand, lo, hi) -> float:
-    """Adaptive quadrature on [lo, hi] split into decade segments; raises
-    :class:`NumericalError` if any segment fails to converge or its
-    integrand overflows."""
-    if hi < lo:
-        raise ValueError(f"integration range is reversed: [{lo}, {hi}]")
+    """Adaptive quadrature on [lo, hi], 0 <= lo <= hi, split into decade
+    segments; raises :class:`NumericalError` if any segment fails to
+    converge or its integrand overflows."""
     if hi == lo:
         return 0.0
     edges = _decade_edges(lo, hi)

@@ -304,6 +304,20 @@ def test_huge_v0_gives_the_cap_at_the_money_and_a_finite_expansion(params, v0):
         assert math.isclose(value, float(exact), rel_tol=1e-15)
 
 
+def test_tiny_omega_and_v0_give_a_finite_expansion():
+    # omega**2 and every term of the variance quadratic underflow to 0 at
+    # v0, so sigma0, about omega, is taken as a sum of two squares; it
+    # was 0, and the expansion divided by it
+    p = SabrParams(0.5, -0.7, 1e-300, 5e-324)
+    exp = smile_expansion(p)
+    with mpmath.workdps(40):
+        b1, rho, omega, v = map(mpmath.mpf, (p.beta - 1.0, p.rho, p.omega, p.v0))
+        sigma0 = mpmath.sqrt(omega**2 + 2 * rho * b1 * omega * v + (b1 * v)**2)
+    assert exp.atm_level > 0.0
+    assert math.isclose(exp.atm_level, float(sigma0), rel_tol=1e-12)
+    assert math.isfinite(exp.skew) and math.isfinite(exp.convexity)
+
+
 def test_limiting_vol_rejects_nonpositive_strike(params, caps):
     with pytest.raises(ValueError):
         limiting_implied_vol(0.0, params, caps)

@@ -122,12 +122,11 @@ def test_config_reads_integers_beyond_float_range_as_infinities(section, values,
 
 @pytest.mark.parametrize("section, key, problem", [
     ("caps", "drift_cap", f"caps: drift_cap must be finite and > 0, got {10**400}"),
-    ("model", "v0", "model.v0: out of range; values must be finite")],
+    ("model", "v0", f"model: v0 must be finite and > 0, got {10**400}")],
     ids=["caps-drift_cap", "model-v0"])
 def test_config_rejects_integers_beyond_float_range(section, key, problem):
-    # an int above float's range compares below inf: CapSpec's range
-    # check converts it to inf and refuses it by name, and SabrParams
-    # reports it as not finite; neither lets it overflow
+    # an int above float's range compares below inf: the range check
+    # converts it to inf and refuses it by name, so it cannot overflow
     with pytest.raises(ConfigError) as err:
         RunConfig.from_dict({section: {key: 10**400}})
     assert problem in err.value.problems
@@ -932,6 +931,21 @@ def test_main_maps_an_unwritable_output_to_exit_two(tmp_path, capsys, command,
     assert len(err.splitlines()) == 1
     assert sorted(os.listdir(tmp_path)) == ["blocker", "config.json"]
     assert blocker.read_text() == ""
+
+
+def test_main_leaves_no_temporary_file_when_the_final_rename_fails(
+        tmp_path, capsys, monkeypatch):
+    def failing(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr(os, "replace", failing)
+    out = tmp_path / "out"
+    code = run_cli(tmp_path, {}, "--out", str(out), "diagnose")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vixsabr: cannot write output: cannot rename ")
+    assert len(err.splitlines()) == 1
+    assert os.listdir(out) == []
 
 
 def test_usage_errors_exit_two():

@@ -3,6 +3,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -64,9 +65,12 @@ def test_params_validation_rejects_out_of_range(kwargs):
 def test_params_refuse_an_omega_whose_square_overflows():
     # omega**2 is taken by pow(), which raises OverflowError past the limit
     limit = math.sqrt(sys.float_info.max)
-    for omega in (limit, 1e200, 10**400):
-        with pytest.raises(ValueError, match="^omega must be > 0 and below"):
+    for omega in (limit, 1e200):
+        with pytest.raises(ValueError, match="^omega must be below"):
             SabrParams(0.5, -0.7, omega, 0.1)
+    # an integer beyond the float range converts to inf, which is not finite
+    with pytest.raises(ValueError, match="^omega must be finite and > 0"):
+        SabrParams(0.5, -0.7, 10**400, 0.1)
     below = SabrParams(0.5, -0.7, math.nextafter(limit, 0.0), 0.1)
     assert math.isfinite(vol_variance(0.1, below))
 
@@ -234,6 +238,23 @@ def test_coefficients_reach_their_limits_where_the_quadratic_overflows(params, c
     levels = np.array([0.1, v])
     assert vol_diffusion(levels, params)[0] == vol_diffusion(0.1, params)
     assert vol_variance(levels, params)[0] == vol_variance(0.1, params)
+
+
+@pytest.mark.parametrize("omega", [1e-300, 1e-200])
+def test_diffusion_where_every_term_of_the_quadratic_underflows(params, omega):
+    # omega**2 underflows to 0, and so does the quadratic at these levels;
+    # the diffusion is about omega, not 0
+    p = SabrParams(0.5, -0.7, omega, 0.1)
+    caps = CapSpec.from_params(p, vol_cap=2.0, drift_cap=1.0)
+    levels = [0.0, 5e-324, 1e-300]
+    assert vol_variance(np.array(levels), p).tolist() == [0.0, 0.0, 0.0]
+    diffusion = vol_diffusion(np.array(levels), p)
+    for v, value in zip(levels, diffusion):
+        assert vol_diffusion(v, p) == capped_vol_diffusion(v, p, caps) == value
+        with mpmath.workdps(40):
+            b1, rho, w, x = map(mpmath.mpf, (p.beta - 1.0, p.rho, omega, v))
+            exact = mpmath.sqrt(w**2 + 2 * rho * b1 * w * x + (b1 * x)**2)
+        assert math.isclose(value, float(exact), rel_tol=1e-12)
 
 
 # subnormal levels up to 1e100, where every term stays finite
