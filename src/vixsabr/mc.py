@@ -159,14 +159,15 @@ def _run_blocks(domain, seed, n, width, run_block, n_threads) -> None:
     def run(block: int) -> None:
         lo = block * width
         key = (domain << 96) | (block << 64) | seed
-        run_block(lo, min(n, lo + width), Generator(Philox(key=key)))
+        # A path may overflow to inf, and its coefficients then form
+        # 0 * inf and inf - inf; each engine returns or refuses what is
+        # not finite.  numpy's error state is per thread, so it is set
+        # here, in the worker.
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_block(lo, min(n, lo + width), Generator(Philox(key=key)))
 
-    blocks = range(-(-n // width))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(run, blocks))
-    else:
-        list(map(run, blocks))
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        list(pool.map(run, range(-(-n // width))))
 
 
 def _step_capped(v, z, dt, sqrt_dt, params, caps, work) -> None:
@@ -287,14 +288,10 @@ def _lane_stepper(lanes, n_steps: int):
         # several stacks overwrite one shared scratch array, so they
         # share one drawn row beside it.
         shared = np.empty(state.shape[1]) if len(steps) > 1 else None
-        # A path may overflow to inf, and its coefficients then form
-        # 0 * inf and inf - inf; the estimators report that.  numpy's
-        # error state is per thread, so it is set here, in the worker.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(n_steps):
-                z = rng if shared is None else rng.standard_normal(out=shared)
-                for v, (dt, sqrt_dt, params, caps), scratch in steps:
-                    _step_capped(v, z, dt, sqrt_dt, params, caps, scratch)
+        for _ in range(n_steps):
+            z = rng if shared is None else rng.standard_normal(out=shared)
+            for v, (dt, sqrt_dt, params, caps), scratch in steps:
+                _step_capped(v, z, dt, sqrt_dt, params, caps, scratch)
 
     return step
 
@@ -442,18 +439,16 @@ def estimate_vix_nested(
         z = rng.standard_normal((mc.inner_steps, mc.inner_paths))
         work = np.empty((3, mc.inner_paths))
         v = np.full(mc.inner_paths, v_t[i])
-        # Paths and their squares may overflow; a VIX or SE that is not
-        # finite is refused below.  numpy's error state is per thread, so
-        # it is set here, in the worker.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Trapezoid accumulation of v^2 over the window, per sub-path.
-            acc = 0.5 * v * v
-            for k in range(mc.inner_steps):
-                _step_capped(v, z[k], dt, sqrt_dt, coefficients, caps, work)
-                acc += v * v if k < mc.inner_steps - 1 else 0.5 * v * v
-            vix_sq_samples = acc * dt / window
-            mean_sq = float(vix_sq_samples.mean())
-            se_sq = float(vix_sq_samples.std(ddof=1) / math.sqrt(mc.inner_paths))
+        # Trapezoid accumulation of v^2 over the window, per sub-path;
+        # paths and their squares may overflow, and a VIX or SE that is
+        # not finite is refused below.
+        acc = 0.5 * v * v
+        for k in range(mc.inner_steps):
+            _step_capped(v, z[k], dt, sqrt_dt, coefficients, caps, work)
+            acc += v * v if k < mc.inner_steps - 1 else 0.5 * v * v
+        vix_sq_samples = acc * dt / window
+        mean_sq = float(vix_sq_samples.mean())
+        se_sq = float(vix_sq_samples.std(ddof=1) / math.sqrt(mc.inner_paths))
         vix[i] = math.sqrt(mean_sq)
         inner_se[i] = se_sq / (2.0 * vix[i]) if vix[i] > 0.0 else 0.0
 
@@ -492,7 +487,8 @@ def simulate_sabr_2d(
     convention of the power backbone).  The initial volatility factor is
     chosen so the effective volatility starts at v0.  Returns terminal
     spot and volatility samples and the effective volatility
-    sigma_T * S_T**(beta-1) of the non-absorbed paths.
+    sigma_T * S_T**(beta-1) of the non-absorbed paths; a sample that
+    overflows to inf or NaN raises :class:`NumericalError`.
 
     Each block draws the (2, block) pair of normal rows of one step at a
     time into a reused buffer, the numbers of one (n_steps, 2, block)
@@ -506,8 +502,7 @@ def simulate_sabr_2d(
     rho_perp = params.rho_perp
     omega = params.omega
     sigma0 = params.v0 * s0 ** (1.0 - params.beta)
-    spot = np.empty(n)
-    vol = np.empty(n)
+    spot, vol = _empty((2, n), "outputs")
 
     def run_block(lo: int, hi: int, rng) -> None:
         m = hi - lo
@@ -529,7 +524,12 @@ def simulate_sabr_2d(
         vol[lo:hi] = sig
 
     _run_blocks(_DOMAIN_2D, mc.seed, n, _BLOCK_PATHS, run_block, n_threads)
-
+    # NaN would pass below as absorbed, so a sample that is not finite
+    # is refused here
+    bad = ~(np.isfinite(spot) & np.isfinite(vol))
+    if bad.any():
+        raise NumericalError(f"the spot or volatility factor is not finite "
+                             f"on {np.count_nonzero(bad)} of {n} paths")
     alive = spot > 0.0
     effective = vol[alive] * spot[alive] ** (params.beta - 1.0)
     return Sabr2dSample(

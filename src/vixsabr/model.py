@@ -269,22 +269,22 @@ def _scalar_or_array(val: np.ndarray):
 def _quiet_variance(v, params, root: bool = False):
     """vol_variance(v), or its root vol_diffusion(v) when ``root``, as an
     array, without a warning: an overflow gives inf.  Where the quadratic
-    is not finite and > 0 at a v that is not NaN, as where it overflows,
-    at v = +-inf, or where all its terms underflow, the root is taken from
-    the quadratic as a sum of two squares,
+    is not a finite normal float at a v that is not NaN, as where it
+    overflows, at v = +-inf, or where it is subnormal or 0, the root is
+    taken from the quadratic as a sum of two squares,
 
         hypot(omega + rho*(beta-1)*v, sqrt(1 - rho**2)*(beta-1)*v),
 
     which under- or overflows only where the root does and is inf at
     v = +-inf, and squared for the variance.  Every value the quadratic
-    gives finite and > 0 keeps its bits."""
+    gives finite and normal keeps its bits."""
     c = _coefficients(params)
     v = as_floats(v)
     with np.errstate(over="ignore", invalid="ignore"):
         val = _variance(v, c, None)
+        kept = (val >= sys.float_info.min) & (val < math.inf)
         if root:
             np.sqrt(val, out=val)
-        kept = (val > 0.0) & (val < math.inf)
         if not kept.all():
             b1v = c.beta_m1 * v
             hypot = np.hypot(c.omega + c.rho * b1v, np.sqrt(1.0 - c.rho * c.rho) * b1v)

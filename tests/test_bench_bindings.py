@@ -126,6 +126,28 @@ def test_only_model_converts_to_float_arrays():
     assert [where for where in converting if not where.startswith("vixsabr.model:")] == []
 
 
+def test_mc_sets_the_numpy_error_state_only_in_the_block_runner():
+    # numpy's error state is per thread, and _run_blocks's worker sets it
+    # around every block, so no block body sets it again.  Only code that
+    # runs no blocks sets its own: evolve_capped, and estimate_vix_nested
+    # outside its block body, where it computes the bounds.
+    allowed = {"_run_blocks.run", "evolve_capped", "estimate_vix_nested"}
+    setting = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "errstate" \
+                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "np":
+                setting.append(".".join(scope) or "<module>")
+            inner = [*scope, child.name] if isinstance(child, ast.FunctionDef) else scope
+            visit(child, inner)
+
+    visit(ast.parse((PACKAGE_DIR / "mc.py").read_text()), [])
+    assert sorted(set(setting) - allowed) == []
+    assert "_run_blocks.run" in setting
+
+
 def test_bench_calls_bind_to_the_mc_signatures():
     # bench/probes.py and bench/workloads.py call these shapes, and the
     # path-step counters read the McConfig at argument index 2

@@ -627,6 +627,17 @@ def test_diagnose_tiny_omega_exits_3(tmp_path, capsys, omega, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_diagnose_tail_fit_outside_the_tail_regime_exits_3(tmp_path, capsys):
+    config = {"model": {"beta": 0.9999998, "rho": -0.4, "omega": 5.5},
+              "caps": {"vol_cap": 6.0}}
+    code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, "diagnose")
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "vixsabr: numerical failure: scale-function tail fit residual 3.62e-01 "
+        "exceeds 1e-06; tail regime not reached"]
+    assert not (tmp_path / "diagnose.json").exists()
+
+
 @pytest.mark.parametrize(
     "config, message",
     [({"model": {"beta": 0.99, "rho": -0.99, "omega": 100.0, "v0": 1.0},

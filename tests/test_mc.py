@@ -596,6 +596,23 @@ def test_sabr_2d_memory_does_not_grow_with_steps(params):
     assert peaks[1] <= peaks[0] + 4 * row
 
 
+@pytest.mark.parametrize("v0, s0, bad", [(1e300, 1.0, 16), (1e150, 1e150, 16)],
+                         ids=["v0", "v0_and_s0"])
+def test_sabr_2d_refuses_samples_that_are_not_finite(v0, s0, bad):
+    # NaN spots would pass as absorbed and inflate absorbed_fraction
+    p = SabrParams(0.5, -0.7, 1.0, v0)
+    mc = McConfig(n_paths=64, n_steps=10, horizon=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"not finite on {bad} of 64 paths"):
+            simulate_sabr_2d(p, s0, mc)
+
+
+def test_sabr_2d_refuses_a_path_count_past_the_address_space(params):
+    with pytest.raises(MemoryError, match="exceed the address space"):
+        simulate_sabr_2d(params, 1.0, McConfig(n_paths=2**62))
+
+
 # ---------------------------------------------------------------------------
 # bit-level pins of the nested and 2-D engines
 # ---------------------------------------------------------------------------
@@ -668,6 +685,35 @@ def test_evolve_capped_overflows_without_a_warning():
         with pytest.raises(NumericalError):
             estimate_forward(PathSet(terminal_values=v))
     assert not np.all(np.isfinite(v))
+
+
+_ENGINES = {
+    "evolve_capped": lambda p, caps, mc: evolve_capped(
+        p.v0, _block_stream(0, 0, mc.seed).standard_normal((mc.n_steps, mc.n_paths)),
+        mc.horizon, p, caps),
+    "simulate_capped_paths": simulate_capped_paths,
+    "estimate_capped_lanes": lambda p, caps, mc: estimate_capped_lanes(
+        [(p, caps, mc.horizon)], estimate_forward, mc),
+    "estimate_vix_nested": estimate_vix_nested,
+    "simulate_sabr_2d": lambda p, caps, mc: simulate_sabr_2d(p, 1.0, mc),
+}
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+@pytest.mark.parametrize("v0", [1e150, 1e300])
+def test_engines_overflow_without_a_warning(engine, v0):
+    # every block runs with overflow silenced; an engine returns what
+    # overflowed or refuses it, but never warns
+    p = SabrParams(beta=0.5, rho=-0.7, omega=1.0, v0=v0)
+    caps = CapSpec.from_params(p, 2.0, 500.0)
+    mc = McConfig(n_paths=64, n_steps=10, horizon=1.0, inner_paths=4, inner_steps=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            _ENGINES[engine](p, caps, mc)
+        except NumericalError:
+            pass
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("name, value", [

@@ -257,6 +257,18 @@ def test_diffusion_where_every_term_of_the_quadratic_underflows(params, omega):
         assert math.isclose(value, float(exact), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("omega", [1e-160, 1e-158])
+def test_diffusion_where_the_quadratic_is_subnormal(omega):
+    # omega**2 is subnormal, so the quadratic keeps only a few digits;
+    # the root is taken from the sum of two squares instead
+    p = SabrParams(0.5, -0.7, omega, 0.1)
+    for v in (0.0, 5e-324, 1e-300):
+        with mpmath.workdps(40):
+            b1, rho, w, x = map(mpmath.mpf, (p.beta - 1.0, p.rho, omega, v))
+            exact = mpmath.sqrt(w**2 + 2 * rho * b1 * w * x + (b1 * x)**2)
+        assert math.isclose(vol_diffusion(v, p), float(exact), rel_tol=1e-12), v
+
+
 # subnormal levels up to 1e100, where every term stays finite
 levels = st.lists(st.one_of(st.floats(0.0, 1e100),
                             st.floats(0.0, np.finfo(float).smallest_normal)),

@@ -301,6 +301,15 @@ def test_scale_function_tail_decay_exponent(params):
     assert abs(slope + 1.0 / (1.0 - params.beta)) < 0.05
 
 
+def test_scale_function_limit_refuses_a_fit_outside_the_tail_regime():
+    # the tail power x**(-1/(1-beta)) is 0 on the whole fit grid, while
+    # the scale function still rises from 1e4 to 1e5
+    p = SabrParams(beta=0.9999998, rho=-0.4, omega=5.5, v0=0.1)
+    with pytest.raises(NumericalError, match=r"tail fit residual 3\.62e-01 exceeds "
+                       r"1e-06; tail regime not reached"):
+        scale_function_limit(p)
+
+
 def test_scale_function_limit_requires_negative_correlation():
     p = SabrParams(beta=0.5, rho=0.1, omega=1.0, v0=0.1)
     with pytest.raises(ValueError):
