@@ -28,8 +28,8 @@ import numpy as np
 
 from .asymptotics import _at_the_money, _log_ratio, limiting_implied_vol
 from .mc import McConfig, estimate_capped_lanes, simulate_capped_paths
-from .model import CapSpec, NumericalError, SabrParams, _to_float, positive_float, \
-    positive_floats
+from .model import CapSpec, NumericalError, SabrParams, _to_float, count, \
+    positive_float, positive_floats
 from .pricing import estimate_forward, rate_convergence_study, smile_from_paths
 from .scale import explosion_verdict, martingale_diagnostic
 
@@ -172,7 +172,7 @@ def _positive_floats(values) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)):
         raise ValueError("expected a list of numbers")
     try:
-        values = tuple(map(_to_float, values))
+        values = tuple(_to_float(value, "entries") for value in values)
     except (TypeError, ValueError):
         raise ValueError("expected a list of numbers") from None
     if not values:
@@ -377,13 +377,12 @@ def main(argv=None) -> int:
     converge.add_argument("--strike", type=float, default=0.15,
                           help="strike for the decay study (default 0.15)")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    if args.command == "converge":
-        try:
+    try:
+        count(args.threads, "--threads", 1)
+        if args.command == "converge":
             positive_float(args.strike, "--strike")
-        except ValueError as err:
-            parser.error(str(err))
+    except ValueError as err:
+        parser.error(str(err))
 
     try:
         config = _load_config(args)

@@ -32,8 +32,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .model import CapSpec, Coefficients, NumericalError, SabrParams, as_floats, \
-    capped_vol_diffusion, capped_vol_drift, check_integer_fields, positive_float, \
-    positive_floats, shown
+    capped_vol_diffusion, capped_vol_drift, count, positive_float, positive_floats
 
 __all__ = [
     "McConfig",
@@ -87,19 +86,14 @@ class McConfig:
     inner_steps: int = field(default=30, metadata={"settable": False})
 
     def __post_init__(self):
-        check_integer_fields(self)
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {shown(self.n_paths)}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {shown(self.n_steps)}")
+        count(self.n_paths, "n_paths", 1)
+        count(self.n_steps, "n_steps", 1)
         positive_float(self.horizon, "horizon")
         positive_float(self.vix_window, "vix_window")
-        if self.inner_paths < 0:
-            raise ValueError(f"inner_paths must be >= 0, got {shown(self.inner_paths)}")
-        if self.inner_steps < 1:
-            raise ValueError(f"inner_steps must be >= 1, got {shown(self.inner_steps)}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= count(self.seed, "seed") < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        count(self.inner_paths, "inner_paths", 0)
+        count(self.inner_steps, "inner_steps", 1)
 
 
 @dataclass(frozen=True)
@@ -156,6 +150,8 @@ def _run_blocks(domain, seed, n, width, run_block, n_threads) -> None:
     Blocks must write disjoint outputs; the result then does not depend
     on the worker count or on the order in which blocks finish.
     """
+    count(n_threads, "n_threads", 1)
+
     def run(block: int) -> None:
         lo = block * width
         key = (domain << 96) | (block << 64) | seed
@@ -217,7 +213,7 @@ def evolve_capped(v_init, normals, horizon, params, caps):
     """
     horizon = positive_float(horizon, "horizon")
     v_init = positive_floats(v_init, "v_init")
-    normals = as_floats(normals)
+    normals = as_floats(normals, "normals")
     if normals.ndim != 2 or normals.shape[0] < 1:
         raise ValueError(f"normals must have shape (n_steps >= 1, n_paths), "
                          f"got {normals.shape}")
@@ -238,7 +234,7 @@ def _column(values):
     more per numpy call even with one row."""
     if len({float(x).hex() for x in values}) == 1:
         return values[0]
-    return as_floats(values).reshape(-1, 1)
+    return as_floats(values, "lanes").reshape(-1, 1)
 
 
 def _empty(shape, what: str) -> np.ndarray:
@@ -420,8 +416,7 @@ def estimate_vix_nested(
     not finite, as when paths or their squares overflow.
     """
     window = mc.vix_window
-    if mc.inner_paths < 2:
-        raise ValueError("inner_paths must be >= 2 for the nested estimator")
+    count(mc.inner_paths, "inner_paths", 2)
     outer = simulate_capped_paths(params, caps, mc, n_threads=n_threads)
     v_t = outer.terminal_values
     n_outer = v_t.size

@@ -179,7 +179,7 @@ def bs_price(strike, maturity: float, forward: float, vol, kind="call"):
     """
     calls = _is_call(kind)
     _check_market(strike, maturity, forward)
-    strike, vol = as_floats(strike), as_floats(vol)
+    strike, vol = as_floats(strike, "strike"), as_floats(vol, "vol")
     bad = ~((vol >= 0.0) & (vol < math.inf))
     if bad.any():
         raise ValueError(f"vol must be finite and >= 0, got {vol[bad][0]}")
@@ -213,7 +213,8 @@ def implied_vol(price, strike, maturity: float, forward: float, kind="call"):
     """
     ceiling = bs_price(strike, maturity, forward, _VOL_CEILING, kind)
     prices, strikes, calls = np.broadcast_arrays(
-        as_floats(price), as_floats(strike), np.asarray(kind) == "call")
+        as_floats(price, "price"), as_floats(strike, "strike"),
+        np.asarray(kind) == "call")
     if np.isnan(prices).any():
         raise ValueError("prices must not be NaN")
     below = prices <= _intrinsic(strikes, forward, calls)

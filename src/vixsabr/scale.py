@@ -123,7 +123,7 @@ def _points(x, rule: str, base: float = 0.0) -> np.ndarray:
     """:func:`as_floats` of ``x``.  Unless every point is finite and >= 0,
     or > ``base`` when that is positive, it is refused, before any
     quadrature, with a message that x must be ``rule``."""
-    xs = as_floats(x)
+    xs = as_floats(x, "x")
     bad = ~(((xs > base) if base else (xs >= 0.0)) & (xs < math.inf))
     if bad.any():
         raise ValueError(f"x must be {rule}, got {xs[bad][0]}")
@@ -152,7 +152,7 @@ def _log_arctan(x, coefficients, params: SabrParams):
     b1 = 1 - beta: the shape of both closed-form exponents.  Raises
     :class:`NumericalError` where it is not finite, as when a tiny omega
     makes vol_variance(x)/omega^2 overflow."""
-    x = as_floats(x)
+    x = as_floats(x, "x")
     log_coef, arctan_coef = coefficients
     rho, omega, rp = params.rho, params.omega, params.rho_perp
     b1 = 1.0 - params.beta

@@ -12,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from vixsabr import CapSpec, McConfig, SabrParams, cli, mc, scale
 
@@ -89,11 +90,19 @@ def test_package_modules_use_every_private_name_they_define():
     assert unread == []
 
 
-def test_only_model_formats_the_finite_and_positive_message():
-    # The rule "finite and > 0" has one home, model.positive_float and
-    # positive_floats; another module may state it in a docstring, but
-    # must call them rather than format the message itself.
-    phrase = "must be finite and > 0"
+# The messages of the input rules: finite and > 0 (model.positive_float
+# and positive_floats), an integer and a size (model.count) and a number,
+# not text (model._to_float)
+RULE_MESSAGES = {"finite_and_positive": "must be finite and > 0",
+                 "integer": "must be an integer",
+                 "size": "must be >= ",
+                 "number": "must be a number"}
+
+
+@pytest.mark.parametrize("phrase", RULE_MESSAGES.values(), ids=RULE_MESSAGES)
+def test_only_model_formats_the_input_rule_messages(phrase):
+    # Each input rule has one home in model; another module may state it
+    # in a docstring, but must call model rather than format the message.
     formatted = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text())

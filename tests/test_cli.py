@@ -507,11 +507,35 @@ def test_main_rejects_non_integer_sizes(tmp_path, capsys, config):
 
 @pytest.mark.parametrize("section", ["strikes", "maturities"])
 def test_main_rejects_non_finite_list_entries(tmp_path, capsys, section):
+    # "Infinity" here is text, which float() would read as inf; text is
+    # refused before any range check.  A number beyond the float range is
+    # refused by test_config_reads_integers_beyond_float_range_as_infinities.
     code = run_cli(
         tmp_path, {section: [0.1, "Infinity"], "output_dir": str(tmp_path)}, "smile"
     )
     assert code == 2
-    assert f"{section}: entries must be finite" in capsys.readouterr().err
+    assert f"{section}: expected a list of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, problem", [
+    ({"strikes": ["0.1"]}, "strikes: expected a list of numbers"),
+    ({"maturities": ["0.1"]}, "maturities: expected a list of numbers"),
+    ({"model": {"beta": "0.5"}}, "model: beta must be a number, got '0.5'"),
+    ({"model": {"rho": "0.5"}}, "model: rho must be a number, got '0.5'"),
+], ids=["strikes", "maturities", "beta", "rho"])
+def test_main_refuses_text_for_a_number(tmp_path, capsys, config, problem):
+    # float() and numpy read "0.1" as a number; the config does not
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, config, "--out", str(out), "smile") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "vixsabr: invalid configuration:", f"  {problem}"]
+    assert not out.exists()
+
+
+def test_config_shows_text_in_quotes():
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict({"mc": {"seed": "7"}})
+    assert err.value.problems == ["mc: seed must be an integer, got '7'"]
 
 
 @pytest.mark.parametrize(
@@ -959,13 +983,16 @@ def test_main_leaves_no_temporary_file_when_the_final_rename_fails(
     assert os.listdir(out) == []
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "0", "diagnose"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "vixsabr: error: --threads must be >= 1, got 0")
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,8 @@ def test_each_positive_argument_refuses_values_out_of_range(argument, value):
     assert [str(w.message) for w in caught] == []
 
 
-# The arguments that broadcast as arrays, which numpy converts from text
+# The arguments that broadcast as arrays, which refuse text in
+# test_each_vectorised_argument_refuses_text
 ARRAY_ARGUMENTS = {"bs_price-strike", "bs_price-vol", "implied_vol-strike",
                    "evolve_capped-v_init", "scale_function-x", "feller_test_function-x"}
 
@@ -239,6 +240,25 @@ def _assert_same(result, expected):
         assert result == expected
     else:
         np.testing.assert_array_equal(result, expected, strict=True)
+
+
+# The name each vectorised argument's message gives, where it is not the
+# argument's own
+TEXT_NAMES = {"bs_price-strike": "strike and forward",
+              "implied_vol-strike": "strike and forward",
+              "check_scale_density_envelope-x_grid": "x"}
+
+
+@pytest.mark.parametrize("text", ["1", ["1", 0.5], [0.5, "1"]],
+                         ids=["alone", "before", "after"])
+@pytest.mark.parametrize("argument", VECTORISED)
+def test_each_vectorised_argument_refuses_text(argument, text):
+    # numpy reads text as a number, as float() does, and numbers beside
+    # text as text; an array argument refuses the text itself, as a
+    # scalar one does
+    name = TEXT_NAMES.get(argument, argument.partition("-")[2])
+    assert _outcome(VECTORISED[argument], text) == (
+        TypeError, f"{name} must be a number, got '1'")
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["+", "-"])

@@ -716,6 +716,29 @@ def test_engines_overflow_without_a_warning(engine, v0):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+# Every engine that runs blocks, as a call that passes n_threads on
+_THREADED_ENGINES = {
+    "simulate_capped_lanes": lambda p, caps, mc, n_threads: simulate_capped_lanes(
+        [(p, caps, mc.horizon)], mc, n_threads),
+    "simulate_capped_paths": simulate_capped_paths,
+    "estimate_capped_lanes": lambda p, caps, mc, n_threads: estimate_capped_lanes(
+        [(p, caps, mc.horizon)], estimate_forward, mc, n_threads),
+    "estimate_vix_nested": estimate_vix_nested,
+    "simulate_sabr_2d": lambda p, caps, mc, n_threads: simulate_sabr_2d(
+        p, 1.0, mc, n_threads),
+}
+
+
+@pytest.mark.parametrize("n_threads", [0, -1, 2.5, True], ids=str)
+@pytest.mark.parametrize("engine", _THREADED_ENGINES)
+def test_engines_refuse_a_thread_count_that_is_not_a_positive_integer(
+        params, caps, engine, n_threads):
+    # the thread pool refuses 0 without naming n_threads, and runs 2.5
+    mc = McConfig(n_paths=10, n_steps=2, inner_paths=2, inner_steps=1)
+    with pytest.raises(ValueError, match="^n_threads must be "):
+        _THREADED_ENGINES[engine](params, caps, mc, n_threads)
+
+
 @pytest.mark.parametrize("name, value", [
     *(pytest.param("horizon", h, id=str(h)) for h in (math.nan, math.inf, 0.0)),
     *(pytest.param("v_init", v, id=f"v_init-{v}") for v in (math.nan, math.inf, 0.0, -1.0)),
