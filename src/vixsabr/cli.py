@@ -111,11 +111,6 @@ class RunConfig:
             name, default, payload = f.name, f.default, data.get(f.name)
             if payload is None:
                 continue
-            # No numeric field takes a boolean, though Python would read
-            # true/false as 1/0.
-            if not isinstance(default, str):
-                problems += [f"{where}: expected a number, got a boolean"
-                             for where in _booleans(payload, name)]
             if is_dataclass(default):
                 if not isinstance(payload, dict):
                     problems.append(f"{name}: expected an object")
@@ -179,23 +174,6 @@ def _positive_floats(values) -> tuple[float, ...]:
         raise ValueError("expected at least one number")
     positive_floats(values, "entries")
     return values
-
-
-def _booleans(payload, where: str) -> list[str]:
-    """Paths of the JSON booleans in a config value, at any depth; the walk
-    keeps its own stack, so no nesting json.load accepts is too deep."""
-    found, stack = [], [(where, payload)]
-    while stack:
-        where, payload = stack.pop()
-        if isinstance(payload, bool):
-            found.append(where)
-        elif isinstance(payload, dict):
-            stack += reversed([(f"{where}.{key}", value)
-                               for key, value in payload.items()])
-        elif isinstance(payload, list):
-            stack += reversed([(f"{where}[{i}]", value)
-                               for i, value in enumerate(payload)])
-    return found
 
 
 def _fmt(value) -> str:

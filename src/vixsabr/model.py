@@ -39,14 +39,16 @@ __all__ = [
 
 def shown(value) -> str:
     """``repr`` of text, taken as a plain str so that numpy's shows no
-    type, ``str`` of anything else, or a description of a number whose
-    digits exceed Python's limit on converting integers to text."""
+    type, ``str`` of anything else, or a description of what str cannot
+    show: an integer past Python's digit limit, a container past its depth."""
     if isinstance(value, str):
         return repr(str(value))
     try:
         return str(value)
     except ValueError:
         return f"a number of more than {sys.get_int_max_str_digits()} digits"
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deeply to show"
 
 
 # omega and vol_cap must stay below this, so that their squares, in the
@@ -70,10 +72,13 @@ def count(value, name: str, minimum=-math.inf):
 
 
 def _to_float(value, name: str) -> float:
-    """``float(value)``, or the infinity of its sign for an integer
-    beyond the float range.  float() reads text as a number; here text
-    raises TypeError naming ``name``, as a comparison with a float would."""
-    if isinstance(value, (str, bytes)):
+    """``float(value)`` of a real number, which a boolean is not, or the
+    infinity of its sign for an integer beyond the float range.  Anything
+    else, such as text, None, a list or a complex, raises TypeError naming
+    ``name``: float() would read some as numbers and name no argument."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {shown(value)}")
     try:
         return float(value)
@@ -82,11 +87,12 @@ def _to_float(value, name: str) -> float:
 
 
 def as_floats(value, name: str) -> np.ndarray:
-    """``value`` as a float array of its shape.  Text and objects, such
-    as an integer beyond the float range, are converted one element at a
-    time by :func:`_to_float`; ``name`` names the argument it refuses."""
+    """``value`` as a float array of its shape.  Integer and float arrays
+    convert in bulk; any other, such as text, booleans, complex numbers
+    or objects like an integer beyond the float range, one element at a
+    time by :func:`_to_float`, so ``name`` names the argument it refuses."""
     values = np.asarray(value)
-    if values.dtype.kind in "OSU":
+    if values.dtype.kind not in "iuf":
         # as objects, so that a number beside text is not read as text
         values = np.asarray(value, dtype=object)
         return np.fromiter((_to_float(x, name) for x in values.flat), float,
@@ -97,9 +103,9 @@ def as_floats(value, name: str) -> np.ndarray:
 def positive_float(value, name: str) -> float:
     """``value`` as a float, converted as by :func:`_to_float`; ValueError
     naming ``name`` unless it is finite and > 0."""
-    # Plain Python: 0.23 us a call, against 1.9 us through as_floats, on a
-    # 2-vCPU Xeon with numpy 2.4; limiting_implied_vol takes 25 us and
-    # makes three calls.
+    # Plain Python: 0.09 us a call on a float, against 1.9 us through
+    # as_floats, on a 2-vCPU Xeon with numpy 2.4; limiting_implied_vol
+    # takes 25 us and makes three calls.
     x = _to_float(value, name)
     if not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {shown(value)}")

@@ -279,19 +279,30 @@ def _config_trees(noisy: bool):
 _CONFIG_TREES = _config_trees(noisy=False) | _config_trees(noisy=True) | _JUNK
 
 
+# Python's own messages for a failed conversion or comparison, which
+# name no config field
+_UNNAMED_MESSAGES = ("float() argument must be", "int() argument must be",
+                     "not supported between instances", "must be real number",
+                     "could not convert")
+
+
 @given(tree=_CONFIG_TREES)
+@example(tree={"model": {"omega": None}})
 @settings(max_examples=300, deadline=None)
 def test_config_fuzz_validates_or_raises_config_error(tmp_path_factory, tree):
     """Every JSON config either loads into a RunConfig that round-trips
-    through to_dict, or raises ConfigError; it never raises anything
-    else.  Nothing is simulated, so huge sizes cost nothing."""
+    through to_dict, or raises ConfigError whose problems each name what
+    is wrong; it never raises anything else.  Nothing is simulated, so
+    huge sizes cost nothing."""
     text = json.dumps(tree).replace(json.dumps(_OVERFLOW), "1e999")
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(text)
     args = argparse.Namespace(config=str(path), seed=None, out=None)
     try:
         config = _load_config(args)
-    except ConfigError:
+    except ConfigError as err:
+        assert [p for p in err.problems
+                if any(m in p for m in _UNNAMED_MESSAGES)] == []
         return
     assert RunConfig.from_dict(config.to_dict()) == config
     assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
@@ -436,16 +447,31 @@ def test_main_reports_an_unreadable_config_as_invalid(tmp_path, capsys, data):
 
 
 def test_main_reports_booleans_nested_past_the_recursion_limit(tmp_path, capsys):
-    # json.load accepts this depth; a walk taking a Python frame or two
-    # a level would pass the recursion limit
+    # json.load accepts this depth; the entry is refused as a whole, by
+    # a check that does not descend into it
     depth = sys.getrecursionlimit() * 3 // 5
     data = {"strikes": [0.1, "[" * depth + "true" + "]" * depth]}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data).replace('"[', "[").replace(']"', "]"))
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "smile"]) == 2
-    err = capsys.readouterr().err
-    assert "strikes[1]" + "[0]" * depth + ": expected a number, got a boolean" in err
-    assert "strikes: expected a list of numbers" in err
+    assert capsys.readouterr().err.splitlines() == [
+        "vixsabr: invalid configuration:", "  strikes: expected a list of numbers"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, problem", [
+    ("model", "omega", "omega must be a number"),
+    ("mc", "n_paths", "n_paths must be an integer")])
+def test_config_names_a_value_nested_too_deeply_to_show(section, key, problem):
+    # printing a list nested past the recursion limit raises
+    # RecursionError; the message describes it instead
+    deep = []
+    for _ in range(sys.getrecursionlimit()):
+        deep = [deep]
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict({section: {key: deep}})
+    assert err.value.problems == [
+        f"{section}: {problem}, got a list nested too deeply to show"]
 
 
 def test_main_rejects_bad_config_values(tmp_path, capsys):
@@ -515,6 +541,21 @@ def test_main_rejects_non_finite_list_entries(tmp_path, capsys, section):
     )
     assert code == 2
     assert f"{section}: expected a list of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, field", [
+    ("model", "beta"), ("model", "rho"), ("model", "omega"), ("model", "v0"),
+    ("caps", "vol_cap"), ("caps", "drift_cap")])
+@pytest.mark.parametrize("value", [None, [1.0], {}], ids=["null", "list", "object"])
+def test_main_names_a_float_field_that_is_not_a_number(tmp_path, capsys, section,
+                                                       field, value):
+    # float() refuses these with a message that names no field
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, {section: {field: value}}, "--out", str(out), "smile") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "vixsabr: invalid configuration:",
+        f"  {section}: {field} must be a number, got {value}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config, problem", [
@@ -805,22 +846,26 @@ def test_diagnose_quadrature_failure_prints_one_line(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize(
-    "config, where",
+    "config, problem",
     [
-        ({"mc": {"n_paths": True}}, "mc.n_paths"),
-        ({"strikes": [True]}, "strikes[0]"),
-        ({"strikes": [0.1, False]}, "strikes[1]"),
-        ({"maturities": [True]}, "maturities[0]"),
-        ({"model": {"beta": False}}, "model.beta"),
-        ({"caps": {"drift_cap": True}}, "caps.drift_cap"),
-        ({"mc": {"vix_window": True}}, "mc.vix_window"),
-        ({"mc": {"horizon": True}}, "mc.horizon"),
+        ({"mc": {"n_paths": True}}, "mc: n_paths must be an integer, got True"),
+        ({"strikes": [True]}, "strikes: expected a list of numbers"),
+        ({"strikes": [0.1, False]}, "strikes: expected a list of numbers"),
+        ({"maturities": [True]}, "maturities: expected a list of numbers"),
+        ({"model": {"beta": False}}, "model: beta must be a number, got False"),
+        ({"caps": {"drift_cap": True}}, "caps: drift_cap must be a number, got True"),
+        ({"mc": {"vix_window": True}}, "mc: unknown keys ['vix_window']"),
+        ({"mc": {"horizon": True}}, "mc: unknown keys ['horizon']"),
     ],
+    ids=["mc.n_paths", "strikes[0]", "strikes[1]", "maturities[0]", "model.beta",
+         "caps.drift_cap", "mc.vix_window", "mc.horizon"],
 )
-def test_main_rejects_json_booleans(tmp_path, capsys, config, where):
+def test_main_rejects_json_booleans(tmp_path, capsys, config, problem):
+    # Python reads true and false as 1 and 0; model refuses them as numbers
     code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, "smile")
     assert code == 2
-    assert f"{where}: expected a number, got a boolean" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "vixsabr: invalid configuration:", f"  {problem}"]
     assert not (tmp_path / "smile.csv").exists()
 
 

@@ -177,20 +177,35 @@ def test_each_positive_argument_refuses_values_out_of_range(argument, value):
     assert [str(w.message) for w in caught] == []
 
 
-# The arguments that broadcast as arrays, which refuse text in
-# test_each_vectorised_argument_refuses_text
+# Values that are not real numbers, each with its form in a message.
+# float() reads "1" as a number and True as 1, and numpy drops the
+# imaginary part of 1+2j with only a ComplexWarning; each is refused by
+# name, as None is.
+NON_NUMBERS = {"text": ("1", "'1'"), "True": (True, "True"), "None": (None, "None"),
+               "complex": (1 + 2j, "(1+2j)")}
+
+# The arguments that broadcast as arrays, which refuse non-numbers in
+# test_each_vectorised_argument_refuses_a_non_number
 ARRAY_ARGUMENTS = {"bs_price-strike", "bs_price-vol", "implied_vol-strike",
                    "evolve_capped-v_init", "scale_function-x", "feller_test_function-x"}
 
 
+@pytest.mark.parametrize("value, shown", NON_NUMBERS.values(), ids=NON_NUMBERS)
 @pytest.mark.parametrize("argument", [a for a in ARGUMENTS if a not in ARRAY_ARGUMENTS])
-def test_each_scalar_argument_refuses_text(argument):
-    # float("1") reads text as a number, and an argument stored as it
-    # came, like CapSpec's drift_cap, would then hold a str; text is
-    # refused, as a comparison with a float refuses it
+def test_each_scalar_argument_refuses_a_non_number(argument, value, shown):
+    # an argument stored as it came, like CapSpec's drift_cap, would
+    # otherwise hold a str or a bool
     name, call, _ = ARGUMENTS[argument]
-    with pytest.raises(TypeError, match=f"^{re.escape(name)} must be a number, got '1'$"):
-        call("1")
+    assert _outcome(call, value) == (TypeError, f"{name} must be a number, got {shown}")
+
+
+@pytest.mark.parametrize("args, problem", [
+    ((False, -0.7, True, 0.1), "beta must be a number, got False"),
+    ((0.5, True, 1.0, 0.1), "rho must be a number, got True")], ids=["beta", "rho"])
+def test_sabr_params_refuse_booleans(args, problem):
+    # read as 0 and 1, False and True would make a valid beta and omega;
+    # omega and v0 are among ARGUMENTS
+    assert _outcome(lambda x: SabrParams(*x), args) == (TypeError, problem)
 
 
 # Every vectorised public argument, as a call that passes x there.  An
@@ -249,16 +264,18 @@ TEXT_NAMES = {"bs_price-strike": "strike and forward",
               "check_scale_density_envelope-x_grid": "x"}
 
 
-@pytest.mark.parametrize("text", ["1", ["1", 0.5], [0.5, "1"]],
-                         ids=["alone", "before", "after"])
+@pytest.mark.parametrize("value, shown", [
+    *NON_NUMBERS.values(), (["1", 0.5], "'1'"), ([0.5, "1"], "'1'"),
+    ([None, 0.5], "None"), ([0.5, 1 + 2j], "(1+2j)")],
+    ids=[*NON_NUMBERS, "text_before", "text_after", "None_before", "complex_after"])
 @pytest.mark.parametrize("argument", VECTORISED)
-def test_each_vectorised_argument_refuses_text(argument, text):
+def test_each_vectorised_argument_refuses_a_non_number(argument, value, shown):
     # numpy reads text as a number, as float() does, and numbers beside
-    # text as text; an array argument refuses the text itself, as a
+    # text as text; an array argument refuses the element itself, as a
     # scalar one does
     name = TEXT_NAMES.get(argument, argument.partition("-")[2])
-    assert _outcome(VECTORISED[argument], text) == (
-        TypeError, f"{name} must be a number, got '1'")
+    assert _outcome(VECTORISED[argument], value) == (
+        TypeError, f"{name} must be a number, got {shown}")
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["+", "-"])
