@@ -39,12 +39,14 @@ __all__ = [
 
 def shown(value) -> str:
     """``repr`` of text, taken as a plain str so that numpy's shows no
-    type, ``str`` of anything else, or a description of what str cannot
-    show: an integer past Python's digit limit, a container past its depth."""
+    type, ``str`` of a number or numpy scalar, ``repr`` of anything else,
+    as an array or a Decimal, whose str reads as a number, or words for
+    what neither shows: an integer past the digit limit, a deep container."""
     if isinstance(value, str):
         return repr(str(value))
+    number = isinstance(value, (numbers.Complex, np.generic))
     try:
-        return str(value)
+        return str(value) if number else repr(value)
     except ValueError:
         return f"a number of more than {sys.get_int_max_str_digits()} digits"
     except RecursionError:
@@ -87,12 +89,12 @@ def _to_float(value, name: str) -> float:
 
 
 def as_floats(value, name: str) -> np.ndarray:
-    """``value`` as a float array of its shape.  Integer and float arrays
-    convert in bulk; any other, such as text, booleans, complex numbers
-    or objects like an integer beyond the float range, one element at a
-    time by :func:`_to_float`, so ``name`` names the argument it refuses."""
+    """``value`` as a float array of its shape.  A number or a numpy array
+    of integer or float dtype converts in bulk; anything else, such as a
+    list, in which numpy reads a boolean beside floats as a float, one
+    element at a time by :func:`_to_float`, which refuses by ``name``."""
     values = np.asarray(value)
-    if values.dtype.kind not in "iuf":
+    if values.dtype.kind not in "iuf" or (values.ndim and not isinstance(value, np.ndarray)):
         # as objects, so that a number beside text is not read as text
         values = np.asarray(value, dtype=object)
         return np.fromiter((_to_float(x, name) for x in values.flat), float,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from vixsabr import CapSpec, McConfig, SabrParams
@@ -17,3 +19,16 @@ def caps(params):
 @pytest.fixture(scope="session")
 def mc_default():
     return McConfig()
+
+
+@pytest.fixture
+def traced_peak():
+    """A function of fn: the peak bytes that tracemalloc sees while fn() runs."""
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -12,6 +12,7 @@ import re
 import sys
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -180,9 +181,10 @@ def test_each_positive_argument_refuses_values_out_of_range(argument, value):
 # Values that are not real numbers, each with its form in a message.
 # float() reads "1" as a number and True as 1, and numpy drops the
 # imaginary part of 1+2j with only a ComplexWarning; each is refused by
-# name, as None is.
+# name, as None is.  A Decimal shows its type, so that the message does
+# not read as if the number 0.1 were refused.
 NON_NUMBERS = {"text": ("1", "'1'"), "True": (True, "True"), "None": (None, "None"),
-               "complex": (1 + 2j, "(1+2j)")}
+               "complex": (1 + 2j, "(1+2j)"), "Decimal": (Decimal("0.1"), "Decimal('0.1')")}
 
 # The arguments that broadcast as arrays, which refuse non-numbers in
 # test_each_vectorised_argument_refuses_a_non_number
@@ -190,11 +192,13 @@ ARRAY_ARGUMENTS = {"bs_price-strike", "bs_price-vol", "implied_vol-strike",
                    "evolve_capped-v_init", "scale_function-x", "feller_test_function-x"}
 
 
-@pytest.mark.parametrize("value, shown", NON_NUMBERS.values(), ids=NON_NUMBERS)
+@pytest.mark.parametrize("value, shown", [
+    *NON_NUMBERS.values(), (np.array(0.1), "array(0.1)")], ids=[*NON_NUMBERS, "0-d_array"])
 @pytest.mark.parametrize("argument", [a for a in ARGUMENTS if a not in ARRAY_ARGUMENTS])
 def test_each_scalar_argument_refuses_a_non_number(argument, value, shown):
     # an argument stored as it came, like CapSpec's drift_cap, would
-    # otherwise hold a str or a bool
+    # otherwise hold a str or a bool; a 0-d array shows its type, as a
+    # Decimal does
     name, call, _ = ARGUMENTS[argument]
     assert _outcome(call, value) == (TypeError, f"{name} must be a number, got {shown}")
 
@@ -266,13 +270,15 @@ TEXT_NAMES = {"bs_price-strike": "strike and forward",
 
 @pytest.mark.parametrize("value, shown", [
     *NON_NUMBERS.values(), (["1", 0.5], "'1'"), ([0.5, "1"], "'1'"),
-    ([None, 0.5], "None"), ([0.5, 1 + 2j], "(1+2j)")],
-    ids=[*NON_NUMBERS, "text_before", "text_after", "None_before", "complex_after"])
+    ([None, 0.5], "None"), ([0.5, 1 + 2j], "(1+2j)"), ([True, 0.5], "True"),
+    ([0.5, True], "True"), ([np.True_, 0.5], "True"), ([[0.5, True]], "True")],
+    ids=[*NON_NUMBERS, "text_before", "text_after", "None_before", "complex_after",
+         "True_before", "True_after", "numpy_True_before", "True_nested"])
 @pytest.mark.parametrize("argument", VECTORISED)
 def test_each_vectorised_argument_refuses_a_non_number(argument, value, shown):
-    # numpy reads text as a number, as float() does, and numbers beside
-    # text as text; an array argument refuses the element itself, as a
-    # scalar one does
+    # numpy reads text as a number, as float() does, numbers beside text
+    # as text, and a boolean beside floats as a float; an array argument
+    # refuses the element itself, as a scalar one does
     name = TEXT_NAMES.get(argument, argument.partition("-")[2])
     assert _outcome(VECTORISED[argument], value) == (
         TypeError, f"{name} must be a number, got {shown}")

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import re
-import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -167,7 +166,7 @@ def test_lanes_equal_separate_simulations(params, caps, n_threads):
     assert np.any(np.abs(capped_vol_drift(levels, p, c)) == c.drift_cap)
 
 
-def test_lanes_allocate_no_more_than_outputs_and_scratch(params, caps):
+def test_lanes_allocate_no_more_than_outputs_and_scratch(params, caps, traced_peak):
     # Before lanes were stacked, a worker held the drawn row, three
     # scratch rows and a state row per lane, 8 rows for 4 lanes; stacking
     # must fit in the outputs plus that much per worker.
@@ -175,35 +174,22 @@ def test_lanes_allocate_no_more_than_outputs_and_scratch(params, caps):
     lanes = [(params, caps, t) for t in (0.2, 0.1, 0.05, 0.025)]
     row = _BLOCK_PATHS * 8
     outputs = len(lanes) * mc.n_paths * 8
-    tracemalloc.start()
-    try:
-        results = simulate_capped_lanes(lanes, mc, n_threads=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    results = []
+    peak = traced_peak(
+        lambda: results.extend(simulate_capped_lanes(lanes, mc, n_threads=2)))
     assert len(results) == len(lanes)
     assert peak <= outputs + 2 * (1 + 3 + len(lanes)) * row
 
 
-def _traced_peak(fn):
-    """Peak bytes that tracemalloc sees while fn() runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("n_lanes", [1, 3])
-def test_single_stack_draws_into_its_scratch(params, caps, n_lanes):
+def test_single_stack_draws_into_its_scratch(params, caps, n_lanes, traced_peak):
     # one stack holds only its 3 scratch rows per lane: each row of
     # normals is drawn into them, with no drawn row beside them
     mc = McConfig(n_paths=2 * _BLOCK_PATHS, n_steps=4, seed=3)
     lanes = [(params, caps, t) for t in (0.2, 0.1, 0.05)[:n_lanes]]
     row = _BLOCK_PATHS * 8
     outputs = n_lanes * mc.n_paths * 8
-    peak = _traced_peak(lambda: simulate_capped_lanes(lanes, mc, n_threads=2))
+    peak = traced_peak(lambda: simulate_capped_lanes(lanes, mc, n_threads=2))
     assert peak <= outputs + 2 * 3 * n_lanes * row + row // 2
 
 
@@ -283,13 +269,13 @@ def test_pooled_estimates_validate_inputs(params, caps):
                               replace(mc, n_paths=10**30))
 
 
-def test_pooled_estimates_hold_no_path_arrays(params, caps):
+def test_pooled_estimates_hold_no_path_arrays(params, caps, traced_peak):
     # one worker holds its lanes' state rows, 3 scratch rows per lane of
     # its widest stack (2 of 2 + 2) and a drawn row, whatever n_paths is
     lanes = [(params, caps, t) for t in (0.2, 0.1, 0.05, 0.025)]
     call = partial(price_vix_option, strike=0.15)
     row = _BLOCK_PATHS * 8
-    peaks = [_traced_peak(lambda: estimate_capped_lanes(
+    peaks = [traced_peak(lambda: estimate_capped_lanes(
                  lanes, call, McConfig(n_paths=blocks * _BLOCK_PATHS, n_steps=4,
                                        seed=3)))
              for blocks in (2, 8)]
@@ -586,13 +572,13 @@ def test_sabr_2d_equals_whole_block_draws(params, n_threads):
     assert np.array_equal(sample.vol, vol)
 
 
-def test_sabr_2d_memory_does_not_grow_with_steps(params):
+def test_sabr_2d_memory_does_not_grow_with_steps(params, traced_peak):
     # each block draws one step's pair of rows at a time
     row = _BLOCK_PATHS * 8
     peaks = []
     for n_steps in (10, 200):
         mc = McConfig(n_paths=2 * _BLOCK_PATHS, n_steps=n_steps, horizon=0.1, seed=4)
-        peaks.append(_traced_peak(lambda: simulate_sabr_2d(params, 1.0, mc, n_threads=2)))
+        peaks.append(traced_peak(lambda: simulate_sabr_2d(params, 1.0, mc, n_threads=2)))
     assert peaks[1] <= peaks[0] + 4 * row
 
 

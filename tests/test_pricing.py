@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 from collections import Counter
 
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import optimize, special
 
 from vixsabr import pricing
+from vixsabr.mc import _BLOCK_PATHS
 from vixsabr import (
     CapSpec,
     McConfig,
@@ -403,29 +403,13 @@ def test_smile_band_lower_edge_is_zero_with_one_paying_path(strike, tail):
     assert point.implied_vol < point.band[1] < math.inf
 
 
-def _traced_peak(fn):
-    """Peak bytes that tracemalloc sees while fn() runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_smile_frees_its_sorted_copy_before_inverting():
-    # the smile's peak is its one n-path copy; the inversion's
-    # temporaries must not come on top of it
-    n = 200_000
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_smile_holds_under_a_mebibyte_beside_its_paths(n, traced_peak):
+    # each block of paths is sorted and summed on its own, so no n-path
+    # copy is held, and the inversion's temporaries are small
     paths = PathSet(np.random.default_rng(1).lognormal(math.log(0.1), 0.3, n))
     strikes = np.geomspace(0.03, 0.5, 161)
-    fwd = estimate_forward(paths).value
-    prices = np.array([p.price.value for p in smile_from_paths(paths, strikes, 0.1)])
-    kinds = np.where(strikes > fwd, "call", "put")
-    inversion = _traced_peak(lambda: implied_vol(np.stack((prices, prices, prices)),
-                                                 strikes, 0.1, fwd, kinds))
-    smile = _traced_peak(lambda: smile_from_paths(paths, strikes, maturity=0.1))
-    assert smile <= n * 8 + inversion // 2
+    assert traced_peak(lambda: smile_from_paths(paths, strikes, maturity=0.1)) < 2**20
 
 
 def _brentq_vol(price, strike, maturity, forward, kind):
@@ -519,6 +503,23 @@ def test_smile_matches_per_strike_reference_on_small_path_sets():
         seen |= _check_against_reference(
             paths, [0.005, 0.05, 0.1, 0.15, 0.3, 0.5], 0.1)
     assert {"ok", "below", "one paying path", "upper edge above"} <= seen
+
+
+def test_smile_matches_per_strike_reference_across_blocks():
+    # three blocks, the last of 7 paths: each tied strike has copies in
+    # blocks 0 and 2, which pay on neither side; one put and one call
+    # strike have one paying path each, and no path reaches 5.0
+    rng = np.random.default_rng(5)
+    values = rng.lognormal(math.log(0.1), 0.3, 2 * _BLOCK_PATHS + 7)
+    values[[3, 2 * _BLOCK_PATHS + 2]] = 0.08
+    values[[_BLOCK_PATHS - 1, 2 * _BLOCK_PATHS + 6]] = 0.13
+    values[2 * _BLOCK_PATHS + 4], values[_BLOCK_PATHS + 9] = 1.5, 0.001
+    strikes = [0.002, 0.03, 0.08, 0.1, 0.13, 0.3, 1.2, 5.0]
+    paths = PathSet(terminal_values=values)
+    seen = _check_against_reference(paths, strikes, 0.1)
+    assert {"ok", "below", "one paying path"} <= seen
+    points = smile_from_paths(paths, strikes, 0.1)
+    assert points[-1].status == "below" and points[-1].price.value == 0.0
 
 
 def test_smile_flat_for_constant_diffusion(params):
