@@ -335,32 +335,34 @@ def _load_config(args) -> RunConfig:
     return config
 
 
+# The parser is built once, at import: a parser holds reference cycles,
+# which one parser per call would leave to the cyclic collector.
+_PARSER = argparse.ArgumentParser(
+    prog="vixsabr",
+    description="VIX pricing and explosion diagnostics for the capped "
+    "SABR volatility process",
+)
+_PARSER.add_argument("--config", help="path to a JSON config file")
+_PARSER.add_argument("--threads", type=int, default=1,
+                     help="worker threads for path generation")
+_PARSER.add_argument("--seed", type=int, help="override the MC seed")
+_PARSER.add_argument("--out", help="override the output directory")
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
+_COMMANDS.add_parser("diagnose", help="explosion and martingale report")
+_COMMANDS.add_parser("forwards", help="cap binding levels and MC forwards")
+_COMMANDS.add_parser("smile", help="MC smile with asymptotic overlay")
+_COMMANDS.add_parser("converge", help="short-maturity price decay vs rate").add_argument(
+    "--strike", type=float, default=0.15, help="strike for the decay study (default 0.15)")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="vixsabr",
-        description="VIX pricing and explosion diagnostics for the capped "
-        "SABR volatility process",
-    )
-    parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for path generation")
-    parser.add_argument("--seed", type=int, help="override the MC seed")
-    parser.add_argument("--out", help="override the output directory")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("diagnose", help="explosion and martingale report")
-    sub.add_parser("forwards", help="cap binding levels and MC forwards")
-    sub.add_parser("smile", help="MC smile with asymptotic overlay")
-    converge = sub.add_parser("converge",
-                              help="short-maturity price decay vs rate")
-    converge.add_argument("--strike", type=float, default=0.15,
-                          help="strike for the decay study (default 0.15)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         count(args.threads, "--threads", 1)
         if args.command == "converge":
             positive_float(args.strike, "--strike")
     except ValueError as err:
-        parser.error(str(err))
+        _PARSER.error(str(err))
 
     try:
         config = _load_config(args)

@@ -11,10 +11,10 @@ the seed and sizes) step from each drawn row, stacked as the rows of
 one array; a block that steps a single stack draws each row into the
 stack's scratch once the step has freed it, and several stacks share
 one drawn row.  Where only an estimate per lane is wanted, each block
-steps in an array of its own instead and writes its paths' estimates
-into one row of a per-block table, which is pooled in block order
-(:func:`estimate_capped_lanes`), so memory does not grow with the path
-count.
+steps in an array of its own instead and writes each lane's (count,
+mean, M2) into one row of a per-block table, which :class:`McEstimate`'s
+merge pools in block order (:func:`estimate_capped_lanes`), so memory
+does not grow with the path count.
 
 Every path steps by log-space Euler, exact in distribution given the
 bounded capped coefficients frozen over the step; it keeps paths
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,6 +65,10 @@ _DOMAIN_2D = 3
 # own state row and temporaries, so 4 lanes step as 2 + 2.
 _STACK_LANES = 3
 
+# The paper's 30-day VIX window, in years, over which the nested
+# estimator averages the squared volatility.
+_VIX_WINDOW = 30.0 / 365.0
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -80,7 +85,6 @@ class McConfig:
     n_paths: int = 100_000
     n_steps: int = 100
     horizon: float = field(default=0.1, metadata={"settable": False})
-    vix_window: float = field(default=30.0 / 365.0, metadata={"settable": False})
     seed: int = 12345
     inner_paths: int = field(default=0, metadata={"settable": False})
     inner_steps: int = field(default=30, metadata={"settable": False})
@@ -89,7 +93,6 @@ class McConfig:
         count(self.n_paths, "n_paths", 1)
         count(self.n_steps, "n_steps", 1)
         positive_float(self.horizon, "horizon")
-        positive_float(self.vix_window, "vix_window")
         if not 0 <= count(self.seed, "seed") < 2**64:
             raise ValueError("seed must fit in 64 bits")
         count(self.inner_paths, "inner_paths", 0)
@@ -98,10 +101,35 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A Monte Carlo sample statistic with its standard error."""
+    """A Monte Carlo mean: ``count`` values, their mean ``value`` and
+    ``m2``, the sum of their squared deviations from it.  ``a + b`` pools
+    two disjoint samples (Chan, Golub & LeVeque, Am. Stat. 37, 1983); a
+    ``value`` or ``m2`` that is not finite raises :class:`NumericalError`.
+    """
 
+    count: int
     value: float
-    std_error: float
+    m2: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.m2)):
+            raise NumericalError(f"the sample mean {self.value} or its standard "
+                                 f"error {self.std_error} is not finite")
+
+    @property
+    def std_error(self) -> float:
+        """sqrt(m2 / (count - 1)) / sqrt(count), 0.0 for one value; dividing by
+        count under the root would go subnormal from paths of about 1e-154."""
+        if self.count == 1:
+            return 0.0
+        return math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
+
+    def __add__(self, other: McEstimate) -> McEstimate:
+        total = self.count + other.count
+        delta = other.value - self.value
+        return McEstimate(total, self.value + delta * other.count / total,
+                          self.m2 + (other.m2 + delta * delta * self.count
+                                     * other.count / total))
 
 
 @dataclass
@@ -324,52 +352,31 @@ def estimate_capped_lanes(lanes, statistic, mc: McConfig,
     ``pricing.estimate_forward`` does.  Each block steps the lanes, from
     the same stream and kernel, in a state array of its own, and applies
     ``statistic`` to each lane's block of terminal values; the blocks'
-    (count, mean, SE) rows are then pooled in block order by the update
-    of Chan, Golub & LeVeque (Am. Stat. 37, 1983), reading each block's
-    sum of squared deviations as SE^2 * count * (count - 1).  So the
-    result is identical for every thread count; it agrees with
-    ``statistic`` on the whole lane up to summation order, and a lane of
-    one block gets that block's estimate exactly.  Memory does not grow
-    with ``mc.n_paths`` beyond 24 bytes per lane and block.
+    (count, mean, M2) rows are then added in block order by
+    :class:`McEstimate`'s merge.  So the result is identical for every
+    thread count; it agrees with ``statistic`` on the whole lane up to
+    summation order, and a lane of one block gets that block's estimate
+    exactly.  Memory does not grow with ``mc.n_paths`` beyond 24 bytes
+    per lane and block.
 
-    Raises :class:`NumericalError` when a pooled mean or SE is not finite.
+    Raises :class:`NumericalError` when a pooled mean or M2 is not finite.
     """
     lanes = list(lanes)
     if not lanes:
         return []
-    n = mc.n_paths
     step = _lane_stepper(lanes, mc.n_steps)
-    table = _empty((len(lanes), -(-n // _BLOCK_PATHS), 3), "block estimates")
+    table = _empty((len(lanes), -(-mc.n_paths // _BLOCK_PATHS), 3), "block estimates")
 
     def run_block(lo: int, hi: int, rng) -> None:
         state = np.empty((len(lanes), hi - lo))
         step(state, rng)
         for row, values in zip(table[:, lo // _BLOCK_PATHS], state):
             estimate = statistic(PathSet(values))
-            row[:] = hi - lo, estimate.value, estimate.std_error
+            row[:] = estimate.count, estimate.value, estimate.m2
 
-    _run_blocks(_DOMAIN_CAPPED, mc.seed, n, _BLOCK_PATHS, run_block, n_threads)
-    return [_pooled(blocks.tolist()) for blocks in table]
-
-
-def _pooled(blocks) -> McEstimate:
-    """Pool (count, mean, SE) rows, in order, into one estimate.
-
-    Python floats overflow to inf without a warning; a pooled value that
-    is not finite is refused below.
-    """
-    (n, mean, se), *rest = blocks
-    m2 = se * se * n * (n - 1)
-    for count, block_mean, block_se in rest:
-        total = n + count
-        delta = block_mean - mean
-        mean += delta * count / total
-        m2 += (block_se * block_se * count * (count - 1)
-               + delta * delta * n * count / total)
-        n = total
-        se = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-    _check_finite(mean, se)
-    return McEstimate(value=mean, std_error=se)
+    _run_blocks(_DOMAIN_CAPPED, mc.seed, mc.n_paths, _BLOCK_PATHS, run_block, n_threads)
+    return [reduce(McEstimate.__add__, (McEstimate(int(n), m, m2) for n, m, m2 in rows))
+            for rows in table.tolist()]
 
 
 def simulate_capped_paths(
@@ -384,12 +391,6 @@ def simulate_capped_paths(
     return simulate_capped_lanes([(params, caps, mc.horizon)], mc, n_threads)[0]
 
 
-def _check_finite(mean: float, se: float) -> None:
-    if not (math.isfinite(mean) and math.isfinite(se)):
-        raise NumericalError(
-            f"the sample mean {mean} or its standard error {se} is not finite")
-
-
 def estimate_vix_nested(
     params: SabrParams,
     caps: CapSpec,
@@ -399,8 +400,8 @@ def estimate_vix_nested(
     """Nested Monte Carlo estimate of the finite-window VIX per path.
 
     Simulates ``mc.n_paths`` outer paths to ``mc.horizon``, then
-    continues each with ``mc.inner_paths`` sub-paths over the VIX window
-    ``mc.vix_window``, averaging the time integral of the squared
+    continues each with ``mc.inner_paths`` sub-paths over the paper's
+    30-day VIX window, averaging the time integral of the squared
     volatility by the trapezoid rule.  The square root of the inner mean is the VIX
     estimate; ``inner_std_error`` propagates the inner-MC error through
     the square root.
@@ -415,7 +416,7 @@ def estimate_vix_nested(
     :class:`NumericalError` when a VIX estimate or its standard error is
     not finite, as when paths or their squares overflow.
     """
-    window = mc.vix_window
+    window = _VIX_WINDOW
     count(mc.inner_paths, "inner_paths", 2)
     outer = simulate_capped_paths(params, caps, mc, n_threads=n_threads)
     v_t = outer.terminal_values

@@ -24,8 +24,8 @@ import numpy as np
 from .asymptotics import _at_the_money, _log_ratio, rate_function
 # simulate_capped_paths is unused here but stays bound, because
 # bench/spans.py wraps this module's binding of it.
-from .mc import _BLOCK_PATHS, McConfig, McEstimate, PathSet, _check_finite, \
-    estimate_capped_lanes, simulate_capped_paths  # noqa: F401
+from .mc import _BLOCK_PATHS, McConfig, McEstimate, PathSet, estimate_capped_lanes, \
+    simulate_capped_paths  # noqa: F401
 from .model import CapSpec, NumericalError, SabrParams, _scalar_or_array, as_floats, \
     positive_float, positive_floats
 
@@ -88,19 +88,18 @@ class ConvergenceRow:
 
 
 def _sample_mean(values) -> McEstimate:
-    """Mean of a non-empty sample and its standard error (0 for one value).
-
-    Raises :class:`NumericalError` when either is not finite, as when
-    paths overflow or their squares do.
+    """The :class:`McEstimate` of a non-empty sample, its M2 by a second
+    pass; a mean or M2 that is not finite, as when paths overflow or
+    their squares do, raises :class:`NumericalError`.
     """
     n = values.size
     if n == 0:
         raise ValueError("empty path set")
     with np.errstate(over="ignore", invalid="ignore"):
-        se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        mean = float(values.mean())
-    _check_finite(mean, se)
-    return McEstimate(value=mean, std_error=se)
+        mean = values.mean()
+        deviations = values - mean
+        m2 = np.square(deviations, out=deviations).sum()
+    return McEstimate(n, float(mean), float(m2))
 
 
 def estimate_forward(paths: PathSet) -> McEstimate:
@@ -258,8 +257,10 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
     order, the count m of paths strictly in the money and the sums S1
     and S2 of v and v^2 over them; sum p = +-(S1 - K m) and sum p^2 =
     S2 - 2 K S1 + K^2 m agree with :func:`price_vix_option` up to
-    summation order.  A block holds a sorted copy, its squares and a
-    cumulative sum: about 0.4 MiB beside ``paths``, for any path count.
+    summation order, and give each price as the :class:`McEstimate` of
+    mean sum p / n and M2 = max(sum p^2 - mean * sum p, 0).  A block
+    holds a sorted copy, its squares and a cumulative sum: about 0.4 MiB
+    beside ``paths``, for any path count.
     """
     if paths.terminal_values.size == 0:
         raise ValueError("empty path set")
@@ -294,14 +295,13 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
         k_sq = np.square(strikes, where=paying > 0, out=np.zeros(strikes.size))
         square_sum = s2 - 2.0 * strikes * s1 + k_sq * paying
         mean = payoff_sum / n
-        if n > 1:
-            se = np.sqrt(np.maximum(square_sum - payoff_sum * mean, 0.0) / (n - 1) / n)
-        else:
-            se = np.zeros(strikes.size)
-    bad = ~(np.isfinite(mean) & np.isfinite(se))
+        m2 = np.maximum(square_sum - payoff_sum * mean, 0.0)
+    bad = ~(np.isfinite(mean) & np.isfinite(m2))
     if bad.any():
         raise NumericalError(f"the price or its standard error is not finite at "
                              f"strikes {strikes[bad].tolist()}")
+    prices = [McEstimate(n, *sums) for sums in zip(mean.tolist(), m2.tolist())]
+    se = np.array([price.std_error for price in prices])
     kinds = np.where(calls, "call", "put")
     # The central price and both band edges are inverted as one array;
     # each element is bisected on its own, so the stack changes no value.
@@ -318,7 +318,7 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
             SmilePoint(
                 strike=strike,
                 log_strike=_log_ratio(strike, fwd),
-                price=McEstimate(value=float(mean[i]), std_error=float(se[i])),
+                price=prices[i],
                 implied_vol=float(vols[i]) if ok else None,
                 band=(float(lower[i]), float(upper[i])) if ok else None,
                 status="ok" if ok else ("below" if below[i] else "above"),

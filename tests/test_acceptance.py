@@ -277,7 +277,7 @@ def test_criterion_07_two_dimensional_cross_check():
 def test_criterion_08_nested_vix_sandwich():
     mc = McConfig(
         n_paths=500, n_steps=100, horizon=0.1, seed=12345,
-        inner_paths=1_000, inner_steps=30, vix_window=30.0 / 365.0,
+        inner_paths=1_000, inner_steps=30,
     )
     result = estimate_vix_nested(BASE, _caps(BASE), mc)
     ok, line = _verdict(

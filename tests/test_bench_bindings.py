@@ -157,6 +157,20 @@ def test_mc_sets_the_numpy_error_state_only_in_the_block_runner():
     assert "_run_blocks.run" in setting
 
 
+def test_only_the_nested_estimator_calls_std():
+    # McEstimate reads every standard error from its sum of squared
+    # deviations, and its merge pools them; only the nested estimator's
+    # inner SE, criterion 8's oracle, keeps numpy's std.
+    calling = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            calling += [f"vixsabr.{path.stem}.{getattr(top, 'name', '<module>')}"
+                        for node in ast.walk(top)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "std"]
+    assert calling == ["vixsabr.mc.estimate_vix_nested"]
+
+
 def test_bench_calls_bind_to_the_mc_signatures():
     # bench/probes.py and bench/workloads.py call these shapes, and the
     # path-step counters read the McConfig at argument index 2

@@ -152,7 +152,6 @@ ARGUMENTS = {
     "CapSpec-vol_cap": ("vol_cap", lambda x: replace(_CAPS, vol_cap=x), ()),
     "CapSpec-drift_cap": ("drift_cap", lambda x: replace(_CAPS, drift_cap=x), ()),
     "McConfig-horizon": ("horizon", lambda x: McConfig(horizon=x), ()),
-    "McConfig-vix_window": ("vix_window", lambda x: McConfig(vix_window=x), ()),
     "scale_function-x": ("x", lambda x: scale_function(x, _PARAMS), (0.0,)),
     "feller_test_function-x": ("x", lambda x: feller_test_function(x, _PARAMS), ()),
 }

@@ -51,7 +51,6 @@ def _block_stream(domain, block, seed):
         dict(n_steps=0),
         dict(horizon=0.0),
         dict(horizon=-0.1),
-        dict(vix_window=-0.01),
         dict(inner_paths=-1),
         dict(inner_steps=0),
         dict(seed=-1),
@@ -62,8 +61,6 @@ def _block_stream(domain, block, seed):
         dict(inner_steps="30"),
         dict(seed=1.0),
         dict(horizon=math.inf),
-        dict(vix_window=math.inf),
-        dict(vix_window=0.0),
     ],
 )
 def test_mc_config_validation(kwargs):
@@ -233,7 +230,7 @@ def test_pooled_estimates_at_one_path_and_a_one_path_block(params, caps):
     single = McConfig(n_paths=1, n_steps=4, seed=2)
     for got, paths in zip(estimate_capped_lanes(lanes, estimate_forward, single),
                           simulate_capped_lanes(lanes, single)):
-        assert got == McEstimate(float(paths.terminal_values[0]), 0.0)
+        assert got == McEstimate(1, float(paths.terminal_values[0]), 0.0)
     # 16385 paths: a full block and a block of one path, whose SE is 0
     mc = McConfig(n_paths=_BLOCK_PATHS + 1, n_steps=4, seed=2)
     for got, paths in zip(estimate_capped_lanes(lanes, estimate_forward, mc),
@@ -253,10 +250,23 @@ def test_pooled_estimates_refuse_overflow_without_a_warning(n_threads):
         for statistic in _STATISTICS.values():
             with pytest.raises(NumericalError, match="is not finite"):
                 estimate_capped_lanes(lanes, statistic, mc, n_threads=n_threads)
-        # finite blocks whose pooled sum of squares overflows
+        # finite blocks whose pooled sum of squared deviations overflows
         with pytest.raises(NumericalError, match="is not finite"):
-            estimate_capped_lanes(lanes, lambda paths: McEstimate(1.0, 1e300), mc,
-                                  n_threads=n_threads)
+            estimate_capped_lanes(
+                lanes, lambda paths: McEstimate(paths.terminal_values.size, 1.0, 1e308),
+                mc, n_threads=n_threads)
+
+
+def test_pooled_standard_error_keeps_its_digits_on_tiny_paths(params):
+    # Each block's M2 is pooled as computed.  Rebuilt from its SE as
+    # SE^2 * n * (n - 1), it lost digits where SE^2 is subnormal: 2.1e-12
+    # relative here.
+    p = replace(params, v0=1e-154)
+    lanes = [(p, CapSpec.from_params(p, 2.0, 1.0), 0.1)]
+    mc = McConfig(n_paths=100_000, n_steps=20, seed=3)
+    (pooled,) = estimate_capped_lanes(lanes, estimate_forward, mc)
+    whole = estimate_forward(simulate_capped_lanes(lanes, mc)[0])
+    assert pooled.std_error == pytest.approx(whole.std_error, rel=1e-14, abs=0.0)
 
 
 def test_pooled_estimates_validate_inputs(params, caps):
@@ -281,6 +291,53 @@ def test_pooled_estimates_hold_no_path_arrays(params, caps, traced_peak):
              for blocks in (2, 8)]
     assert abs(peaks[1] - peaks[0]) <= row
     assert max(peaks) <= 2 * (1 + 3 + len(lanes)) * row
+
+
+# ---------------------------------------------------------------------------
+# the one reduction: McEstimate and its merge
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+@pytest.mark.parametrize("n, split", [(2, 1), (1000, 1), (1000, 500), (1000, 999),
+                                      (_BLOCK_PATHS + 17, _BLOCK_PATHS)])
+def test_merged_estimates_equal_the_estimate_of_the_joined_sample(n, split, scale):
+    values = np.random.default_rng(n + split).lognormal(0.0, 1.0, n) * scale
+    head = estimate_forward(PathSet(values[:split]))
+    tail = estimate_forward(PathSet(values[split:]))
+    merged, whole = head + tail, estimate_forward(PathSet(values))
+    assert merged.count == head.count + tail.count == n
+    eps = np.finfo(float).eps
+    assert merged.value == pytest.approx(whole.value, rel=4 * eps, abs=0.0)
+    assert merged.m2 == pytest.approx(whole.m2, rel=16 * eps, abs=0.0)
+    assert merged.std_error == pytest.approx(whole.std_error, rel=16 * eps, abs=0.0)
+
+
+def test_one_value_has_no_standard_error():
+    one = estimate_forward(PathSet(np.array([0.3])))
+    assert one == McEstimate(1, 0.3, 0.0)
+    assert one.std_error == 0.0
+    two = one + McEstimate(1, 0.1, 0.0)
+    assert (two.count, two.value, two.m2) == (2, pytest.approx(0.2), pytest.approx(0.02))
+    assert two.std_error == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("first, second", [
+    ((2, 0.0, 1e308), (3, 0.0, 1e308)),
+    ((2, 0.0, 0.0), (3, 1e200, 0.0)),
+    ((2, 1e308, 0.0), (3, -1e308, 0.0)),
+], ids=["m2_sum", "squared_gap", "gap"])
+def test_a_merge_that_overflows_is_refused_without_a_warning(first, second):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="is not finite"):
+            McEstimate(*first) + McEstimate(*second)
+
+
+@pytest.mark.parametrize("value, m2", [(math.nan, 0.0), (math.inf, 1.0),
+                                       (0.1, math.inf), (0.1, math.nan)])
+def test_an_estimate_that_is_not_finite_is_refused(value, m2):
+    with pytest.raises(NumericalError, match="^the sample mean .* is not finite$"):
+        McEstimate(10, value, m2)
 
 
 def test_log_scheme_paths_positive_and_finite(params, caps):
@@ -396,17 +453,18 @@ def test_option_price_validation(params, caps):
 # nested finite-window VIX estimator
 # ---------------------------------------------------------------------------
 
-def test_nested_vix_tracks_terminal_for_vanishing_window(params, caps):
+def test_nested_vix_tracks_terminal_for_vanishing_window(params, caps, monkeypatch):
     mc = McConfig(n_paths=2_000, n_steps=20, horizon=0.1, seed=5,
                   inner_paths=2, inner_steps=1)
-    result = estimate_vix_nested(params, caps, replace(mc, vix_window=1e-10))
+    monkeypatch.setattr("vixsabr.mc._VIX_WINDOW", 1e-10)
+    result = estimate_vix_nested(params, caps, mc)
     outer = simulate_capped_paths(params, caps, mc)
     assert np.allclose(result.vix, outer.terminal_values, rtol=1e-4)
 
 
 def test_nested_vix_sandwich_holds(params, caps):
     mc = McConfig(n_paths=200, n_steps=20, horizon=0.1, seed=5,
-                  inner_paths=300, inner_steps=30, vix_window=30.0 / 365.0)
+                  inner_paths=300, inner_steps=30)
     result = estimate_vix_nested(params, caps, mc)
     assert result.vix.shape == (200,)
     assert np.all(result.lower < result.upper)
@@ -414,11 +472,13 @@ def test_nested_vix_sandwich_holds(params, caps):
     assert result.violation_fraction <= 0.05
 
 
-def test_nested_vix_bounds_widen_with_window(params, caps):
+def test_nested_vix_bounds_widen_with_window(params, caps, monkeypatch):
     mc = McConfig(n_paths=300, n_steps=10, horizon=0.1, seed=5,
                   inner_paths=8, inner_steps=4)
-    narrow = estimate_vix_nested(params, caps, replace(mc, vix_window=0.01))
-    wide = estimate_vix_nested(params, caps, replace(mc, vix_window=0.1))
+    monkeypatch.setattr("vixsabr.mc._VIX_WINDOW", 0.01)
+    narrow = estimate_vix_nested(params, caps, mc)
+    monkeypatch.setattr("vixsabr.mc._VIX_WINDOW", 0.1)
+    wide = estimate_vix_nested(params, caps, mc)
     assert np.all(wide.upper - wide.lower > narrow.upper - narrow.lower)
 
 
@@ -437,9 +497,11 @@ def test_nested_vix_validation(params, caps, mc_default):
 
 def _reference_nested_vix(params, caps, mc):
     """The nested VIX of each outer path from its own inner stream, block
-    i of the inner domain, and the plain step expressions."""
+    i of the inner domain, and the plain step expressions, over the
+    paper's 30-day window."""
+    window = 30.0 / 365.0
     v_t = _reference_paths(params, caps, mc)[-1]
-    dt = mc.vix_window / mc.inner_steps
+    dt = window / mc.inner_steps
     vix = []
     for i, level in enumerate(v_t):
         z = _block_stream(_DOMAIN_INNER, i, mc.seed).standard_normal(
@@ -452,7 +514,7 @@ def _reference_nested_vix(params, caps, mc):
             mu = capped_vol_drift(v, params, caps)
             v = v * np.exp((mu - 0.5 * sig * sig) * dt + sig * math.sqrt(dt) * row)
             acc = acc + (v * v if k < mc.inner_steps - 1 else 0.5 * v * v)
-        vix.append(math.sqrt(float((acc * dt / mc.vix_window).mean())))
+        vix.append(math.sqrt(float((acc * dt / window).mean())))
     return np.array(vix)
 
 

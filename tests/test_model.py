@@ -121,7 +121,6 @@ _HUGE = 10**5000
         ("n_paths", lambda p: McConfig(n_paths=-_HUGE)),
         ("n_steps", lambda p: McConfig(n_steps=-_HUGE)),
         ("horizon", lambda p: McConfig(horizon=-_HUGE)),
-        ("vix_window", lambda p: McConfig(vix_window=-_HUGE)),
         ("inner_paths", lambda p: McConfig(inner_paths=-_HUGE)),
         ("inner_steps", lambda p: McConfig(inner_steps=-_HUGE)),
         # the integer check prints a non-integer holding a huge integer
