@@ -7,11 +7,13 @@ Four subcommands drive the library against a single JSON config:
 * ``smile``     - MC implied-vol smile with the asymptotic overlay
 * ``converge``  - short-maturity decay of OTM prices vs the rate function
 
-Every command is deterministic given the config (including the seed and
-the thread count) and writes its output atomically (temp file + rename).
-A command reports a problem by raising; :func:`main` alone prints it and
-exits 0 on success, 2 on config, usage or output errors, 3 on numerical
-failures.
+Each subcommand names its ``cmd_*`` function, which :func:`main` calls
+with the loaded config and the parsed arguments (``--threads`` and the
+command's own options).  Every command is deterministic given the config
+(including the seed and the thread count) and writes its output
+atomically (temp file + rename).  A command reports a problem by
+raising; :func:`main` alone prints it and exits 0 on success, 2 on
+config, usage or output errors, 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import astuple, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -199,8 +201,7 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _write_table(config: RunConfig, name: str, header: list[str],
-                 rows: list[list]) -> str:
+def _write_table(config: RunConfig, name: str, header: list[str], rows) -> str:
     """Write rows as ``<name>.csv`` in the output directory; return the path."""
     path = os.path.join(config.output_dir, f"{name}.csv")
     lines = [",".join(header)]
@@ -209,7 +210,7 @@ def _write_table(config: RunConfig, name: str, header: list[str],
     return path
 
 
-def cmd_diagnose(config: RunConfig, n_threads: int = 1) -> None:
+def cmd_diagnose(config: RunConfig, args: argparse.Namespace) -> None:
     """Write the explosion / boundary / martingale report as JSON."""
     if not config.model.negative_correlation:
         raise ConfigError([
@@ -232,39 +233,39 @@ def _single_maturity(config: RunConfig, command: str) -> float:
     return config.maturities[0]
 
 
-def cmd_forwards(config: RunConfig, n_threads: int = 1) -> None:
+def cmd_forwards(config: RunConfig, args: argparse.Namespace) -> None:
     """Write the cap binding level and the MC forward per correlation."""
     maturity = _single_maturity(config, "forwards")
     header = ["rho", "binding_level", "forward", "forward_se"]
     models = [replace(config.model, rho=rho) for rho in _FORWARD_RHOS]
     forwards = estimate_capped_lanes(
         [(model, config.caps, maturity) for model in models],
-        estimate_forward, config.mc, n_threads=n_threads)
+        estimate_forward, config.mc, n_threads=args.threads)
     rows = [[model.rho, config.caps.binding_level(model), f.value, f.std_error]
             for model, f in zip(models, forwards)]
     print(_write_table(config, "forward_table", header, rows))
 
 
-def cmd_smile(config: RunConfig, n_threads: int = 1) -> None:
+def cmd_smile(config: RunConfig, args: argparse.Namespace) -> None:
     """Write the MC smile at one maturity with the asymptotic overlay."""
     maturity = _single_maturity(config, "smile")
     paths = simulate_capped_paths(
         config.model, config.caps, replace(config.mc, horizon=maturity),
-        n_threads=n_threads,
+        n_threads=args.threads,
     )
     points = smile_from_paths(paths, config.strikes, maturity)
     header = ["strike", "log_strike", "price", "price_se", "implied_vol",
               "iv_lo", "iv_hi", "asymptotic_iv", "status"]
     rows = [[pt.strike, pt.log_strike, pt.price.value, pt.price.std_error,
-             math.nan if pt.implied_vol is None else pt.implied_vol,
-             *(pt.band or (math.nan, math.nan)),
+             pt.implied_vol, *pt.band,
              limiting_implied_vol(pt.strike, config.model, config.caps), pt.status]
             for pt in points]
     print(_write_table(config, "smile", header, rows))
 
 
-def cmd_converge(config: RunConfig, strike: float, n_threads: int = 1) -> None:
-    """Write the short-maturity price-decay table at one strike."""
+def cmd_converge(config: RunConfig, args: argparse.Namespace) -> None:
+    """Write the short-maturity price-decay table at ``--strike``."""
+    strike = args.strike
     distinct = len(set(config.maturities))
     if distinct < 2 or distinct < len(config.maturities):
         raise ConfigError([f"maturities: converge needs at least two maturities, "
@@ -275,14 +276,12 @@ def cmd_converge(config: RunConfig, strike: float, n_threads: int = 1) -> None:
     maturities = sorted(config.maturities, reverse=True)
     rows = rate_convergence_study(
         strike, config.model, config.caps, maturities, config.mc,
-        n_threads=n_threads,
+        n_threads=args.threads,
     )
+    # ConvergenceRow's fields are in the table's column order
     header = ["maturity", "strike", "minus_t_log_price", "rate_function",
               "gap", "statistically_zero"]
-    table = [[r.maturity, r.strike, r.minus_t_log_price,
-              r.rate_function_value, r.gap, r.statistically_zero]
-             for r in rows]
-    print(_write_table(config, "converge", header, table))
+    print(_write_table(config, "converge", header, [astuple(row) for row in rows]))
 
 
 def _reject_constant(name: str):
@@ -335,6 +334,14 @@ def _load_config(args) -> RunConfig:
     return config
 
 
+def _strike(text: str) -> float:
+    """``--strike`` as a number, finite and > 0; a refusal is a usage error."""
+    try:
+        return positive_float(float(text), "--strike")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 # The parser is built once, at import: a parser holds reference cycles,
 # which one parser per call would leave to the cyclic collector.
 _PARSER = argparse.ArgumentParser(
@@ -348,30 +355,27 @@ _PARSER.add_argument("--threads", type=int, default=1,
 _PARSER.add_argument("--seed", type=int, help="override the MC seed")
 _PARSER.add_argument("--out", help="override the output directory")
 _COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
-_COMMANDS.add_parser("diagnose", help="explosion and martingale report")
-_COMMANDS.add_parser("forwards", help="cap binding levels and MC forwards")
-_COMMANDS.add_parser("smile", help="MC smile with asymptotic overlay")
-_COMMANDS.add_parser("converge", help="short-maturity price decay vs rate").add_argument(
-    "--strike", type=float, default=0.15, help="strike for the decay study (default 0.15)")
+_COMMANDS.add_parser("diagnose", help="explosion and martingale report").set_defaults(
+    run=cmd_diagnose)
+_COMMANDS.add_parser("forwards", help="cap binding levels and MC forwards").set_defaults(
+    run=cmd_forwards)
+_COMMANDS.add_parser("smile", help="MC smile with asymptotic overlay").set_defaults(
+    run=cmd_smile)
+_CONVERGE = _COMMANDS.add_parser("converge", help="short-maturity price decay vs rate")
+_CONVERGE.add_argument("--strike", type=_strike, default=0.15,
+                       help="strike for the decay study (default 0.15)")
+_CONVERGE.set_defaults(run=cmd_converge)
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         count(args.threads, "--threads", 1)
-        if args.command == "converge":
-            positive_float(args.strike, "--strike")
     except ValueError as err:
         _PARSER.error(str(err))
 
     try:
-        config = _load_config(args)
-        if args.command == "converge":
-            cmd_converge(config, args.strike, n_threads=args.threads)
-        else:
-            command = {"diagnose": cmd_diagnose, "forwards": cmd_forwards,
-                       "smile": cmd_smile}[args.command]
-            command(config, n_threads=args.threads)
+        args.run(_load_config(args), args)
     except ConfigError as err:
         print(f"vixsabr: {err}", file=sys.stderr)
         return 2

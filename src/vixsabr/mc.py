@@ -33,7 +33,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .model import CapSpec, Coefficients, NumericalError, SabrParams, as_floats, \
-    capped_vol_diffusion, capped_vol_drift, count, positive_float, positive_floats
+    capped_vol_diffusion, capped_vol_drift, count, positive_float, positive_floats, shown
 
 __all__ = [
     "McConfig",
@@ -103,8 +103,10 @@ class McConfig:
 class McEstimate:
     """A Monte Carlo mean: ``count`` values, their mean ``value`` and
     ``m2``, the sum of their squared deviations from it.  ``a + b`` pools
-    two disjoint samples (Chan, Golub & LeVeque, Am. Stat. 37, 1983); a
-    ``value`` or ``m2`` that is not finite raises :class:`NumericalError`.
+    two disjoint samples (Chan, Golub & LeVeque, Am. Stat. 37, 1983).  A
+    ``count`` that is not an integer >= 1 or an ``m2`` below 0 raises
+    ValueError naming it, and a ``value`` or ``m2`` that is not finite
+    raises :class:`NumericalError`.
     """
 
     count: int
@@ -112,6 +114,10 @@ class McEstimate:
     m2: float
 
     def __post_init__(self):
+        count(self.count, "count", 1)
+        # before the finiteness check, whose message takes the root of m2
+        if self.m2 < 0.0:
+            raise ValueError(f"m2 must not be negative, got {shown(self.m2)}")
         if not (math.isfinite(self.value) and math.isfinite(self.m2)):
             raise NumericalError(f"the sample mean {self.value} or its standard "
                                  f"error {self.std_error} is not finite")

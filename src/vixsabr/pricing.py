@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -64,14 +63,15 @@ class SmilePoint:
     errors across one smile's strikes.  The inversion is non-decreasing
     in price, so ``band[0] <= implied_vol <= band[1]``.  ``status`` is
     "ok", or "below"/"above" when the central price itself could not be
-    inverted, in which case ``implied_vol`` and ``band`` are None.
+    inverted, in which case ``implied_vol`` and both band edges are NaN,
+    as :class:`ConvergenceRow` quotes an undefined value.
     """
 
     strike: float
     log_strike: float
     price: McEstimate
-    implied_vol: Optional[float]
-    band: Optional[tuple[float, float]]
+    implied_vol: float
+    band: tuple[float, float]
     status: str
 
 
@@ -250,8 +250,8 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
     error for the band, a display band (see :class:`SmilePoint`): about
     68% per strike nominally, without the forward's error, and
     correlated across strikes.  Points whose central price falls outside
-    the arbitrage bounds are reported with a non-"ok" status instead of
-    aborting the smile.
+    the arbitrage bounds are reported with a non-"ok" status and NaN for
+    the vol and both band edges, instead of aborting the smile.
 
     Each strike adds, over sorted blocks of ``mc._BLOCK_PATHS`` paths in
     order, the count m of paths strictly in the money and the sums S1
@@ -311,20 +311,14 @@ def smile_from_paths(paths: PathSet, strikes, maturity: float) -> list[SmilePoin
     # otherwise decide whether that edge inverts.
     lower[paying <= 1] = 0.0
     below, above = vols == 0.0, vols == math.inf
-    points = []
-    for i, strike in enumerate(strikes.tolist()):
-        ok = not (below[i] or above[i])
-        points.append(
-            SmilePoint(
-                strike=strike,
-                log_strike=_log_ratio(strike, fwd),
-                price=prices[i],
-                implied_vol=float(vols[i]) if ok else None,
-                band=(float(lower[i]), float(upper[i])) if ok else None,
-                status="ok" if ok else ("below" if below[i] else "above"),
-            )
-        )
-    return points
+    statuses = np.select([below, above], ["below", "above"], "ok").tolist()
+    # an unquoted strike holds math.nan itself, as ConvergenceRow does,
+    # so two equal smiles still compare equal
+    quotes = np.stack((vols, lower, upper)).astype(object)
+    quotes[:, below | above] = math.nan
+    return [SmilePoint(strike, _log_ratio(strike, fwd), price, vol, (lo, hi), status)
+            for strike, price, vol, lo, hi, status
+            in zip(strikes.tolist(), prices, *quotes, statuses)]
 
 
 def rate_convergence_study(

@@ -340,6 +340,26 @@ def test_an_estimate_that_is_not_finite_is_refused(value, m2):
         McEstimate(10, value, m2)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((0, 0.1, 0.0), "^count must be >= 1, got 0$"),
+    ((2.0, 0.1, 0.0), "^count must be an integer, got 2.0$"),
+    ((2, 0.1, -1.0), "^m2 must not be negative, got -1.0$"),
+    ((2, math.inf, -1.0), "^m2 must not be negative, got -1.0$"),
+], ids=["no_values", "float_count", "negative_m2", "negative_m2_beside_inf"])
+def test_an_estimate_refuses_a_count_below_one_or_a_negative_m2_by_name(fields, message):
+    with pytest.raises(ValueError, match=message):
+        McEstimate(*fields)
+
+
+def test_a_sum_of_refused_estimates_is_never_formed():
+    # neither operand can be built, so the merge never divides by a
+    # count of 0 or takes the root of a negative m2
+    with pytest.raises(ValueError, match="^count must be >= 1"):
+        McEstimate(0, 0.1, 0.0) + McEstimate(0, 0.2, 0.0)
+    with pytest.raises(ValueError, match="^m2 must not be negative"):
+        McEstimate(2, 0.1, -1.0) + McEstimate(2, 0.2, -1.0)
+
+
 def test_log_scheme_paths_positive_and_finite(params, caps):
     mc = McConfig(n_paths=20_000, n_steps=50, horizon=0.2, seed=3)
     out = simulate_capped_paths(params, caps, mc)

@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import vixsabr
 from vixsabr import asymptotics, cli, mc, model, pricing, scale
@@ -70,3 +72,15 @@ def test_python_m_vixsabr_cli_fails_loudly(tmp_path):
     assert done.stderr.splitlines()[-1] == \
         "vixsabr: run python3 -m vixsabr, not python3 -m vixsabr.cli"
     assert not list(tmp_path.iterdir())
+
+
+def test_readme_library_quick_start_runs_as_written(capsys):
+    # the block is run verbatim, so the documented API cannot drift
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library quick start"):]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 11
+    # the report, the forward, then one smile point per line
+    assert [line.split()[0] for line in printed[2:5]] == ["0.08", "0.1", "0.12"]

@@ -333,8 +333,23 @@ def test_smile_far_strike_reports_status(params, caps):
     points = smile_from_paths(paths, [0.1, 5.0], maturity=0.1)
     far = points[-1]
     assert far.status == "below"  # zero-price call: at intrinsic value
-    assert far.implied_vol is None
-    assert far.band is None
+    assert math.isnan(far.implied_vol)
+    assert len(far.band) == 2 and all(math.isnan(edge) for edge in far.band)
+
+
+def test_smile_keeps_each_status_of_its_unquoted_strikes():
+    # at maturity 1e-11 the vol ceiling 1e6 is a total vol of about 3.2,
+    # and the put at 0.1 pays more than Black's put at that vol; no path
+    # pays at 0.0005 or at 2.0
+    paths = PathSet(terminal_values=np.array([0.001] * 9 + [1.0]))
+    points = smile_from_paths(paths, [0.0005, 0.1, 0.5, 2.0], maturity=1e-11)
+    assert [pt.status for pt in points] == ["below", "above", "ok", "below"]
+    for pt in points:
+        quoted = pt.status == "ok"
+        assert [math.isnan(x) for x in (pt.implied_vol, *pt.band)] == [not quoted] * 3
+    assert points[2].band[0] < points[2].implied_vol < points[2].band[1]
+    # an unquoted strike holds one NaN object, so equal smiles compare equal
+    assert smile_from_paths(paths, [0.0005, 0.1, 0.5, 2.0], maturity=1e-11) == points
 
 
 def test_smile_strike_whose_square_overflows_reports_below():
