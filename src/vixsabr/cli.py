@@ -11,9 +11,10 @@ Each subcommand names its ``cmd_*`` function, which :func:`main` calls
 with the loaded config and the parsed arguments (``--threads`` and the
 command's own options).  Every command is deterministic given the config
 (including the seed and the thread count) and writes its output
-atomically (temp file + rename).  A command reports a problem by
-raising; :func:`main` alone prints it and exits 0 on success, 2 on
-config, usage or output errors, 3 on numerical failures.
+atomically (temp file + rename) into ``--out``, which the config does
+not set.  A command reports a problem by raising; :func:`main` alone
+prints it and exits 0 on success, 2 on config, usage or output errors,
+3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class RunConfig:
     mc: McConfig = McConfig()
     strikes: tuple[float, ...] = tuple(float(k) for k in np.geomspace(0.05, 0.25, 25))
     maturities: tuple[float, ...] = (0.1,)
-    output_dir: str = "."
 
     def __post_init__(self):
         problems = []
@@ -90,8 +90,6 @@ class RunConfig:
         normalise("mc", lambda mc: McConfig(**_settable(mc)))
         normalise("strikes", _positive_floats)
         normalise("maturities", _positive_floats)
-        if not isinstance(self.output_dir, str):
-            problems.append("output_dir: expected a string")
         if problems:
             raise ConfigError(problems)
 
@@ -201,9 +199,9 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _write_table(config: RunConfig, name: str, header: list[str], rows) -> str:
-    """Write rows as ``<name>.csv`` in the output directory; return the path."""
-    path = os.path.join(config.output_dir, f"{name}.csv")
+def _write_table(out: str, name: str, header: list[str], rows) -> str:
+    """Write rows as ``<name>.csv`` in the directory ``out``; return the path."""
+    path = os.path.join(out, f"{name}.csv")
     lines = [",".join(header)]
     lines += [",".join(_fmt(cell) for cell in row) for row in rows]
     _write_atomic(path, "\n".join(lines) + "\n")
@@ -220,7 +218,7 @@ def cmd_diagnose(config: RunConfig, args: argparse.Namespace) -> None:
     martingale = martingale_diagnostic(config.model)
     payload = {"schema_version": SCHEMA_VERSION, **report.to_dict(),
                "martingale": martingale}
-    path = os.path.join(config.output_dir, "diagnose.json")
+    path = os.path.join(args.out, "diagnose.json")
     _write_atomic(path, json.dumps(payload, indent=2) + "\n")
     print(path)
 
@@ -243,7 +241,7 @@ def cmd_forwards(config: RunConfig, args: argparse.Namespace) -> None:
         estimate_forward, config.mc, n_threads=args.threads)
     rows = [[model.rho, config.caps.binding_level(model), f.value, f.std_error]
             for model, f in zip(models, forwards)]
-    print(_write_table(config, "forward_table", header, rows))
+    print(_write_table(args.out, "forward_table", header, rows))
 
 
 def cmd_smile(config: RunConfig, args: argparse.Namespace) -> None:
@@ -260,7 +258,7 @@ def cmd_smile(config: RunConfig, args: argparse.Namespace) -> None:
              pt.implied_vol, *pt.band,
              limiting_implied_vol(pt.strike, config.model, config.caps), pt.status]
             for pt in points]
-    print(_write_table(config, "smile", header, rows))
+    print(_write_table(args.out, "smile", header, rows))
 
 
 def cmd_converge(config: RunConfig, args: argparse.Namespace) -> None:
@@ -281,7 +279,7 @@ def cmd_converge(config: RunConfig, args: argparse.Namespace) -> None:
     # ConvergenceRow's fields are in the table's column order
     header = ["maturity", "strike", "minus_t_log_price", "rate_function",
               "gap", "statistically_zero"]
-    print(_write_table(config, "converge", header, [astuple(row) for row in rows]))
+    print(_write_table(args.out, "converge", header, [astuple(row) for row in rows]))
 
 
 def _reject_constant(name: str):
@@ -329,8 +327,6 @@ def _load_config(args) -> RunConfig:
             config = replace(config, mc=replace(config.mc, seed=args.seed))
         except ValueError as err:
             raise ConfigError([f"--seed: {err}"]) from None
-    if args.out is not None:
-        config = replace(config, output_dir=args.out)
     return config
 
 
@@ -353,7 +349,7 @@ _PARSER.add_argument("--config", help="path to a JSON config file")
 _PARSER.add_argument("--threads", type=int, default=1,
                      help="worker threads for path generation")
 _PARSER.add_argument("--seed", type=int, help="override the MC seed")
-_PARSER.add_argument("--out", help="override the output directory")
+_PARSER.add_argument("--out", default=".", help="override the output directory")
 _COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
 _COMMANDS.add_parser("diagnose", help="explosion and martingale report").set_defaults(
     run=cmd_diagnose)

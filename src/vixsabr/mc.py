@@ -24,6 +24,7 @@ positive until they overflow.  Payoff means are in :mod:`vixsabr.pricing`.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
@@ -182,9 +183,16 @@ def _run_blocks(domain, seed, n, width, run_block, n_threads) -> None:
     Block b holds paths [b * width, min(n, (b + 1) * width)) and draws
     from the Philox stream keyed ``(domain << 96) | (b << 64) | seed``.
     Blocks must write disjoint outputs; the result then does not depend
-    on the worker count or on the order in which blocks finish.
+    on the worker count or on the order in which blocks finish.  The
+    pool holds one task per worker: each worker takes the next block
+    not yet taken until none is left or one of its blocks fails, so a
+    worker's blocks ascend, and the error raised is that of the
+    lowest-numbered failing block at every worker count.
     """
     count(n_threads, "n_threads", 1)
+    n_blocks = -(-n // width)
+    blocks = iter(range(n_blocks))
+    taking = threading.Lock()
 
     def run(block: int) -> None:
         lo = block * width
@@ -196,8 +204,22 @@ def _run_blocks(domain, seed, n, width, run_block, n_threads) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             run_block(lo, min(n, lo + width), Generator(Philox(key=key)))
 
+    def work(_):
+        """The first of this worker's blocks to fail, with its error."""
+        while True:
+            with taking:
+                block = next(blocks, None)
+            if block is None:
+                return None
+            try:
+                run(block)
+            except Exception as err:
+                return block, err
+
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        list(pool.map(run, range(-(-n // width))))
+        failures = [f for f in pool.map(work, range(min(n_threads, n_blocks))) if f]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
 
 
 def _step_capped(v, z, dt, sqrt_dt, params, caps, work) -> None:
@@ -381,8 +403,11 @@ def estimate_capped_lanes(lanes, statistic, mc: McConfig,
             row[:] = estimate.count, estimate.value, estimate.m2
 
     _run_blocks(_DOMAIN_CAPPED, mc.seed, mc.n_paths, _BLOCK_PATHS, run_block, n_threads)
-    return [reduce(McEstimate.__add__, (McEstimate(int(n), m, m2) for n, m, m2 in rows))
-            for rows in table.tolist()]
+    # one row at a time as Python floats: a list copy of the whole table
+    # would take several times its size
+    return [reduce(McEstimate.__add__, (McEstimate(int(n), m, m2)
+                                        for n, m, m2 in map(np.ndarray.tolist, rows)))
+            for rows in table]
 
 
 def simulate_capped_paths(

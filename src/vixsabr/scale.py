@@ -302,10 +302,11 @@ def _segmented_quad(integrand, lo, hi) -> float:
         except OverflowError:
             raise NumericalError(f"integrand overflows on [{a}, {b}]") from None
         if len(out) > 3:
-            # QAGS explains a failure over several lines; the first
-            # names it, and an error message is one line
-            reason = str(out[3]).partition("\n")[0].strip()
-            raise NumericalError(f"quadrature failed on [{a}, {b}]: {reason}")
+            # QAGS explains a failure in sentences broken over several
+            # lines; the first sentence names it, and an error message
+            # is one line
+            reason = " ".join(str(out[3]).split()).partition(". ")[0].rstrip(".")
+            raise NumericalError(f"quadrature failed on [{a}, {b}]: {reason}.")
         total += out[0]
     return total
 

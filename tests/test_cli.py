@@ -69,7 +69,7 @@ def test_config_errors_are_aggregated_with_paths():
     joined = "\n".join(problems)
     assert "model:" in joined
     assert "mc: unknown keys ['bogus']" in joined
-    assert "output_dir: expected a string" in joined
+    assert "output_dir: unknown section" in joined
     assert "mystery: unknown section" in joined
 
 
@@ -155,10 +155,17 @@ def test_config_caps_accessor():
     assert config.caps.binding_level(config.model) > 0.0
 
 
+def _settable_keys(data: dict) -> int:
+    """The keys a config sets: one per key of a section that is an object,
+    one per other section."""
+    return sum(len(v) if isinstance(v, dict) else 1 for v in data.values())
+
+
 def test_config_sections_are_the_dataclass_fields():
     config = RunConfig()
     data = config.to_dict()
     assert list(data) == [f.name for f in fields(RunConfig)]
+    assert list(data) == ["model", "caps", "mc", "strikes", "maturities"]
     for name, section in data.items():
         value = getattr(config, name)
         if is_dataclass(value):
@@ -167,7 +174,7 @@ def test_config_sections_are_the_dataclass_fields():
             assert set(section) == expected, name
     assert list(data["caps"]) == ["vol_cap", "drift_cap"]
     assert list(data["mc"]) == ["n_paths", "n_steps", "seed"]
-    assert sum(len(v) if isinstance(v, dict) else 1 for v in data.values()) == 12
+    assert _settable_keys(data) == 11
 
 
 def test_config_rebuilds_mc_from_its_settable_keys():
@@ -220,6 +227,9 @@ def test_readme_config_block_is_the_default_config():
     assert strikes == [default_strikes[0], "...", default_strikes[-1]]
     assert list(block) == list(expected)
     assert block == expected
+    # the stated count of settable keys follows the dataclasses too
+    assert f"The config has {_settable_keys(RunConfig().to_dict())} settable keys." \
+        in " ".join(section.split())
 
 
 # json.dumps writes nan and inf as the NaN and Infinity tokens; this
@@ -527,7 +537,7 @@ def test_main_rejects_overflowing_literals(tmp_path, capsys, text, command):
          {"n_steps": 1000.0}, {"seed": "30"}])],
 )
 def test_main_rejects_non_integer_sizes(tmp_path, capsys, config):
-    code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, "forwards")
+    code = run_cli(tmp_path, config, "--out", str(tmp_path), "forwards")
     assert code == 2
     assert "must be an integer" in capsys.readouterr().err
 
@@ -538,7 +548,7 @@ def test_main_rejects_non_finite_list_entries(tmp_path, capsys, section):
     # refused before any range check.  A number beyond the float range is
     # refused by test_config_reads_integers_beyond_float_range_as_infinities.
     code = run_cli(
-        tmp_path, {section: [0.1, "Infinity"], "output_dir": str(tmp_path)}, "smile"
+        tmp_path, {section: [0.1, "Infinity"]}, "--out", str(tmp_path), "smile"
     )
     assert code == 2
     assert f"{section}: expected a list of numbers" in capsys.readouterr().err
@@ -584,9 +594,10 @@ def test_config_shows_text_in_quotes():
     "config, argv, message",
     [({"rate": 0.0}, [], "rate: unknown section"),
      ({"format": "csv"}, [], "format: unknown section"),
+     ({"output_dir": "x"}, [], "output_dir: unknown section"),
      # argparse reads csv as the command and reports the usage error
      ({}, ["--format", "csv"], "vixsabr: error: argument command")],
-    ids=["rate", "format", "--format"],
+    ids=["rate", "format", "output_dir", "--format"],
 )
 def test_main_rejects_the_removed_rate_and_format(tmp_path, capsys, config,
                                                   argv, message):
@@ -599,6 +610,26 @@ def test_main_rejects_the_removed_rate_and_format(tmp_path, capsys, config,
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["diagnose"], "diagnose.json"), (["forwards"], "forward_table.csv"),
+    (["smile"], "smile.csv"), (["converge", "--strike", "0.15"], "converge.csv")],
+    ids=["diagnose", "forwards", "smile", "converge"])
+def test_out_alone_says_where_every_command_writes(tmp_path, capsys, monkeypatch,
+                                                   argv, written):
+    # the config holds what is computed: an output_dir section is refused,
+    # and without --out every command writes into the working directory
+    monkeypatch.chdir(tmp_path)
+    config = {"mc": {"n_paths": 200, "n_steps": 2, "seed": 1},
+              "maturities": [0.2, 0.1] if argv[0] == "converge" else [0.1]}
+    assert run_cli(tmp_path, {**config, "output_dir": "x"}, *argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "vixsabr: invalid configuration:", "  output_dir: unknown section"]
+    assert os.listdir(tmp_path) == ["config.json"]
+    assert run_cli(tmp_path, config, *argv) == 0
+    assert capsys.readouterr().out == f"./{written}\n"
+    assert sorted(os.listdir(tmp_path)) == sorted(["config.json", written])
 
 
 @pytest.mark.parametrize("command", ["diagnose", "forwards", "smile", "converge"])
@@ -635,8 +666,7 @@ def test_diagnose_v0_just_below_the_bound_runs(tmp_path, v0):
     # v0 once had to stay below 1e8 so that the Feller origin cutoff
     # 0.01*v0 sat under the tail point 1e6; with the base point fixed at
     # 1e-3 these values run like any other
-    code = run_cli(tmp_path, {"model": {"v0": v0}, "output_dir": str(tmp_path)},
-                   "diagnose")
+    code = run_cli(tmp_path, {"model": {"v0": v0}}, "--out", str(tmp_path), "diagnose")
     assert code == 0
 
 
@@ -669,8 +699,7 @@ def test_diagnose_near_beta_one_runs_the_scaled_feller_pass(tmp_path, capsys):
     # exp(2 * scale_exponent) overflows below the truncation point 1e6;
     # the Feller pass never evaluates it unscaled
     model = {"beta": 0.99, "rho": -0.5, "omega": 1.0, "v0": 0.1}
-    code = run_cli(tmp_path, {"model": model, "output_dir": str(tmp_path)},
-                   "diagnose")
+    code = run_cli(tmp_path, {"model": model}, "--out", str(tmp_path), "diagnose")
     assert code == 0
     assert capsys.readouterr().err == ""
     report = json.loads((tmp_path / "diagnose.json").read_text())
@@ -696,7 +725,7 @@ def test_diagnose_tiny_omega_exits_3(tmp_path, capsys, omega, message):
 def test_diagnose_tail_fit_outside_the_tail_regime_exits_3(tmp_path, capsys):
     config = {"model": {"beta": 0.9999998, "rho": -0.4, "omega": 5.5},
               "caps": {"vol_cap": 6.0}}
-    code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, "diagnose")
+    code = run_cli(tmp_path, config, "--out", str(tmp_path), "diagnose")
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
         "vixsabr: numerical failure: scale-function tail fit residual 3.62e-01 "
@@ -714,7 +743,7 @@ def test_diagnose_tail_fit_outside_the_tail_regime_exits_3(tmp_path, capsys):
 def test_diagnose_overflow_exits_3(tmp_path, capsys, config, message):
     # math.exp raises OverflowError, which must surface as a numerical
     # failure rather than a traceback
-    code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, "diagnose")
+    code = run_cli(tmp_path, config, "--out", str(tmp_path), "diagnose")
     assert code == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "diagnose.json").exists()
@@ -837,12 +866,25 @@ def test_diagnose_quadrature_failure_prints_one_line(tmp_path, capsys, monkeypat
                               "improvement it is advised to analyze \n  the integrand")
 
     monkeypatch.setattr(scale.integrate, "quad", failing)
-    code = run_cli(tmp_path, {"output_dir": str(tmp_path)}, "diagnose")
+    code = run_cli(tmp_path, {}, "--out", str(tmp_path), "diagnose")
     assert code == 3
     err = capsys.readouterr().err
     assert err.splitlines() == [err.rstrip("\n")]
     assert err.startswith("vixsabr: numerical failure: quadrature failed on [")
     assert err.endswith("]: The maximum number of subdivisions (50) has been achieved.\n")
+    assert not (tmp_path / "diagnose.json").exists()
+
+
+def test_diagnose_quadrature_failure_prints_a_whole_sentence(tmp_path, capsys):
+    # QAGS breaks its roundoff message mid-sentence at the first line end;
+    # the error message keeps the whole first sentence
+    config = {"model": {"beta": 0.9999997147132006, "rho": -0.5122499358129284,
+                        "omega": 0.02833824799685857}}
+    assert run_cli(tmp_path, config, "--out", str(tmp_path), "diagnose") == 3
+    assert capsys.readouterr().err == (
+        "vixsabr: numerical failure: quadrature failed on [0.01, 0.1]: The "
+        "occurrence of roundoff error is detected, which prevents the requested "
+        "tolerance from being achieved.\n")
     assert not (tmp_path / "diagnose.json").exists()
 
 
@@ -863,7 +905,7 @@ def test_diagnose_quadrature_failure_prints_one_line(tmp_path, capsys, monkeypat
 )
 def test_main_rejects_json_booleans(tmp_path, capsys, config, problem):
     # Python reads true and false as 1 and 0; model refuses them as numbers
-    code = run_cli(tmp_path, {**config, "output_dir": str(tmp_path)}, "smile")
+    code = run_cli(tmp_path, config, "--out", str(tmp_path), "smile")
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         "vixsabr: invalid configuration:", f"  {problem}"]
@@ -910,8 +952,7 @@ def test_main_maps_rate_domain_error_to_exit_three(tmp_path, capsys, monkeypatch
     monkeypatch.setattr("vixsabr.pricing.rate_function", failing)
     code = run_cli(
         tmp_path,
-        {"maturities": [0.2, 0.1], "mc": FAST_MC, "output_dir": str(tmp_path)},
-        "converge",
+        {"maturities": [0.2, 0.1], "mc": FAST_MC}, "--out", str(tmp_path), "converge",
     )
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -919,7 +960,7 @@ def test_main_maps_rate_domain_error_to_exit_three(tmp_path, capsys, monkeypatch
 
 def test_diagnose_requires_negative_correlation(tmp_path, capsys):
     code = run_cli(
-        tmp_path, {"model": {"rho": 0.5}, "output_dir": str(tmp_path)}, "diagnose"
+        tmp_path, {"model": {"rho": 0.5}}, "--out", str(tmp_path), "diagnose"
     )
     assert code == 2
     assert "rho" in capsys.readouterr().err
@@ -928,8 +969,7 @@ def test_diagnose_requires_negative_correlation(tmp_path, capsys):
 def test_smile_requires_single_maturity(tmp_path, capsys):
     code = run_cli(
         tmp_path,
-        {"maturities": [0.1, 0.2], "output_dir": str(tmp_path)},
-        "smile",
+        {"maturities": [0.1, 0.2]}, "--out", str(tmp_path), "smile",
     )
     assert code == 2
     assert "one maturity" in capsys.readouterr().err
@@ -937,14 +977,14 @@ def test_smile_requires_single_maturity(tmp_path, capsys):
 
 def test_converge_requires_two_maturities(tmp_path):
     code = run_cli(
-        tmp_path, {"maturities": [0.1], "output_dir": str(tmp_path)}, "converge"
+        tmp_path, {"maturities": [0.1]}, "--out", str(tmp_path), "converge"
     )
     assert code == 2
 
 
 @pytest.mark.parametrize("maturities", [[0.1, 0.1], [0.2, 0.1, 0.2]])
 def test_converge_rejects_repeated_maturities(tmp_path, capsys, maturities):
-    code = run_cli(tmp_path, {"maturities": maturities, "output_dir": str(tmp_path)},
+    code = run_cli(tmp_path, {"maturities": maturities}, "--out", str(tmp_path),
                    "converge")
     assert code == 2
     assert "all distinct" in capsys.readouterr().err
@@ -963,7 +1003,8 @@ def test_converge_rejects_a_strike_that_is_not_positive_and_finite(tmp_path, cap
 def test_converge_rejects_at_the_money_strike(tmp_path, capsys):
     code = run_cli(
         tmp_path,
-        {"maturities": [0.2, 0.1], "mc": FAST_MC, "output_dir": str(tmp_path)},
+        {"maturities": [0.2, 0.1], "mc": FAST_MC},
+        "--out", str(tmp_path),
         "converge", "--strike", "0.1",
     )
     assert code == 2
@@ -1046,7 +1087,7 @@ def test_usage_errors_exit_two(capsys):
 # ---------------------------------------------------------------------------
 
 def test_diagnose_writes_report(tmp_path, capsys):
-    code = run_cli(tmp_path, {"output_dir": str(tmp_path)}, "diagnose")
+    code = run_cli(tmp_path, {}, "--out", str(tmp_path), "diagnose")
     assert code == 0
     out_path = tmp_path / "diagnose.json"
     assert str(out_path) in capsys.readouterr().out
@@ -1060,7 +1101,7 @@ def test_diagnose_writes_report(tmp_path, capsys):
 
 def test_diagnose_reports_regular_boundary(tmp_path):
     code = run_cli(
-        tmp_path, {"model": {"beta": 0.3}, "output_dir": str(tmp_path)}, "diagnose"
+        tmp_path, {"model": {"beta": 0.3}}, "--out", str(tmp_path), "diagnose"
     )
     assert code == 0
     payload = json.loads((tmp_path / "diagnose.json").read_text())
@@ -1073,7 +1114,7 @@ def test_diagnose_reports_regular_boundary(tmp_path):
 
 def test_forwards_table_content(tmp_path):
     code = run_cli(
-        tmp_path, {"mc": FAST_MC, "output_dir": str(tmp_path)}, "forwards"
+        tmp_path, {"mc": FAST_MC}, "--out", str(tmp_path), "forwards"
     )
     assert code == 0
     header, rows = read_csv(tmp_path / "forward_table.csv")
@@ -1094,7 +1135,8 @@ def test_forwards_deterministic_across_threads(tmp_path):
     for out, threads in ((out1, "1"), (out2, "4")):
         code = run_cli(
             tmp_path,
-            {"mc": FAST_MC, "output_dir": str(out)},
+            {"mc": FAST_MC},
+            "--out", str(out),
             "--threads", threads, "forwards",
         )
         assert code == 0
@@ -1109,7 +1151,8 @@ def test_forwards_seed_override_shifts_within_noise(tmp_path):
         out = tmp_path / seed
         code = run_cli(
             tmp_path,
-            {"mc": FAST_MC, "output_dir": str(out)},
+            {"mc": FAST_MC},
+            "--out", str(out),
             "--seed", seed, "forwards",
         )
         assert code == 0
@@ -1194,8 +1237,8 @@ def test_smile_table_content(tmp_path):
             "mc": {"n_paths": 20_000, "n_steps": 20, "seed": 12345},
             "strikes": strikes,
             "maturities": [0.1],
-            "output_dir": str(tmp_path),
         },
+        "--out", str(tmp_path),
         "smile",
     )
     assert code == 0
@@ -1226,8 +1269,8 @@ def test_smile_marks_uninvertible_strikes(tmp_path):
             "mc": {"n_paths": 1_000, "n_steps": 5, "seed": 1},
             "strikes": [0.1, 5.0],
             "maturities": [0.1],
-            "output_dir": str(tmp_path),
         },
+        "--out", str(tmp_path),
         "smile",
     )
     assert code == 0
@@ -1247,8 +1290,8 @@ def test_converge_table_content(tmp_path):
         {
             "mc": {"n_paths": 20_000, "n_steps": 20, "seed": 12345},
             "maturities": [0.1, 0.2],
-            "output_dir": str(tmp_path),
         },
+        "--out", str(tmp_path),
         "converge", "--strike", "0.15",
     )
     assert code == 0
@@ -1275,8 +1318,8 @@ def test_converge_table_content(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_no_temp_files_left_behind(tmp_path):
-    run_cli(tmp_path, {"output_dir": str(tmp_path)}, "diagnose")
-    run_cli(tmp_path, {"mc": FAST_MC, "output_dir": str(tmp_path)}, "forwards")
+    run_cli(tmp_path, {}, "--out", str(tmp_path), "diagnose")
+    run_cli(tmp_path, {"mc": FAST_MC}, "--out", str(tmp_path), "forwards")
     leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
     assert leftovers == []
 

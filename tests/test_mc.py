@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import time
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -27,7 +28,7 @@ from vixsabr import (
     simulate_sabr_2d,
     smile_from_paths,
 )
-from vixsabr.mc import _BLOCK_PATHS
+from vixsabr.mc import _BLOCK_PATHS, _run_blocks
 
 # The stream contract, written out here so that the oracles below share
 # no code with the engines: block b of a domain's paths draws from the
@@ -291,6 +292,36 @@ def test_pooled_estimates_hold_no_path_arrays(params, caps, traced_peak):
              for blocks in (2, 8)]
     assert abs(peaks[1] - peaks[0]) <= row
     assert max(peaks) <= 2 * (1 + 3 + len(lanes)) * row
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_pooled_estimates_hold_little_beside_their_block_table(
+        params, caps, monkeypatch, traced_peak, n_threads):
+    # 5,000 blocks of 2 paths: the runner holds one task per worker, not
+    # one future per block (about 1.6 KB each), and the fold reads the
+    # table row by row, not through a list copy of it (about 6 times its
+    # size).  Each of those alone takes the peak past twice the table.
+    monkeypatch.setattr("vixsabr.mc._BLOCK_PATHS", 2)
+    mc = McConfig(n_paths=10_000, n_steps=1, seed=3)
+    table = 5_000 * 3 * 8
+    peak = traced_peak(lambda: estimate_capped_lanes(
+        [(params, caps, 0.1)], estimate_forward, mc, n_threads=n_threads))
+    assert peak < 2 * table
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 3])
+def test_the_lowest_failing_block_raises_at_every_thread_count(n_threads):
+    # blocks 1 and 2 both fail, block 2 first in time where a worker of
+    # its own runs it; block 1's error surfaces all the same
+    def run_block(lo, hi, rng):
+        block = lo // 10
+        if block == 1:
+            time.sleep(0.05)
+        if block in (1, 2):
+            raise ValueError(f"block {block}")
+
+    with pytest.raises(ValueError, match="^block 1$"):
+        _run_blocks(_DOMAIN_CAPPED, 7, 40, 10, run_block, n_threads)
 
 
 # ---------------------------------------------------------------------------
