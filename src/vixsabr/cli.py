@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -282,42 +281,13 @@ def cmd_converge(config: RunConfig, args: argparse.Namespace) -> None:
     print(_write_table(args.out, "converge", header, [astuple(row) for row in rows]))
 
 
-def _reject_constant(name: str):
-    raise ConfigError([f"{name} is not a valid number; values must be finite"])
-
-
-def _finite_literal(parse):
-    """A json.load hook that parses a number literal with ``parse`` and
-    rejects one that overflows a float, such as 1e999 or a 400-digit
-    integer, or that exceeds Python's limit on integer digits."""
-
-    def hook(text: str):
-        try:
-            value = parse(text)
-            if math.isfinite(value):
-                return value
-        except (OverflowError, ValueError):
-            pass
-        shown = text if len(text) <= 24 else f"{text[:20]}... ({len(text)} digits)"
-        raise ConfigError([f"{shown} is out of range; values must be finite"])
-
-    return hook
-
-
-# json.load hooks that turn every non-finite number into a ConfigError.
-_JSON_HOOKS = dict(parse_constant=_reject_constant,
-                   parse_float=_finite_literal(float),
-                   parse_int=_finite_literal(int))
-
-
 def _load_config(args) -> RunConfig:
     data = {}
     if args.config is not None:
         try:
             with open(args.config) as handle:
-                data = json.load(handle, **_JSON_HOOKS)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-                RecursionError) as err:
+                data = json.load(handle)
+        except (OSError, ValueError, RecursionError) as err:
             raise ConfigError([f"config: cannot read the file: {err}"]) from None
         if not isinstance(data, dict):
             raise ConfigError(["top level: expected a JSON object"])
@@ -349,7 +319,8 @@ _PARSER.add_argument("--config", help="path to a JSON config file")
 _PARSER.add_argument("--threads", type=int, default=1,
                      help="worker threads for path generation")
 _PARSER.add_argument("--seed", type=int, help="override the MC seed")
-_PARSER.add_argument("--out", default=".", help="override the output directory")
+_PARSER.add_argument("--out", default=".",
+                     help="directory to write the output into (default: .)")
 _COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
 _COMMANDS.add_parser("diagnose", help="explosion and martingale report").set_defaults(
     run=cmd_diagnose)

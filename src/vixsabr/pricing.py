@@ -361,7 +361,7 @@ def rate_convergence_study(
         lanes, lambda paths: price_vix_option(paths, strike, kind), mc,
         n_threads=n_threads)
     for maturity, estimate in zip(maturities, estimates):
-        zero = estimate.value <= 2.0 * estimate.std_error or estimate.value <= 0.0
+        zero = estimate.value <= 2.0 * estimate.std_error
         if estimate.value > 0.0:
             minus_t_log = -maturity * math.log(estimate.value)
             gap = abs(minus_t_log - target)

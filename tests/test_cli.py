@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from vixsabr import CapSpec, McConfig, RunConfig, estimate_capped_lanes, \
     estimate_forward, main, rate_function, simulate_capped_lanes
 from vixsabr import scale
-from vixsabr.cli import ConfigError, _load_config
+from vixsabr.cli import _PARSER, ConfigError, _load_config
 
 
 def run_cli(tmp_path, config_data, *argv):
@@ -113,8 +113,8 @@ def test_config_takes_only_a_list_of_numbers(section, value):
 @pytest.mark.parametrize("values, shown",
                          [((10**400,), "inf"), ((0.1, -10**400), "-inf")])
 def test_config_reads_integers_beyond_float_range_as_infinities(section, values, shown):
-    # every entry is a number, so the range check refuses it; the CLI's
-    # JSON hooks stop such an integer before it gets here
+    # every entry is a number, so the range check refuses it; a config
+    # file's 401-digit literal reaches it the same way
     with pytest.raises(ConfigError) as err:
         RunConfig(**{section: values})
     assert err.value.problems == [
@@ -491,43 +491,78 @@ def test_main_rejects_bad_config_values(tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
+def _int_limit_message() -> str:
+    """Python's refusal of an integer literal of 5001 digits."""
+    try:
+        int("1" + "0" * 5000)
+    except ValueError as err:
+        return str(err)
+    raise AssertionError("integers of 5001 digits parse; no limit to test")
+
+
 @pytest.mark.parametrize(
-    "text",
-    ['{"rate": NaN}', '{"strikes": [Infinity]}', '{"model": {"v0": -Infinity}}'],
+    "text, problem",
+    [('{"rate": NaN}', "rate: unknown section"),
+     ('{"strikes": [Infinity]}', "strikes: entries must be finite and > 0, got inf"),
+     ('{"model": {"v0": -Infinity}}', "model: v0 must be finite and > 0, got -inf")],
+    ids=["rate", "strikes", "v0"],
 )
-def test_main_rejects_non_finite_json(tmp_path, capsys, text):
+def test_main_rejects_non_finite_json(tmp_path, capsys, text, problem):
+    # NaN and Infinity parse as floats; the field's own rule refuses them
     path = tmp_path / "config.json"
     path.write_text(text)
     assert main(["--config", str(path), "--out", str(tmp_path), "smile"]) == 2
-    assert "finite" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "vixsabr: invalid configuration:", f"  {problem}"]
     assert not (tmp_path / "smile.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["diagnose", "smile"])
 @pytest.mark.parametrize(
-    "text",
+    "text, problem",
     [
-        '{"quadrature": {"large_x": 1e999}}',
-        '{"model": {"v0": 1e999}}',
-        '{"caps": {"vol_cap": 1e999}}',
-        '{"mc": {"horizon": 1e999}}',
-        '{"quadrature": {"abs_tol": 1e999}}',
-        '{"caps": {"vol_cap": 1%s}}' % ("0" * 400),
-        '{"mc": {"seed": 1%s}}' % ("0" * 5000),
+        ('{"quadrature": {"large_x": 1e999}}', "quadrature: unknown section"),
+        ('{"model": {"v0": 1e999}}', "model: v0 must be finite and > 0, got inf"),
+        ('{"caps": {"vol_cap": 1e999}}', "caps: vol_cap must be finite and > 0, got inf"),
+        ('{"mc": {"horizon": 1e999}}', "mc: unknown keys ['horizon']"),
+        ('{"quadrature": {"abs_tol": 1e999}}', "quadrature: unknown section"),
+        ('{"caps": {"vol_cap": 1%s}}' % ("0" * 400),
+         f"caps: vol_cap must be finite and > 0, got {10**400}"),
+        ('{"mc": {"seed": 1%s}}' % ("0" * 5000),
+         f"config: cannot read the file: {_int_limit_message()}"),
     ],
     ids=["large_x", "v0", "vol_cap", "horizon", "abs_tol", "int_401_digits",
          "int_5001_digits"],
 )
-def test_main_rejects_overflowing_literals(tmp_path, capsys, text, command):
-    # json.load reads 1e999 as inf without calling parse_constant; a
-    # 400-digit integer overflows float(); 5000 digits exceed int()'s limit.
-    # A literal is rejected as it is parsed, before any section is read,
-    # so it is reported even under an unknown section such as quadrature.
+def test_main_rejects_overflowing_literals(tmp_path, capsys, text, problem, command):
+    # json.load reads 1e999 as inf and a 401-digit literal as an int past
+    # float's range; each reaches its field's rule and is refused by name,
+    # or is reported as unknown under an unknown section or key.  Only an
+    # integer past Python's limit on digits cannot be parsed at all.
     path = tmp_path / "config.json"
     path.write_text(text)
     assert main(["--config", str(path), "--out", str(tmp_path), command]) == 2
-    assert "is out of range; values must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "vixsabr: invalid configuration:", f"  {problem}"]
     assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("diagnose.json"))
+
+
+def test_main_reports_an_overflowing_literal_beside_every_other_problem(tmp_path,
+                                                                         capsys):
+    # a literal past float's range is one problem among the others, each
+    # reported by its field, in one pass
+    path = tmp_path / "config.json"
+    path.write_text('{"model": {"v0": 1e999, "beta": 2}, "caps": {"vol_cap": -1}, '
+                    '"bogus": 1}')
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "smile"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "vixsabr: invalid configuration:",
+        "  bogus: unknown section",
+        "  model: v0 must be finite and > 0, got inf",
+        "  model: beta must be in [0, 1), got 2",
+        "  caps: vol_cap must be finite and > 0, got -1"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -619,7 +654,10 @@ def test_main_rejects_the_removed_rate_and_format(tmp_path, capsys, config,
 def test_out_alone_says_where_every_command_writes(tmp_path, capsys, monkeypatch,
                                                    argv, written):
     # the config holds what is computed: an output_dir section is refused,
-    # and without --out every command writes into the working directory
+    # and without --out every command writes into the working directory,
+    # as --help says
+    assert "--out OUT directory to write the output into (default: .)" in \
+        " ".join(_PARSER.format_help().split())
     monkeypatch.chdir(tmp_path)
     config = {"mc": {"n_paths": 200, "n_steps": 2, "seed": 1},
               "maturities": [0.2, 0.1] if argv[0] == "converge" else [0.1]}

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -84,3 +85,15 @@ def test_readme_library_quick_start_runs_as_written(capsys):
     assert len(printed) == 11
     # the report, the forward, then one smile point per line
     assert [line.split()[0] for line in printed[2:5]] == ["0.08", "0.1", "0.12"]
+
+
+def test_readme_counts_the_ast_checks():
+    # an ast check is a test of test_bench_bindings.py that parses code
+    tests = Path(__file__).parent / "test_bench_bindings.py"
+    checks = [node.name for node in ast.parse(tests.read_text()).body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+              and any(isinstance(call, ast.Call) and ast.unparse(call.func) == "ast.parse"
+                      for call in ast.walk(node))]
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    words = ["one", "two", "three", "four", "five", "six", "seven", "eight", "nine"]
+    assert f"holds the package's {words[len(checks) - 1]} `ast` checks:" in readme
