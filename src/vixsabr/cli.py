@@ -320,7 +320,7 @@ _PARSER.add_argument("--threads", type=int, default=1,
                      help="worker threads for path generation")
 _PARSER.add_argument("--seed", type=int, help="override the MC seed")
 _PARSER.add_argument("--out", default=".",
-                     help="directory to write the output into (default: .)")
+                     help="directory to write the output into (default: %(default)s)")
 _COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
 _COMMANDS.add_parser("diagnose", help="explosion and martingale report").set_defaults(
     run=cmd_diagnose)

@@ -24,6 +24,7 @@ positive until they overflow.  Payoff means are in :mod:`vixsabr.pricing`.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -92,12 +93,13 @@ class McConfig:
 
     def __post_init__(self):
         count(self.n_paths, "n_paths", 1)
-        count(self.n_steps, "n_steps", 1)
+        # a step is a float divided by the step count, which must convert
+        count(self.n_steps, "n_steps", 1, sys.float_info.max)
         positive_float(self.horizon, "horizon")
         if not 0 <= count(self.seed, "seed") < 2**64:
             raise ValueError("seed must fit in 64 bits")
         count(self.inner_paths, "inner_paths", 0)
-        count(self.inner_steps, "inner_steps", 1)
+        count(self.inner_steps, "inner_steps", 1, sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -298,7 +300,7 @@ def _empty(shape, what: str) -> np.ndarray:
     address space with a ValueError; it is refused here, before anything
     is allocated, as the shortage of memory it is."""
     if math.prod(shape) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
-        raise MemoryError(f"{' x '.join(map(str, shape))} float64 {what} "
+        raise MemoryError(f"{' x '.join(map(shown, shape))} float64 {what} "
                           "exceed the address space")
     return np.empty(shape)
 

@@ -41,16 +41,21 @@ def shown(value) -> str:
     """``repr`` of text, taken as a plain str so that numpy's shows no
     type, ``str`` of a number or numpy scalar, ``repr`` of anything else,
     as an array or a Decimal, whose str reads as a number, or words for
-    what neither shows: an integer past the digit limit, a deep container."""
+    what neither shows: an integer past the digit limit, a deep container.
+    An integer of more than 24 digits shows its first 20 and its count."""
     if isinstance(value, str):
         return repr(str(value))
     number = isinstance(value, (numbers.Complex, np.generic))
     try:
-        return str(value) if number else repr(value)
+        text = str(value) if number else repr(value)
     except ValueError:
         return f"a number of more than {sys.get_int_max_str_digits()} digits"
     except RecursionError:
         return f"a {type(value).__name__} nested too deeply to show"
+    digits = text.lstrip("-")
+    if isinstance(value, numbers.Integral) and len(digits) > 24:
+        return f"{text[:-len(digits)]}{digits[:20]}... ({len(digits)} digits)"
+    return text
 
 
 # omega and vol_cap must stay below this, so that their squares, in the
@@ -63,13 +68,15 @@ class NumericalError(RuntimeError):
     a closed form is evaluated outside its domain or overflows."""
 
 
-def count(value, name: str, minimum=-math.inf):
+def count(value, name: str, minimum=-math.inf, maximum=math.inf):
     """``value``; ValueError naming ``name`` unless it is an integer,
-    which a boolean is not, and >= ``minimum``."""
+    which a boolean is not, in [``minimum``, ``maximum``]."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {shown(value)}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {shown(value)}")
+    if value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {shown(value)}")
     return value
 
 

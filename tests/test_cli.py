@@ -122,8 +122,10 @@ def test_config_reads_integers_beyond_float_range_as_infinities(section, values,
 
 
 @pytest.mark.parametrize("section, key, problem", [
-    ("caps", "drift_cap", f"caps: drift_cap must be finite and > 0, got {10**400}"),
-    ("model", "v0", f"model: v0 must be finite and > 0, got {10**400}")],
+    ("caps", "drift_cap",
+     "caps: drift_cap must be finite and > 0, got 10000000000000000000... (401 digits)"),
+    ("model", "v0",
+     "model: v0 must be finite and > 0, got 10000000000000000000... (401 digits)")],
     ids=["caps-drift_cap", "model-v0"])
 def test_config_rejects_integers_beyond_float_range(section, key, problem):
     # an int above float's range compares below inf: the range check
@@ -517,7 +519,7 @@ def test_main_rejects_non_finite_json(tmp_path, capsys, text, problem):
     assert not (tmp_path / "smile.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["diagnose", "smile"])
+@pytest.mark.parametrize("command", ["diagnose", "forwards", "smile", "converge"])
 @pytest.mark.parametrize(
     "text, problem",
     [
@@ -527,12 +529,16 @@ def test_main_rejects_non_finite_json(tmp_path, capsys, text, problem):
         ('{"mc": {"horizon": 1e999}}', "mc: unknown keys ['horizon']"),
         ('{"quadrature": {"abs_tol": 1e999}}', "quadrature: unknown section"),
         ('{"caps": {"vol_cap": 1%s}}' % ("0" * 400),
-         f"caps: vol_cap must be finite and > 0, got {10**400}"),
+         "caps: vol_cap must be finite and > 0, got 10000000000000000000... (401 digits)"),
+        # a step is horizon / n_steps, which a count past float's range overflows
+        ('{"mc": {"n_steps": 1%s}}' % ("0" * 400),
+         "mc: n_steps must be <= 1.7976931348623157e+308, "
+         "got 10000000000000000000... (401 digits)"),
         ('{"mc": {"seed": 1%s}}' % ("0" * 5000),
          f"config: cannot read the file: {_int_limit_message()}"),
     ],
     ids=["large_x", "v0", "vol_cap", "horizon", "abs_tol", "int_401_digits",
-         "int_5001_digits"],
+         "n_steps_401_digits", "int_5001_digits"],
 )
 def test_main_rejects_overflowing_literals(tmp_path, capsys, text, problem, command):
     # json.load reads 1e999 as inf and a 401-digit literal as an int past
@@ -647,6 +653,11 @@ def test_main_rejects_the_removed_rate_and_format(tmp_path, capsys, config,
     assert not out.exists()
 
 
+def test_help_says_what_out_is():
+    assert "--out OUT directory to write the output into (default: .)" in \
+        " ".join(_PARSER.format_help().split())
+
+
 @pytest.mark.parametrize("argv, written", [
     (["diagnose"], "diagnose.json"), (["forwards"], "forward_table.csv"),
     (["smile"], "smile.csv"), (["converge", "--strike", "0.15"], "converge.csv")],
@@ -656,8 +667,6 @@ def test_out_alone_says_where_every_command_writes(tmp_path, capsys, monkeypatch
     # the config holds what is computed: an output_dir section is refused,
     # and without --out every command writes into the working directory,
     # as --help says
-    assert "--out OUT directory to write the output into (default: .)" in \
-        " ".join(_PARSER.format_help().split())
     monkeypatch.chdir(tmp_path)
     config = {"mc": {"n_paths": 200, "n_steps": 2, "seed": 1},
               "maturities": [0.2, 0.1] if argv[0] == "converge" else [0.1]}

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -67,6 +68,15 @@ def _block_stream(domain, block, seed):
 def test_mc_config_validation(kwargs):
     with pytest.raises(ValueError):
         McConfig(**kwargs)
+
+
+def test_a_step_count_must_convert_to_a_float():
+    # a step is horizon / n_steps, which a larger count overflows
+    largest = int(sys.float_info.max)
+    assert McConfig(n_steps=largest, inner_steps=largest).n_steps == largest
+    for name in ("n_steps", "inner_steps"):
+        with pytest.raises(ValueError, match=f"^{name} must be <= 1.797"):
+            McConfig(**{name: largest + 1})
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +720,10 @@ def test_sabr_2d_refuses_samples_that_are_not_finite(v0, s0, bad):
 def test_sabr_2d_refuses_a_path_count_past_the_address_space(params):
     with pytest.raises(MemoryError, match="exceed the address space"):
         simulate_sabr_2d(params, 1.0, McConfig(n_paths=2**62))
+    # a count of many digits is shown cut, as every refused integer is
+    with pytest.raises(MemoryError, match=r"^2 x 10000000000000000000\.\.\. "
+                       r"\(401 digits\) float64 outputs exceed"):
+        simulate_sabr_2d(params, 1.0, McConfig(n_paths=10**400))
 
 
 # ---------------------------------------------------------------------------

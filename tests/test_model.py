@@ -20,6 +20,7 @@ from vixsabr import (
     vol_drift,
     vol_variance,
 )
+from vixsabr.model import shown
 
 any_params = st.builds(
     SabrParams,
@@ -120,9 +121,12 @@ _HUGE = 10**5000
         ("drift_cap", lambda p: CapSpec.from_params(p, 2.0, -_HUGE)),
         ("n_paths", lambda p: McConfig(n_paths=-_HUGE)),
         ("n_steps", lambda p: McConfig(n_steps=-_HUGE)),
+        pytest.param("n_steps", lambda p: McConfig(n_steps=_HUGE), id="n_steps-max"),
         ("horizon", lambda p: McConfig(horizon=-_HUGE)),
         ("inner_paths", lambda p: McConfig(inner_paths=-_HUGE)),
         ("inner_steps", lambda p: McConfig(inner_steps=-_HUGE)),
+        pytest.param("inner_steps", lambda p: McConfig(inner_steps=_HUGE),
+                     id="inner_steps-max"),
         # the integer check prints a non-integer holding a huge integer
         pytest.param("n_paths", lambda p: McConfig(n_paths=Fraction(_HUGE)),
                      id="n_paths-Fraction"),
@@ -131,6 +135,16 @@ _HUGE = 10**5000
 def test_range_messages_name_the_field_of_an_unprintable_integer(params, field, build):
     with pytest.raises(ValueError, match=f"^{field} must .* got a number of more than"):
         build(params)
+
+
+@pytest.mark.parametrize("value, text", [
+    (10**23, "100000000000000000000000"),
+    (-(10**23), "-100000000000000000000000"),
+    (10**24, "10000000000000000000... (25 digits)"),
+    (-(10**400), "-10000000000000000000... (401 digits)"),
+    (np.int64(-2**63), "-9223372036854775808")])
+def test_shown_cuts_an_integer_past_24_digits(value, text):
+    assert shown(value) == text
 
 
 # ---------------------------------------------------------------------------
