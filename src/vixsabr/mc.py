@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import reduce
 from types import SimpleNamespace
@@ -186,15 +186,17 @@ def _run_blocks(domain, seed, n, width, run_block, n_threads) -> None:
     from the Philox stream keyed ``(domain << 96) | (b << 64) | seed``.
     Blocks must write disjoint outputs; the result then does not depend
     on the worker count or on the order in which blocks finish.  The
-    pool holds one task per worker: each worker takes the next block
-    not yet taken until none is left or one of its blocks fails, so a
-    worker's blocks ascend, and the error raised is that of the
-    lowest-numbered failing block at every worker count.
+    workers are the caller and up to n_threads - 1 helper threads, as
+    many as the system starts.  Each worker takes the next block not yet
+    taken until none is left or one of its blocks fails, so a worker's
+    blocks ascend, and the error raised is that of the lowest-numbered
+    failing block at every worker count.
     """
     count(n_threads, "n_threads", 1)
     n_blocks = -(-n // width)
     blocks = iter(range(n_blocks))
     taking = threading.Lock()
+    failures = []
 
     def run(block: int) -> None:
         lo = block * width
@@ -206,20 +208,31 @@ def _run_blocks(domain, seed, n, width, run_block, n_threads) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             run_block(lo, min(n, lo + width), Generator(Philox(key=key)))
 
-    def work(_):
-        """The first of this worker's blocks to fail, with its error."""
+    def work() -> None:
+        """Run blocks until none is left or one fails, noting the failure."""
         while True:
             with taking:
                 block = next(blocks, None)
             if block is None:
-                return None
+                return
             try:
                 run(block)
             except Exception as err:
-                return block, err
+                failures.append((block, err))
+                return
 
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        failures = [f for f in pool.map(work, range(min(n_threads, n_blocks))) if f]
+    helpers = []
+    try:
+        # a helper the system refuses leaves its blocks to the started workers
+        with suppress(RuntimeError):
+            for _ in range(min(n_threads, n_blocks) - 1):
+                helper = threading.Thread(target=work)
+                helper.start()
+                helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
 
@@ -418,7 +431,7 @@ def simulate_capped_paths(
     """Simulate the capped volatility process to the horizon.
 
     Deterministic given (seed, n_paths, n_steps) no matter how many
-    worker threads run the blocks; paths stay positive until they
+    threads run the blocks; paths stay positive until they
     overflow.  This is the one-lane case of :func:`simulate_capped_lanes`.
     """
     return simulate_capped_lanes([(params, caps, mc.horizon)], mc, n_threads)[0]

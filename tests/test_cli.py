@@ -7,6 +7,7 @@ import json
 import math
 import os
 import sys
+import threading
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -1190,6 +1191,41 @@ def test_forwards_deterministic_across_threads(tmp_path):
     a = (out1 / "forward_table.csv").read_bytes()
     b = (out2 / "forward_table.csv").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("allowed", [0, 1])
+def test_refused_helper_threads_leave_their_blocks_to_the_started_workers(
+        tmp_path, monkeypatch, allowed):
+    # 40,000 paths are 3 blocks, so --threads 4 asks for 2 helpers; the
+    # system refuses each command's starts past the first `allowed`, and
+    # each command still exits 0 with the bytes of its --threads 1 run
+    mc = {"n_paths": 40_000, "n_steps": 5}
+    commands = [({"mc": mc}, ["forwards"], "forward_table.csv"),
+                ({"mc": mc}, ["smile"], "smile.csv"),
+                ({"mc": mc, "maturities": [0.2, 0.1]},
+                 ["converge", "--strike", "0.15"], "converge.csv")]
+    for config, command, name in commands:
+        assert run_cli(tmp_path, config, "--out", str(tmp_path / "one"),
+                       "--threads", "1", *command) == 0
+    started, refused = [], []
+    start = threading.Thread.start
+
+    def start_or_refuse(thread):
+        if len(started) == allowed:
+            refused.append(thread)
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_or_refuse)
+    for config, command, name in commands:
+        started.clear()
+        refused.clear()
+        assert run_cli(tmp_path, config, "--out", str(tmp_path / "four"),
+                       "--threads", "4", *command) == 0
+        assert len(started) == allowed and refused, name
+        assert (tmp_path / "four" / name).read_bytes() \
+            == (tmp_path / "one" / name).read_bytes(), name
 
 
 def test_forwards_seed_override_shifts_within_noise(tmp_path):

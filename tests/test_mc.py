@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import sys
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -307,8 +308,8 @@ def test_pooled_estimates_hold_no_path_arrays(params, caps, traced_peak):
 @pytest.mark.parametrize("n_threads", [1, 2])
 def test_pooled_estimates_hold_little_beside_their_block_table(
         params, caps, monkeypatch, traced_peak, n_threads):
-    # 5,000 blocks of 2 paths: the runner holds one task per worker, not
-    # one future per block (about 1.6 KB each), and the fold reads the
+    # 5,000 blocks of 2 paths: the runner holds nothing per block (a
+    # future per block took about 1.6 KB each), and the fold reads the
     # table row by row, not through a list copy of it (about 6 times its
     # size).  Each of those alone takes the peak past twice the table.
     monkeypatch.setattr("vixsabr.mc._BLOCK_PATHS", 2)
@@ -317,6 +318,66 @@ def test_pooled_estimates_hold_little_beside_their_block_table(
     peak = traced_peak(lambda: estimate_capped_lanes(
         [(params, caps, 0.1)], estimate_forward, mc, n_threads=n_threads))
     assert peak < 2 * table
+
+
+def test_one_thread_runs_every_block_on_the_calling_thread(monkeypatch):
+    def start(thread):
+        pytest.fail("a thread was started at n_threads=1")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    ran = []
+    _run_blocks(_DOMAIN_CAPPED, 7, 40, 10,
+                lambda lo, hi, rng: ran.append((lo, threading.get_ident())), 1)
+    assert ran == [(lo, threading.get_ident()) for lo in (0, 10, 20, 30)]
+
+
+def test_four_workers_are_the_caller_and_three_helpers(monkeypatch):
+    # more workers than cores and a thread switch every microsecond:
+    # three threads start, each block below the first failing one runs
+    # once, a lost failure would raise a later block's error, and no
+    # helper outlives the call
+    ran, started, start = [], [], threading.Thread.start
+
+    def run_block(lo, hi, rng):
+        if lo >= 1500:
+            raise ValueError(f"block {lo}")
+        ran.append(lo)
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(ValueError, match="^block 1500$"):
+            _run_blocks(_DOMAIN_CAPPED, 7, 2000, 1, run_block, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 3
+    assert sorted(ran) == list(range(1500))
+    assert threading.active_count() == before
+
+
+def test_an_interrupt_on_the_caller_waits_for_the_helper():
+    # the helper's blocks wait until the caller's block is interrupted;
+    # the interrupt surfaces only once the helper has run every other block
+    caller, interrupted, done = threading.get_ident(), threading.Event(), []
+
+    def run_block(lo, hi, rng):
+        if threading.get_ident() == caller:
+            interrupted.set()
+            raise KeyboardInterrupt
+        interrupted.wait(timeout=2)
+        time.sleep(0.01)
+        done.append(lo)
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        _run_blocks(_DOMAIN_CAPPED, 7, 40, 10, run_block, 2)
+    assert len(done) == 3
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("n_threads", [1, 2, 3])
