@@ -551,14 +551,11 @@ def simulate_sabr_2d(
         z1, z2 = z = np.empty((2, m))
         s = np.full(m, s0)
         sig = np.full(m, sigma0)
-        alive = np.ones(m, dtype=bool)
         for _ in range(mc.n_steps):
             rng.standard_normal(out=z)
-            ds = sig * s**params.beta * sqrt_dt * z1
-            s = np.where(alive, s + ds, 0.0)
-            absorbed_now = alive & (s <= 0.0)
-            s[absorbed_now] = 0.0
-            alive &= ~absorbed_now
+            # an absorbed spot is 0.0 and stays there, also at beta = 0,
+            # where 0**0 is 1; a live increment is multiplied by 1.0, exactly
+            s = np.maximum(s + sig * s**params.beta * sqrt_dt * z1 * (s > 0.0), 0.0)
             sig = sig * np.exp(
                 -0.5 * omega**2 * dt + omega * sqrt_dt * (rho * z1 + rho_perp * z2)
             )

@@ -171,6 +171,21 @@ def test_only_the_nested_estimator_calls_std():
     assert calling == ["vixsabr.mc.estimate_vix_nested"]
 
 
+def test_only_the_block_runner_makes_random_streams():
+    # The stream contract, block b of a domain drawing from the Philox
+    # stream keyed (domain << 96) | (b << 64) | seed, has one home:
+    # mc._run_blocks.  No other code builds a bit generator or a
+    # Generator, by bare name or as an attribute such as np.random.Philox.
+    making = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            making += [f"vixsabr.{path.stem}.{getattr(top, 'name', '<module>')}"
+                       for node in ast.walk(top) if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", getattr(node.func, "attr", None))
+                       in ("Philox", "Generator", "default_rng")]
+    assert making == ["vixsabr.mc._run_blocks"] * 2
+
+
 def test_bench_calls_bind_to_the_mc_signatures():
     # bench/probes.py and bench/workloads.py call these shapes, and the
     # path-step counters read the McConfig at argument index 2

@@ -748,12 +748,22 @@ def _reference_sabr_2d(params, s0, mc):
 
 
 @pytest.mark.parametrize("n_threads", [1, 2])
-def test_sabr_2d_equals_whole_block_draws(params, n_threads):
-    mc = McConfig(n_paths=_BLOCK_PATHS + 17, n_steps=6, horizon=0.1, seed=21)
-    sample = simulate_sabr_2d(params, 1.3, mc, n_threads=n_threads)
-    spot, vol = _reference_sabr_2d(params, 1.3, mc)
+@pytest.mark.parametrize(
+    "beta, v0, s0, n_steps, horizon, absorbed",
+    [(0.5, 0.1, 1.3, 6, 0.1, 0.0), (0.0, 2.0, 1.0, 50, 1.0, 0.4),
+     (0.5, 2.0, 1.0, 50, 1.0, 0.4)],
+    ids=["unabsorbed", "absorbing-beta0", "absorbing-beta0.5"])
+def test_sabr_2d_equals_whole_block_draws(beta, v0, s0, n_steps, horizon, absorbed,
+                                          n_threads):
+    # about 48% of the absorbing rows' paths end at S = 0, where beta = 0
+    # makes 0**beta equal 1
+    p = SabrParams(beta=beta, rho=-0.7, omega=1.0, v0=v0)
+    mc = McConfig(n_paths=_BLOCK_PATHS + 17, n_steps=n_steps, horizon=horizon, seed=21)
+    sample = simulate_sabr_2d(p, s0, mc, n_threads=n_threads)
+    spot, vol = _reference_sabr_2d(p, s0, mc)
     assert np.array_equal(sample.spot, spot)
     assert np.array_equal(sample.vol, vol)
+    assert sample.absorbed_fraction >= absorbed
 
 
 def test_sabr_2d_memory_does_not_grow_with_steps(params, traced_peak):
